@@ -92,11 +92,6 @@ class Statement:
     property: str
     object: "Iri | Literal"
 
-    def key(self):
-        obj = self.object
-        tail = ("iri", obj.value) if isinstance(obj, Iri) else ("lit", obj.datatype, obj.value)
-        return (self.subject.value, self.property, tail)
-
 
 @dataclass(frozen=True)
 class EntityNode:
@@ -138,13 +133,21 @@ _CHAIN_STEPS = (
 )
 
 
+_ERROR_REASONS = {
+    UnknownPropertyError: ViolationReason.UNKNOWN_PROPERTY,
+    UnknownSubjectError: ViolationReason.UNKNOWN_SUBJECT,
+    UnknownObjectError: ViolationReason.UNKNOWN_OBJECT,
+    UnknownClassError: ViolationReason.UNKNOWN_SUBJECT,  # a node typed outside the registry
+}
+
+
 class Graph:
     def __init__(self, registry: Registry, prefixes: dict[str, str] | None = None):
         self.registry = registry
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self.nodes: dict[str, set[str]] = {}
-        self.statements: list[Statement] = []
-        self._statement_keys: set = set()
+        self.statements: list[Statement] = []  # insertion order
+        self._statement_set: set[Statement] = set()
 
     # --- identifiers ---
 
@@ -179,8 +182,8 @@ class Graph:
             obj = self.resolve(obj)
         statement = Statement(subject, property_id, obj)
         self._check_statement(statement)
-        if statement.key() not in self._statement_keys:
-            self._statement_keys.add(statement.key())
+        if statement not in self._statement_set:
+            self._statement_set.add(statement)
             self.statements.append(statement)
         return statement
 
@@ -188,7 +191,7 @@ class Graph:
         subject = self.resolve(subject)
         if isinstance(obj, (str, Iri)) and not isinstance(obj, Literal):
             obj = self.resolve(obj)
-        return Statement(subject, property_id, obj).key() in self._statement_keys
+        return Statement(subject, property_id, obj) in self._statement_set
 
     def _check_statement(self, statement: Statement) -> None:
         pdef = self.registry.properties.get(statement.property)
@@ -198,6 +201,7 @@ class Graph:
         if not subject_types:
             raise UnknownSubjectError(f"unknown subject {statement.subject}")
         obj = statement.object
+        object_types = ()
         if isinstance(obj, Iri):
             object_types = self.nodes.get(obj.value)
             if not object_types:
@@ -207,75 +211,56 @@ class Graph:
                     ViolationReason.RANGE_VIOLATION,
                     f"{statement.property} expects a {pdef.range} literal, got an IRI",
                     frozenset(subject_types), frozenset(object_types))
-            if not any(self.registry.is_subclass_of(t, pdef.domain) for t in subject_types):
-                raise StatementViolationError(
-                    ViolationReason.DOMAIN_VIOLATION,
-                    f"subject of {statement.property} must fall under {pdef.domain}; "
-                    f"found {sorted(subject_types)}",
-                    frozenset(subject_types), frozenset(object_types))
+        if not any(self.registry.is_subclass_of(t, pdef.domain) for t in subject_types):
+            raise StatementViolationError(
+                ViolationReason.DOMAIN_VIOLATION,
+                f"subject of {statement.property} must fall under {pdef.domain}; "
+                f"found {sorted(subject_types)}",
+                frozenset(subject_types), frozenset(object_types))
+        if isinstance(obj, Iri):
             if not any(self.registry.is_subclass_of(t, pdef.range) for t in object_types):
                 raise StatementViolationError(
                     ViolationReason.RANGE_VIOLATION,
                     f"object of {statement.property} must fall under {pdef.range}; "
                     f"found {sorted(object_types)}",
                     frozenset(subject_types), frozenset(object_types))
-        else:
-            if not any(self.registry.is_subclass_of(t, pdef.domain) for t in subject_types):
-                raise StatementViolationError(
-                    ViolationReason.DOMAIN_VIOLATION,
-                    f"subject of {statement.property} must fall under {pdef.domain}; "
-                    f"found {sorted(subject_types)}",
-                    frozenset(subject_types))
-            if pdef.range not in LITERAL_KINDS:
-                raise StatementViolationError(
-                    ViolationReason.RANGE_VIOLATION,
-                    f"{statement.property} expects a {pdef.range}, got a literal",
-                    frozenset(subject_types))
-            if obj.datatype != pdef.range:
-                raise StatementViolationError(
-                    ViolationReason.DATATYPE_VIOLATION,
-                    f"{statement.property} expects a {pdef.range} literal, "
-                    f"got {obj.datatype}",
-                    frozenset(subject_types))
+        elif pdef.range not in LITERAL_KINDS:
+            raise StatementViolationError(
+                ViolationReason.RANGE_VIOLATION,
+                f"{statement.property} expects a {pdef.range}, got a literal",
+                frozenset(subject_types), frozenset(object_types))
+        elif obj.datatype != pdef.range:
+            raise StatementViolationError(
+                ViolationReason.DATATYPE_VIOLATION,
+                f"{statement.property} expects a {pdef.range} literal, got {obj.datatype}",
+                frozenset(subject_types), frozenset(object_types))
 
     # --- validation ---
 
     def validate(self) -> ValidationReport:
         """Re-check every statement; never raises."""
         violations: list[Violation] = []
-
-        def flag(reason, message, statement):
-            violations.append(Violation(reason, message, statement))
-
         for statement in self.statements:
-            pdef = self.registry.properties.get(statement.property)
-            if pdef is None:
-                flag(ViolationReason.UNKNOWN_PROPERTY,
-                     f"unknown property {statement.property}", statement)
-                continue
-            subject_types = self.nodes.get(statement.subject.value)
-            if not subject_types:
-                flag(ViolationReason.UNKNOWN_SUBJECT,
-                     f"unknown subject {statement.subject}", statement)
-                continue
-            obj = statement.object
-            if isinstance(obj, Iri):
-                object_types = self.nodes.get(obj.value)
-                if not object_types:
-                    flag(ViolationReason.UNKNOWN_OBJECT, f"unknown object {obj}", statement)
-                    continue
-            else:
-                try:
-                    _canonical_lexical(obj.datatype, obj.value)
-                except ValueError as exc:
-                    flag(ViolationReason.DATATYPE_VIOLATION, str(exc), statement)
-                    continue
+            found = None
             try:
                 self._check_statement(statement)
             except StatementViolationError as exc:
-                flag(exc.reason, str(exc), statement)
-            except UnknownClassError as exc:
-                flag(ViolationReason.UNKNOWN_SUBJECT, str(exc), statement)
+                found = (exc.reason, str(exc))
+            except (UnknownPropertyError, UnknownSubjectError) as exc:
+                violations.append(Violation(_ERROR_REASONS[type(exc)], str(exc), statement))
+                continue
+            except (UnknownObjectError, UnknownClassError) as exc:
+                found = (_ERROR_REASONS[type(exc)], str(exc))
+            # Insertion only ever sees canonical literals; one slipped in by
+            # other means may not parse, which outranks the type checks.
+            obj = statement.object
+            if isinstance(obj, Literal):
+                try:
+                    _canonical_lexical(obj.datatype, obj.value)
+                except ValueError as exc:
+                    found = (ViolationReason.DATATYPE_VIOLATION, str(exc))
+            if found is not None:
+                violations.append(Violation(*found, statement))
         return ValidationReport(ok=not violations, violations=violations)
 
     # --- queries ---
@@ -348,4 +333,4 @@ class Graph:
 
     def content_equal(self, other: "Graph") -> bool:
         return (self.nodes == other.nodes
-                and self._statement_keys == other._statement_keys)
+                and self._statement_set == other._statement_set)

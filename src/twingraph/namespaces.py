@@ -78,7 +78,14 @@ PROPERTY_MARKERS = {
 }
 
 PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-LOCAL_NAME_RE = re.compile(r"[A-Za-z0-9_.%~/-]+\Z")
+
+# The ASCII characters of a CURIE local name, the one class both text
+# grammars and the emitter use. In graph text a trailing '.' ends the
+# statement, so a local name there never ends in one.
+_LOCAL_CHARS = "A-Za-z0-9_%~/-"  # and '.'
+LOCAL_CHAR = f"[.{_LOCAL_CHARS}]"
+LOCAL_NAME = f"[{_LOCAL_CHARS}]*(?:\\.+[{_LOCAL_CHARS}]+)*"
+LOCAL_NAME_RE = re.compile(LOCAL_NAME + r"\Z")
 
 _ABSOLUTE_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 

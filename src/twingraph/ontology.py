@@ -324,9 +324,8 @@ def load_extension(registry: Registry, text: str):
         fail(pos, f"extension subject or reference outside the ontology namespaces: {iri}")
         return None, None
 
-    def ref_id(value, pos, iri_map):
-        symbol, _ = split_symbol(value, pos)
-        return symbol
+    def ref_id(value, pos):
+        return split_symbol(value, pos)[0]
 
     # Register classes first, deferring forward references within the file.
     pending = []
@@ -356,7 +355,7 @@ def load_extension(registry: Registry, text: str):
         remaining = []
         for item in classes:
             symbol, namespace, entry, _ = item
-            parent_ids = [ref_id(v, pos, None) for v, pos in entry["parents"]]
+            parent_ids = [ref_id(v, pos) for v, pos in entry["parents"]]
             if has_errors(diagnostics):
                 return None, diagnostics
             if all(p in reg.classes for p in parent_ids):
@@ -380,11 +379,11 @@ def load_extension(registry: Registry, text: str):
             continue
         domain_value, domain_pos = entry["domain"]
         range_value, range_pos = entry["range"]
-        domain_id = ref_id(domain_value, domain_pos, None)
+        domain_id = ref_id(domain_value, domain_pos)
         if isinstance(range_value, str) and range_value in LITERAL_KINDS:
             range_id = range_value
         else:
-            range_id = ref_id(range_value, range_pos, None)
+            range_id = ref_id(range_value, range_pos)
         if has_errors(diagnostics):
             return None, diagnostics
         try:

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
+from . import namespaces as ns
 from .canon import parse_decimal
 from .errors import ParseDiagnostic, SEVERITY_ERROR, has_errors
+from .lexer import EOF, Token, master, scan
 
 COMPARATORS = ("<", "<=", ">", ">=", "=", "!=")
 
@@ -115,133 +117,57 @@ NUMBER = "number"
 CMP = "cmp"
 COMMA = "comma"
 TARGET = "target"
-EOF = "eof"
 
-_TARGET_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.%~/-")
+_TOKENS = master(rf"""
+    (?P<word>[A-Za-z_]{ns.LOCAL_CHAR}*(?P<curie>:{ns.LOCAL_CHAR}*)?)  # a CURIE is a target
+  | (?P<cmp><=|>=|!=|<(?![^>\s]+>)|[>=])  # '<' unless a '>' closes it before a blank
+  | (?P<target><[^>\s]+>)
+  | (?P<number>[+-]?[0-9][0-9.]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<comma>,)
+  | (?P<bang>!)
+  | (?P<rest>\#[^\n]*|"[^"\n]*)  # a comment, or an unterminated string
+""")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _token(kind, m, line, col, diagnostics) -> Token | None:
+    text = m.group()
+    if kind == "word":
+        return Token(WORD if m.group("curie") is None else TARGET, text, line, col)
+    if kind == "string":
+        return Token(STRING, text[1:-1], line, col)
+    if kind in (CMP, TARGET, NUMBER, COMMA):  # groups named after their kinds
+        return Token(kind, text, line, col)
+    if kind == "bang":
+        message = "stray '!'"
+    elif text[0] == '"':
+        message = "unterminated string"
+    else:
+        return None  # a comment
+    diagnostics.append(ParseDiagnostic(line, col, SEVERITY_ERROR, message))
+    return None
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
-    tokens: list[_Token] = []
-    diagnostics: list[ParseDiagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == ",":
-            tokens.append(_Token(COMMA, ",", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "<>=!":
-            two = text[i:i + 2]
-            if two in ("<=", ">=", "!="):
-                tokens.append(_Token(CMP, two, start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            if ch == "<":
-                j = i + 1
-                while j < n and text[j] not in ">\n" and not text[j].isspace():
-                    j += 1
-                if j < n and text[j] == ">" and j > i + 1:
-                    tokens.append(_Token(TARGET, text[i:j + 1], start_line, start_col))
-                    col += j - i + 1
-                    i = j + 1
-                    continue
-                # no closing '>' in reach: plain less-than comparator
-            if ch in "<>=":
-                tokens.append(_Token(CMP, ch, start_line, start_col))
-                i += 1
-                col += 1
-                continue
-            diagnostics.append(ParseDiagnostic(
-                start_line, start_col, SEVERITY_ERROR, "stray '!'"))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] == "\n":
-                diagnostics.append(ParseDiagnostic(
-                    start_line, start_col, SEVERITY_ERROR, "unterminated string"))
-                i = j
-                continue
-            tokens.append(_Token(STRING, text[i + 1:j], start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(_Token(NUMBER, text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and text[j] in _TARGET_CHARS:
-                j += 1
-            if j < n and text[j] == ":":
-                k = j + 1
-                while k < n and text[k] in _TARGET_CHARS:
-                    k += 1
-                tokens.append(_Token(TARGET, text[i:k], start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            tokens.append(_Token(WORD, text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        diagnostics.append(ParseDiagnostic(
-            start_line, start_col, SEVERITY_ERROR, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(_Token(EOF, "", line, col))
-    return tokens, diagnostics
+def _tokenize(text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
+    return scan(text, _TOKENS, _token)
 
 
 class _RuleParser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[ParseDiagnostic]):
+    def __init__(self, tokens: list[Token], diagnostics: list[ParseDiagnostic]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> Token:
         token = self.tokens[self.pos]
         if token.kind != EOF:
             self.pos += 1
         return token
 
-    def error(self, token: _Token, message: str) -> None:
+    def error(self, token: Token, message: str) -> None:
         self.diagnostics.append(
             ParseDiagnostic(token.line, token.col, SEVERITY_ERROR, message))
 
@@ -261,7 +187,7 @@ class _RuleParser:
 
     def run(self) -> list[Rule]:
         rules: list[Rule] = []
-        seen: dict[str, _Token] = {}
+        seen: dict[str, Token] = {}
         while self.peek().kind != EOF:
             rule = self.rule(seen)
             if rule is not None:
@@ -270,7 +196,7 @@ class _RuleParser:
                 self.sync_to_rule()
         return rules
 
-    def rule(self, seen: dict[str, _Token]) -> Rule | None:
+    def rule(self, seen: dict[str, Token]) -> Rule | None:
         if not self.expect_word("RULE"):
             return None
         id_token = self.take()

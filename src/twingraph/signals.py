@@ -18,19 +18,15 @@ class SignalPayload:
     value: Decimal
     unit: str
     measured_type: str
-    quality: str | None = None
 
     def canonical(self) -> str:
         """Single-line JSON, keys sorted, minimal decimal value; bit-exact
-        for equal payloads. The quality key appears only when set."""
-        body = {
+        for equal payloads."""
+        return dumps_canonical({
             "measuredType": self.measured_type,
             "sensorId": self.sensor_id,
             "signalId": self.signal_id,
             "timestamp": self.timestamp,
             "unit": self.unit,
             "value": self.value,
-        }
-        if self.quality is not None:
-            body["quality"] = self.quality
-        return dumps_canonical(body)
+        })

@@ -27,6 +27,7 @@ CRLF input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import namespaces as ns
@@ -40,11 +41,11 @@ from .errors import (
     has_errors,
 )
 from .graph import Graph, Iri, Literal, ViolationReason
+from .lexer import EOF, Token, master, scan
 from .ontology import LITERAL_KINDS, Registry
 
 FILE_EXTENSION = ".rht.ttl"
 
-_LOCAL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.%~/-")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
@@ -59,171 +60,74 @@ STRING = "string"
 NUMBER = "number"
 DTSEP = "^^"
 PUNCT = "punct"
-EOF = "eof"
 BAD = "bad"
 
+_TOKENS = master(rf"""
+    (?P<word>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*)(?::(?P<local>{ns.LOCAL_NAME}))?)  # or a PNAME
+  | (?P<punct>[;,.])
+  | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
+  | (?P<string>"(?P<body>(?:[^"\\\n\r]+|\\[\s\S]?)*)(?P<closed>")?)  # '\' takes any next char
+  | (?P<iri><[^>\n]*>?)
+  | (?P<caret>\^\^?)
+  | (?P<directive>@[A-Za-z]*)
+  | (?P<rest>\#[^\n]*)
+""")
+_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-    prefix: str = ""
-    local: str = ""
+
+def _bad(diagnostics, message, text, line, col) -> Token:
+    diagnostics.append(ParseDiagnostic(line, col, SEVERITY_ERROR, message))
+    return Token(BAD, text, line, col)
+
+
+def _token(kind, m, line, col, diagnostics) -> Token | None:
+    text = m.group()
+    if kind == "word":
+        local = m.group("local")
+        if local is not None:
+            return Token(PNAME, text, line, col, m.group("prefix"), local)
+        if text == "a":
+            return Token(WORD_A, text, line, col)
+        return _bad(diagnostics, f"unexpected word {text!r}", text, line, col)
+    if kind == PUNCT or kind == NUMBER:  # groups named after their kinds
+        return Token(kind, text, line, col)
+    if kind == "string":
+        value = m.group("body")
+        if "\\" in value:
+            def unescape(escape):
+                char = _ESCAPES.get(escape.group(1))
+                if char is not None:
+                    return char
+                at = col + 1 + escape.start()
+                diagnostics.append(ParseDiagnostic(
+                    line, at, SEVERITY_ERROR, f"unknown escape sequence at column {at + 1}"))
+                return ""
+            value = _ESCAPE_RE.sub(unescape, value)
+        if m.group("closed") is None:
+            return _bad(diagnostics, "unterminated string literal", value, line, col)
+        return Token(STRING, value, line, col)
+    if kind == "iri":
+        if text[-1] != ">":
+            return _bad(diagnostics, "unterminated IRI reference", text, line, col)
+        iri = text[1:-1]
+        if any(c in iri for c in ' \t"<'):
+            return _bad(diagnostics, f"invalid character in IRI {text}", iri, line, col)
+        if not ns.is_absolute_iri(iri):
+            return _bad(diagnostics, f"relative IRIs are not allowed: {text}", iri, line, col)
+        return Token(IRIREF, iri, line, col)
+    if kind == "caret":
+        if text == DTSEP:
+            return Token(DTSEP, text, line, col)
+        return _bad(diagnostics, "stray '^'", text, line, col)
+    if kind == "directive":
+        if text == AT_PREFIX:
+            return Token(AT_PREFIX, text, line, col)
+        return _bad(diagnostics, f"unknown directive {text}", text, line, col)
+    return None  # rest: a comment
 
 
 def _tokenize(text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
-    tokens: list[Token] = []
-    diagnostics: list[ParseDiagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def err(message, at_line, at_col):
-        diagnostics.append(ParseDiagnostic(at_line, at_col, SEVERITY_ERROR, message))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "@":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i + 1:j]
-            if word == "prefix":
-                tokens.append(Token(AT_PREFIX, "@prefix", start_line, start_col))
-            else:
-                err(f"unknown directive @{word}", start_line, start_col)
-                tokens.append(Token(BAD, "@" + word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "<":
-            j = i + 1
-            while j < n and text[j] not in ">\n":
-                j += 1
-            if j >= n or text[j] == "\n":
-                err("unterminated IRI reference", start_line, start_col)
-                tokens.append(Token(BAD, text[i:j], start_line, start_col))
-                col += j - i
-                i = j
-                continue
-            iri = text[i + 1:j]
-            if any(c in iri for c in ' \t"<'):
-                err(f"invalid character in IRI <{iri}>", start_line, start_col)
-                tokens.append(Token(BAD, iri, start_line, start_col))
-            elif not ns.is_absolute_iri(iri):
-                err(f"relative IRIs are not allowed: <{iri}>", start_line, start_col)
-                tokens.append(Token(BAD, iri, start_line, start_col))
-            else:
-                tokens.append(Token(IRIREF, iri, start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            closed = False
-            while j < n:
-                c = text[j]
-                if c == '"':
-                    closed = True
-                    j += 1
-                    break
-                if c in "\n\r":
-                    break
-                if c == "\\":
-                    if j + 1 < n and text[j + 1] in _ESCAPES:
-                        out.append(_ESCAPES[text[j + 1]])
-                        j += 2
-                        continue
-                    err(f"unknown escape sequence at column {start_col + (j - i) + 1}",
-                        start_line, start_col + (j - i))
-                    j += 2
-                    continue
-                out.append(c)
-                j += 1
-            if not closed:
-                err("unterminated string literal", start_line, start_col)
-                tokens.append(Token(BAD, "".join(out), start_line, start_col))
-            else:
-                tokens.append(Token(STRING, "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "^":
-            if text[i:i + 2] == "^^":
-                tokens.append(Token(DTSEP, "^^", start_line, start_col))
-                i += 2
-                col += 2
-            else:
-                err("stray '^'", start_line, start_col)
-                tokens.append(Token(BAD, "^", start_line, start_col))
-                i += 1
-                col += 1
-            continue
-        if ch in ";,.":
-            tokens.append(Token(PUNCT, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1 if ch in "+-" else i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token(NUMBER, text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            word = text[i:j]
-            if j < n and text[j] == ":":
-                j += 1
-                k = j
-                while k < n and text[k] in _LOCAL_CHARS:
-                    k += 1
-                while k > j and text[k - 1] == ".":
-                    k -= 1  # trailing dots terminate the triple, not the name
-                local = text[j:k]
-                tokens.append(Token(PNAME, text[i:k], start_line, start_col,
-                                    prefix=word, local=local))
-                col += k - i
-                i = k
-                continue
-            if word == "a":
-                tokens.append(Token(WORD_A, "a", start_line, start_col))
-            else:
-                err(f"unexpected word {word!r}", start_line, start_col)
-                tokens.append(Token(BAD, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        err(f"unexpected character {ch!r}", start_line, start_col)
-        tokens.append(Token(BAD, ch, start_line, start_col))
-        i += 1
-        col += 1
-    tokens.append(Token(EOF, "", line, col))
-    return tokens, diagnostics
+    return scan(text, _TOKENS, _token, BAD)
 
 
 # --- raw layer ---
@@ -506,7 +410,7 @@ def emit(graph: Graph) -> str:
         for name, base in candidates:
             if iri.startswith(base):
                 local = iri[len(base):]
-                if local == "" or (set(local) <= _LOCAL_CHARS and not local.endswith(".")):
+                if ns.LOCAL_NAME_RE.match(local):
                     used.add(name)
                     return f"{name}:{local}"
         return f"<{iri}>"

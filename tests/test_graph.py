@@ -216,3 +216,74 @@ def test_content_equal(seed_registry):
     assert a.content_equal(b)
     b.add_entity("ex:extra", ["E53"])
     assert not a.content_equal(b)
+
+
+# --- validate(): which reason each ill-typed statement reports ---
+
+_V = "https://example.org/v/"
+
+
+def _iri(name):
+    return Iri(_V + name)
+
+
+# (case, subject, property, object, expected reasons). P80 is a decimal
+# property whose domain is HC3; ex:odd is typed with a class the registry
+# lacks. Where a statement breaks two rules, the first check in the table's
+# order wins: existence, literal lexical form, IRI-vs-literal range, domain,
+# class range, datatype.
+VALIDATE_CASES = [
+    ("unknown-property", _iri("asset"), "P99", _iri("place"), ["UNKNOWN_PROPERTY"]),
+    ("unknown-property-bad-literal", _iri("asset"), "P99",
+     Literal("decimal", "abc"), ["UNKNOWN_PROPERTY"]),
+    ("unknown-subject", _iri("ghost"), "P55", _iri("place"), ["UNKNOWN_SUBJECT"]),
+    ("unknown-subject-bad-literal", _iri("ghost"), "P80",
+     Literal("decimal", "abc"), ["UNKNOWN_SUBJECT"]),
+    ("unknown-object", _iri("asset"), "P55", _iri("ghost"), ["UNKNOWN_OBJECT"]),
+    ("unknown-object-domain-broken", _iri("place"), "HP1", _iri("ghost"),
+     ["UNKNOWN_OBJECT"]),
+    ("domain", _iri("place"), "HP1", _iri("asset"), ["DOMAIN_VIOLATION"]),
+    ("range-class", _iri("twin"), "HP1", _iri("place"), ["RANGE_VIOLATION"]),
+    ("domain-and-range-class", _iri("place"), "HP1", _iri("place"),
+     ["DOMAIN_VIOLATION"]),
+    ("iri-on-literal-range", _iri("asset"), "P80", _iri("place"), ["RANGE_VIOLATION"]),
+    ("iri-on-literal-range-domain-broken", _iri("place"), "P80", _iri("asset"),
+     ["RANGE_VIOLATION"]),
+    ("literal-on-class-range", _iri("asset"), "P55", Literal("string", "here"),
+     ["RANGE_VIOLATION"]),
+    ("literal-on-class-range-domain-broken", _iri("place"), "HP1",
+     Literal("string", "x"), ["DOMAIN_VIOLATION"]),
+    ("datatype", _iri("asset"), "P80", Literal("string", "wet"), ["DATATYPE_VIOLATION"]),
+    ("datatype-domain-broken", _iri("place"), "P80", Literal("string", "wet"),
+     ["DOMAIN_VIOLATION"]),
+    ("bad-lexical", _iri("asset"), "P80", Literal("decimal", "abc"),
+     ["DATATYPE_VIOLATION"]),
+    ("bad-lexical-domain-broken", _iri("place"), "P80", Literal("decimal", "abc"),
+     ["DATATYPE_VIOLATION"]),
+    # the lexical re-check rejects only forms that do not parse
+    ("parseable-noncanonical-lexical", _iri("asset"), "P80",
+     Literal("decimal", "4.50"), []),
+    ("unknown-class-subject", _iri("odd"), "P55", _iri("place"), ["UNKNOWN_SUBJECT"]),
+    ("unknown-class-object", _iri("asset"), "P55", _iri("odd"), ["UNKNOWN_SUBJECT"]),
+    ("unknown-class-subject-bad-literal", _iri("odd"), "P80",
+     Literal("decimal", "abc"), ["DATATYPE_VIOLATION"]),
+    ("ok-iri", _iri("asset"), "P55", _iri("place"), []),
+    ("ok-literal", _iri("asset"), "P80", Literal("decimal", "4.5"), []),
+]
+
+
+@pytest.mark.parametrize("case,subject,property_id,obj,expected", VALIDATE_CASES,
+                         ids=[case[0] for case in VALIDATE_CASES])
+def test_validate_reason_table(seed_registry, case, subject, property_id, obj, expected):
+    from twingraph import PropertyDef
+    registry = seed_registry.register_property(PropertyDef(
+        id="P80", label="reading", namespace="CRM", domain="HC3", range="decimal"))
+    g = Graph(registry, {"ex": _V})
+    g.add_entity("ex:asset", ["HC3"])
+    g.add_entity("ex:place", ["E53"])
+    g.add_entity("ex:twin", ["HC2"])
+    g.nodes[_V + "odd"] = {"HC99"}
+    g.statements.append(Statement(subject, property_id, obj))
+    report = g.validate()
+    assert [v.reason.name for v in report.violations] == expected
+    assert report.ok == (not expected)
