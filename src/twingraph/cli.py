@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8
         print(str(exc), file=sys.stderr)
         return 2
 

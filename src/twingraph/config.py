@@ -22,6 +22,7 @@ from .errors import ConfigError, UnknownPrefixError
 from .rules import ActionKind, Rule, parse_rules
 
 MAX_SEED = 2 ** 64 - 1
+_LATEST = parse_datetime_utc("9999-12-31T23:59:59Z")  # a scenario clock ends by then
 
 
 # --- generators ---
@@ -125,7 +126,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(text)
 
@@ -229,7 +230,7 @@ def build_scenario(data) -> ScenarioConfig:
 
     start = _require(data, "start", str, "scenario")
     try:
-        parse_datetime_utc(start)
+        start_moment = parse_datetime_utc(start)
     except ValueError as exc:
         raise ConfigError(f"scenario: bad start: {exc}") from exc
 
@@ -239,6 +240,11 @@ def build_scenario(data) -> ScenarioConfig:
     duration = _require(data, "duration", int, "scenario")
     if duration < 0:
         raise ConfigError("scenario: duration must not be negative")
+    # in whole seconds (exact, as ticks are); a timedelta of the run could overflow
+    headroom = _LATEST - start_moment
+    if duration * tick_seconds > headroom.days * 86400 + headroom.seconds:
+        raise ConfigError("scenario: the clock must end by 9999-12-31T23:59:59Z "
+                          "(start + duration * tick_seconds)")
     seed = _require(data, "seed", int, "scenario")
     if not 0 <= seed <= MAX_SEED:
         raise ConfigError("scenario: seed must be an integer in [0, 2^64)")
@@ -247,12 +253,15 @@ def build_scenario(data) -> ScenarioConfig:
     _reject_unknown(entities, {"assets", "places", "twin", "software",
                                "actors", "activators"}, "entities")
 
-    def iri_list(key) -> tuple[str, ...]:
+    def section(key) -> list:
         items = entities.get(key, [])
         if not isinstance(items, list):
             raise ConfigError(f"entities.{key}: must be an array")
+        return items
+
+    def iri_list(key) -> tuple[str, ...]:
         out = []
-        for i, item in enumerate(items):
+        for i, item in enumerate(section(key)):
             where = f"entities.{key}[{i}]"
             if isinstance(item, dict):
                 _reject_unknown(item, {"iri"}, where)
@@ -269,7 +278,7 @@ def build_scenario(data) -> ScenarioConfig:
     actor_set = {expand(a, "entities.actors") for a in actors}
 
     assets = []
-    for i, item in enumerate(entities.get("assets", [])):
+    for i, item in enumerate(section("assets")):
         where = f"entities.assets[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: must be an object")
@@ -297,7 +306,7 @@ def build_scenario(data) -> ScenarioConfig:
         twin = TwinSpec(iri, twin_of)
 
     activators = []
-    for i, item in enumerate(entities.get("activators", [])):
+    for i, item in enumerate(section("activators")):
         where = f"entities.activators[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: must be an object")

@@ -211,14 +211,14 @@ class Graph:
                     ViolationReason.RANGE_VIOLATION,
                     f"{statement.property} expects a {pdef.range} literal, got an IRI",
                     frozenset(subject_types), frozenset(object_types))
-        if not any(self.registry.is_subclass_of(t, pdef.domain) for t in subject_types):
+        if not self.registry.falls_under(subject_types, pdef.domain):
             raise StatementViolationError(
                 ViolationReason.DOMAIN_VIOLATION,
                 f"subject of {statement.property} must fall under {pdef.domain}; "
                 f"found {sorted(subject_types)}",
                 frozenset(subject_types), frozenset(object_types))
         if isinstance(obj, Iri):
-            if not any(self.registry.is_subclass_of(t, pdef.range) for t in object_types):
+            if not self.registry.falls_under(object_types, pdef.range):
                 raise StatementViolationError(
                     ViolationReason.RANGE_VIOLATION,
                     f"object of {statement.property} must fall under {pdef.range}; "
@@ -303,7 +303,7 @@ class Graph:
             raise UnknownSubjectError(f"unknown node {resolved}")
         skip = None
         for offset, class_id in ((0, "HC14"), (2, "HC12"), (3, "HC13")):
-            if any(self.registry.is_subclass_of(t, class_id) for t in types):
+            if self.registry.falls_under(types, class_id):
                 skip = offset
                 break
         if skip is None:

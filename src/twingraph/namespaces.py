@@ -87,6 +87,10 @@ LOCAL_CHAR = f"[.{_LOCAL_CHARS}]"
 LOCAL_NAME = f"[{_LOCAL_CHARS}]*(?:\\.+[{_LOCAL_CHARS}]+)*"
 LOCAL_NAME_RE = re.compile(LOCAL_NAME + r"\Z")
 
+# Characters an IRI may not contain: the text form could not carry them
+# inside <...>. The graph tokenizer and resolve_iri both reject them.
+IRI_FORBIDDEN = ' \t\r\n"<>'
+
 _ABSOLUTE_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 
 
@@ -123,7 +127,7 @@ def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
 
 
 def _checked(iri: str) -> str:
-    if any(c in iri for c in ' \t\r\n"<>'):
+    if any(c in iri for c in IRI_FORBIDDEN):
         raise ValueError(f"IRI contains characters the text form cannot carry: {iri!r}")
     return iri
 

@@ -8,7 +8,9 @@ extensions, including the reactive layer (sensors, signals, deciders,
 activation events).
 
 Registries are immutable after construction: mutating operations return a
-new registry and never touch the receiver.
+new registry and never touch the receiver. Each class's ancestor set (the
+class and everything above it) is computed once, when the class is
+registered, from its parents' sets; subclass questions are set lookups.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class PropertyDef:
 class Registry:
     classes: dict[str, OntologyClassDef] = field(default_factory=dict)
     properties: dict[str, PropertyDef] = field(default_factory=dict)
+    # class id -> that class and all its ancestors; derived from `classes`
+    _ancestors: dict[str, frozenset[str]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     # --- mutation (returns a new registry) ---
 
@@ -68,8 +73,10 @@ class Registry:
                 raise CycleDetectedError(f"class {cdef.id} cannot be its own ancestor")
             if parent not in self.classes:
                 raise UnknownParentError(f"class {cdef.id}: unknown parent {parent}")
+        ancestors = frozenset((cdef.id,)).union(*(self._ancestors[p] for p in cdef.parents))
         return Registry(classes={**self.classes, cdef.id: cdef},
-                        properties=self.properties)
+                        properties=self.properties,
+                        _ancestors={**self._ancestors, cdef.id: ancestors})
 
     def register_property(self, pdef: PropertyDef) -> "Registry":
         if pdef.id in self.properties:
@@ -82,7 +89,8 @@ class Registry:
         if pdef.range not in self.classes and pdef.range not in LITERAL_KINDS:
             raise UnknownClassError(f"property {pdef.id}: unknown range {pdef.range}")
         return Registry(classes=self.classes,
-                        properties={**self.properties, pdef.id: pdef})
+                        properties={**self.properties, pdef.id: pdef},
+                        _ancestors=self._ancestors)
 
     # --- reasoning ---
 
@@ -90,36 +98,16 @@ class Registry:
         """Reflexive-transitive subclass test."""
         self._require_class(a)
         self._require_class(b)
-        if a == b:
-            return True
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            current = frontier.pop()
-            for parent in self.classes[current].parents:
-                if parent == b:
-                    return True
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return False
+        return b in self._ancestors[a]
 
     def subclass_closure(self, c: str) -> set[str]:
         """All registered descendants of c, including c itself."""
         self._require_class(c)
-        children: dict[str, list[str]] = {cid: [] for cid in self.classes}
-        for cdef in self.classes.values():
-            for parent in cdef.parents:
-                children[parent].append(cdef.id)
-        closure = {c}
-        frontier = [c]
-        while frontier:
-            current = frontier.pop()
-            for child in children[current]:
-                if child not in closure:
-                    closure.add(child)
-                    frontier.append(child)
-        return closure
+        return {cid for cid, ancestors in self._ancestors.items() if c in ancestors}
+
+    def falls_under(self, class_ids: set[str] | frozenset[str], class_id: str) -> bool:
+        """Whether some class of class_ids is class_id or a subclass of it."""
+        return any(self.is_subclass_of(c, class_id) for c in class_ids)
 
     def check_applicability(self, prop_id: str,
                             subject_classes: set[str] | frozenset[str],
@@ -134,14 +122,13 @@ class Registry:
         pdef = self.properties.get(prop_id)
         if pdef is None:
             raise UnknownPropertyError(f"unknown property {prop_id}")
-        domain_ok = any(self.is_subclass_of(sc, pdef.domain) for sc in subject_classes)
-        if not domain_ok:
+        if not self.falls_under(subject_classes, pdef.domain):
             return False
         if pdef.range in LITERAL_KINDS:
             for oc in object_classes:
                 self._require_class(oc)
             return True
-        return any(self.is_subclass_of(oc, pdef.range) for oc in object_classes)
+        return self.falls_under(object_classes, pdef.range)
 
     # --- IRI mapping for the text serialization ---
 

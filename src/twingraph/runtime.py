@@ -283,7 +283,7 @@ class ScenarioRun:
                     value: Decimal, tick: int):
         """Wrap a measurement's value in a fresh HC12 signal (L20 link)."""
         types = self.graph.nodes.get(measurement.value)
-        if not types or not any(self.registry.is_subclass_of(t, "HC13") for t in types):
+        if not types or not self.registry.falls_under(types, "HC13"):
             raise NotAMeasurementError(f"{measurement} is not a measurement node")
         state = self._sensors[spec.iri]
         signal = self._fresh("sig", ns.local_name(state.iri.value), index)
@@ -349,8 +349,7 @@ class ScenarioRun:
                 raise ActionTargetMissingError(str(exc)) from exc
             types = self.graph.nodes.get(target.value)
             wanted = "HC11" if action.kind is ActionKind.ACTIVATE else "E39"
-            if not types or not any(self.registry.is_subclass_of(t, wanted)
-                                    for t in types):
+            if not types or not self.registry.falls_under(types, wanted):
                 raise ActionTargetMissingError(
                     f"action target {action.target} is missing or not typed {wanted}")
             resolved_actions.append((action, target))
@@ -378,8 +377,7 @@ class ScenarioRun:
     def execute_activation(self, activation: Iri, tick: int) -> None:
         """Emit actuation records, then alert records; no side effects."""
         types = self.graph.nodes.get(activation.value)
-        if not types or not any(self.registry.is_subclass_of(t, "HC14")
-                                for t in types):
+        if not types or not self.registry.falls_under(types, "HC14"):
             raise NotAnActivationEventError(f"{activation} is not an activation event")
         for target in self.graph.objects_of(activation, "HP13"):
             self._record(tick, ACTUATION, {

@@ -104,6 +104,16 @@ def test_run_non_json_scenario(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff")
+    for argv in (["validate", str(path)], ["query", str(path), "--instances-of", "HC9"],
+                 ["chain", str(path), "--from", "run:x"], ["run", str(path)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "utf-8" in err, (argv, err)
+
+
 def test_run_aborted_step_writes_partial_outputs(tmp_path, capsys, monkeypatch):
     config = load_scenario(SCENARIO)
     finished = run_scenario(config)

@@ -88,6 +88,15 @@ def test_run_prefix_accepts_its_own_iri():
     build_scenario(doc)
 
 
+def test_clock_may_end_at_the_last_representable_second():
+    doc = base()
+    doc.update(start="9999-12-31T23:59:57Z", tick_seconds=1, duration=2)
+    build_scenario(doc)
+    doc["duration"] = 3
+    with pytest.raises(ConfigError, match="must end by 9999"):
+        build_scenario(doc)
+
+
 def test_not_json_and_not_object():
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_scenario("{nope")
@@ -127,10 +136,15 @@ REJECTIONS = [
     ("offset-start", put(("start",), "2026-03-01T12:00:00+02:00"), r"bad start"),
     ("zero-tick", put(("tick_seconds",), 0), r"at least 1"),
     ("negative-duration", put(("duration",), -1), r"not be negative"),
+    ("clock-past-9999", put(("tick_seconds",), 10 ** 12), r"must end by 9999"),
     ("negative-seed", put(("seed",), -1), r"\[0, 2\^64\)"),
     ("huge-seed", put(("seed",), 2 ** 64), r"\[0, 2\^64\)"),
     ("bool-seed", put(("seed",), True), r"must be an integer"),
     ("unknown-entity-field", put(("entities", "robots"), []), r"unknown field"),
+    ("assets-not-array", put(("entities", "assets"), None),
+     r"entities\.assets: must be an array"),
+    ("activators-not-array", put(("entities", "activators"), -1),
+     r"entities\.activators: must be an array"),
     ("asset-place-missing", put(("entities", "assets", 0, "located_in"), "ex:void"),
      r"not a declared place"),
     ("twin-asset-missing", put(("entities", "twin", "twin_of"), "ex:void"),

@@ -1,10 +1,13 @@
 """Both text grammars' tokenizers: positions, diagnostics, termination.
 
 The two tables were recorded from the character-by-character tokenizers
-these replaced; the scan must reproduce them exactly.
+these replaced; the scan must reproduce them exactly. One graph row differs:
+those tokenizers let a bare CR inside <...> through to the graph builder,
+which then raised; it is now an IRI diagnostic like a space.
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -13,9 +16,11 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twingraph import ParseDiagnostic, parse_rules, rules, textformat
+import twingraph
+from twingraph import ParseDiagnostic, load_seed, parse_rules, rules, textformat
 from twingraph.errors import has_errors
-from twingraph.textformat import parse_raw
+from twingraph.ontology import load_extension
+from twingraph.textformat import parse, parse_raw
 
 # (text, tokens as (kind, text, line, col[, prefix, local]), diagnostics as
 # (line, col, message))
@@ -52,6 +57,11 @@ GRAPH_TABLE = [
       ('eof', '', 1, 27)],
      [(1, 1, 'invalid character in IRI <http://x y>'),
       (1, 14, 'relative IRIs are not allowed: <foo>')]),
+    ('<https://e.org/a\rb> a <http://www.cidoc-crm.org/cidoc-crm/E1> .\n',
+     [('bad', 'https://e.org/a\rb', 1, 1), ('a', 'a', 1, 21),
+      ('iriref', 'http://www.cidoc-crm.org/cidoc-crm/E1', 1, 23), ('punct', '.', 1, 63),
+      ('eof', '', 2, 1)],
+     [(1, 1, 'invalid character in IRI <https://e.org/a\rb>')]),
     ('"abc\nex:a',
      [('bad', 'abc', 1, 1), ('pname', 'ex:a', 2, 1, 'ex', 'a'), ('eof', '', 2, 5)],
      [(1, 1, 'unterminated string literal')]),
@@ -160,8 +170,11 @@ def test_backslash_newline_keeps_later_lines():
 
 
 def _in_subprocess(code, *args):
+    # the child imports the same twingraph sources as this process
+    source_root = os.path.dirname(os.path.dirname(twingraph.__file__))
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, timeout=30)
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_non_ascii_rule_word_is_a_diagnostic():
@@ -200,8 +213,11 @@ def _time_limit(seconds):
 
 _FRAGMENTS = ["RULE", "WHEN", "TYPE", "VALUE", "THEN", "ALERT", "ex:a", "ex:b.", "<",
               "<=", "!", "<https://e/x>", "<rel>", '"', '"s"', "\\", "\\\n", "^^",
-              "@prefix", "#", "+1.2.3", "-", ":", ".", ";", ",", " ", "\n", "\r\n",
+              "@prefix", "#", "+1.2.3", "-", ":", ".", ";", ",", " ", "\n", "\r\n", "\r", ">",
               "é", "_é", "٣", "²", "\u00a0", "中"]
+
+
+_SEED = load_seed()
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,7 +226,12 @@ def test_any_text_ends_in_diagnostics(text):
     with _time_limit(5):
         raw = parse_raw(text)
         parsed, rule_diagnostics = parse_rules(text)
-    for diagnostic in raw.diagnostics + rule_diagnostics:
+        graph, graph_diagnostics = parse(text, _SEED)
+        grown, extension_diagnostics = load_extension(_SEED, text)
+    for diagnostic in (raw.diagnostics + rule_diagnostics + graph_diagnostics
+                       + extension_diagnostics):
         assert isinstance(diagnostic, ParseDiagnostic)
         assert diagnostic.line >= 1 and diagnostic.col >= 1
     assert (parsed is None) == has_errors(rule_diagnostics)
+    assert (graph is None) == has_errors(graph_diagnostics)
+    assert (grown is None) == has_errors(extension_diagnostics)
