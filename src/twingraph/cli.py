@@ -20,38 +20,32 @@ from .canon import dumps_canonical
 from .config import load_scenario
 from .errors import (
     ConfigError,
+    SEVERITY_ERROR,
     NotAProvenanceNodeError,
     UnknownClassError,
     UnknownPrefixError,
     UnknownSubjectError,
-    has_errors,
 )
 from .ontology import SEED_VERSION, load_seed
 from .runtime import ScenarioRun, StepFailure, render_log
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _parse_graph_file(path: str):
-    """Shared loader for query/chain: exits 1 on findings, 2 on IO."""
-    text = _read(path)
+    """Read and parse a graph file, printing its diagnostics to stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
     graph, diagnostics = textformat.parse(text, load_seed())
     for diagnostic in diagnostics:
         print(diagnostic.render(), file=sys.stderr)
-    return graph
+    return graph, diagnostics
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.file)
-    graph, diagnostics = textformat.parse(text, load_seed())
-    errors = 0
-    for diagnostic in diagnostics:
-        print(diagnostic.render(), file=sys.stderr)
-        if diagnostic.severity == "error":
-            errors += 1
+    _, diagnostics = _parse_graph_file(args.file)
+    errors = sum(d.severity == SEVERITY_ERROR for d in diagnostics)
     print(f"{errors} violations")
     return 1 if errors else 0
 
@@ -88,7 +82,7 @@ def _write_outputs(args, graph, records, abort_message: str | None = None) -> No
 
 
 def cmd_query(args) -> int:
-    graph = _parse_graph_file(args.graph)
+    graph, _ = _parse_graph_file(args.graph)
     if graph is None:
         return 1
     try:
@@ -102,7 +96,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    graph = _parse_graph_file(args.graph)
+    graph, _ = _parse_graph_file(args.graph)
     if graph is None:
         return 1
     try:
@@ -161,7 +155,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -317,7 +317,7 @@ def build_scenario(data) -> ScenarioConfig:
     activator_set = {expand(a.iri, "entities.activators") for a in activators}
 
     sensors = []
-    seen_sensor_iris = set()
+    seen_locals: dict[str, tuple[str, str]] = {}  # local name -> (IRI text, expanded)
     for i, item in enumerate(_require(data, "sensors", list, "scenario")):
         where = f"sensors[{i}]"
         if not isinstance(item, dict):
@@ -327,9 +327,14 @@ def build_scenario(data) -> ScenarioConfig:
                                "observed_event", "condition_state"}, where)
         iri = _require(item, "iri", str, where)
         expanded = expand(iri, where)
-        if expanded in seen_sensor_iris:
-            raise ConfigError(f"{where}: duplicate sensor IRI {iri!r}")
-        seen_sensor_iris.add(expanded)
+        local = ns.local_name(expanded)
+        if local in seen_locals:
+            other, other_expanded = seen_locals[local]
+            if other_expanded == expanded:
+                raise ConfigError(f"{where}: duplicate sensor IRI {iri!r}")
+            raise ConfigError(f"{where}: sensors {other!r} and {iri!r} share the local "
+                              f"name {local!r}, from which run IRIs are minted")
+        seen_locals[local] = (iri, expanded)
         measured_type = _require(item, "measured_type", str, where)
         if not measured_type:
             raise ConfigError(f"{where}: measured_type must not be empty")

@@ -51,9 +51,6 @@ class Literal:
     def of(cls, datatype: str, value) -> "Literal":
         return cls(datatype, _canonical_lexical(datatype, value))
 
-    def sort_key(self):
-        return (self.datatype, self.value)
-
     def __str__(self) -> str:
         return f'"{self.value}"^^{self.datatype}'
 
@@ -150,11 +147,6 @@ class Graph:
         self._statement_set: set[Statement] = set()
 
     # --- identifiers ---
-
-    def declare_prefix(self, name: str, iri: str) -> None:
-        if not ns.PREFIX_NAME_RE.match(name):
-            raise ValueError(f"invalid prefix name {name!r}")
-        self.prefixes[name] = iri
 
     def resolve(self, text) -> Iri:
         if isinstance(text, Iri):

@@ -16,6 +16,7 @@ prefix map by whoever executes the rule.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -84,11 +85,11 @@ def compare(value: Decimal, comparator: str, threshold: Decimal) -> bool:
     raise ValueError(f"unknown comparator {comparator!r}")
 
 
-def evaluate_rule(rule: Rule, window: "list[Decimal]") -> Decision:
+def evaluate_rule(rule: Rule, window: Sequence[Decimal]) -> Decision:
     """Evaluate a rule against a value window, newest last.
 
-    The window must hold only values of the rule's measured type and should
-    be the full history seen so far (at minimum the last sustain+1 entries);
+    The window must hold only values of the rule's measured type, and at
+    least the last sustain+1 values seen so far (or all of them, if fewer);
     ON_RISE needs one entry of lookback. An empty window never fires.
     """
     n = len(window)

@@ -15,7 +15,8 @@ graph emissions and event logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from . import namespaces as ns
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .graph import Graph, Iri
 from .ontology import Registry, load_seed
-from .rules import ActionKind, evaluate_rule
+from .rules import Action, ActionKind, evaluate_rule
 from .signals import SignalPayload
 
 # --- event records ---
@@ -180,11 +181,16 @@ class ScenarioRun:
         self.records: list[EventRecord] = []
         self._seq = 0
         self._start = parse_datetime_utc(config.start)
-        self._histories: dict[str, list[SignalPayload]] = {}
+        # Each measured type keeps the last sustain+1 values its rules read;
+        # a type no rule reads keeps none.
+        sizes = {spec.measured_type: 0 for spec in config.sensors}
+        for rule in config.decider.rules:
+            kind = rule.measured_type
+            sizes[kind] = max(sizes.get(kind, 0), rule.sustain + 1)
+        self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
         self._event_nodes: dict[str, Iri] = {}
         self._type_nodes: dict[str, Iri] = {}
         self._activator_actions: dict[str, str] = {}
-        self._alert_channels: dict[tuple[str, str], str] = {}
         self._build_static()
         self.static_statements = len(self.graph.statements)
         self._sensors = {
@@ -230,7 +236,7 @@ class ScenarioRun:
         return format_datetime_utc(
             self._start + timedelta(seconds=tick * self.config.tick_seconds))
 
-    def _fresh(self, kind: str, sensor_local: str, index: int) -> Iri:
+    def _fresh(self, kind: str, sensor_local: str, index: int | str) -> Iri:
         return Iri(f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}")
 
     def _record(self, tick: int, kind: str, fields: dict) -> EventRecord:
@@ -312,13 +318,16 @@ class ScenarioRun:
             "signal": signal.value,
         })
 
-    def decide(self, payload: SignalPayload, tick: int) -> Iri | None:
+    def decide(self, payload: SignalPayload,
+               tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
         """Evaluate rules against the signal; at most one activation event.
 
-        All action targets are checked before anything is written, so a
-        missing target aborts the step with the graph untouched.
+        Returns it with its resolved (action, target) pairs, one per kind and
+        target in first-fired order (the first ALERT's channel wins). Targets
+        are all checked before anything is written, so a missing one aborts
+        the step with the graph untouched.
         """
-        history = self._histories.setdefault(payload.measured_type, [])
+        history = self._histories[payload.measured_type]
         history.append(payload.value)
         fired_rules: list[str] = []
         fired_actions = []
@@ -341,7 +350,7 @@ class ScenarioRun:
         if not fired_rules:
             return None
 
-        resolved_actions = []
+        resolved: dict[tuple[ActionKind, str], tuple[Action, Iri]] = {}
         for action in fired_actions:
             try:
                 target = self.graph.resolve(action.target)
@@ -352,46 +361,43 @@ class ScenarioRun:
             if not types or not self.registry.falls_under(types, wanted):
                 raise ActionTargetMissingError(
                     f"action target {action.target} is missing or not typed {wanted}")
-            resolved_actions.append((action, target))
+            resolved.setdefault((action.kind, target.value), (action, target))
 
-        local = ns.local_name(payload.sensor_id)
-        index = payload.signal_id.rsplit("/", 1)[1]
-        activation = Iri(f"{ns.RUN_IRI}act/{local}/{index}")
+        activation = self._fresh("act", ns.local_name(payload.sensor_id),
+                                 payload.signal_id.rsplit("/", 1)[1])
         self.graph.add_entity(activation, "HC14")
         self.graph.add_statement(self.decider_iri, "O13", activation)
-        for action, target in resolved_actions:
-            if action.kind is ActionKind.ACTIVATE:
-                self.graph.add_statement(activation, "HP13", target)
-            else:
-                self.graph.add_statement(activation, "HP14", target)
-                self._alert_channels.setdefault(
-                    (activation.value, target.value), action.channel or "")
+        for action, target in resolved.values():
+            link = "HP13" if action.kind is ActionKind.ACTIVATE else "HP14"
+            self.graph.add_statement(activation, link, target)
         self._record(tick, ACTIVATION, {
             "activation": activation.value,
             "decider": self.decider_iri.value,
             "firedRules": fired_rules,
             "signal": payload.signal_id,
         })
-        return activation
+        return activation, list(resolved.values())
 
-    def execute_activation(self, activation: Iri, tick: int) -> None:
-        """Emit actuation records, then alert records; no side effects."""
+    def execute_activation(self, activation: Iri,
+                           actions: list[tuple[Action, Iri]], tick: int) -> None:
+        """Emit actuation, then alert records, for decide's actions; no side effects."""
         types = self.graph.nodes.get(activation.value)
         if not types or not self.registry.falls_under(types, "HC14"):
             raise NotAnActivationEventError(f"{activation} is not an activation event")
-        for target in self.graph.objects_of(activation, "HP13"):
-            self._record(tick, ACTUATION, {
-                "action": self._activator_actions.get(target.value, ""),
-                "activation": activation.value,
-                "activator": target.value,
-            })
-        for target in self.graph.objects_of(activation, "HP14"):
-            self._record(tick, ALERT, {
-                "activation": activation.value,
-                "actor": target.value,
-                "channel": self._alert_channels.get(
-                    (activation.value, target.value), ""),
-            })
+        for action, target in actions:
+            if action.kind is ActionKind.ACTIVATE:
+                self._record(tick, ACTUATION, {
+                    "action": self._activator_actions.get(target.value, ""),
+                    "activation": activation.value,
+                    "activator": target.value,
+                })
+        for action, target in actions:
+            if action.kind is ActionKind.ALERT:
+                self._record(tick, ALERT, {
+                    "activation": activation.value,
+                    "actor": target.value,
+                    "channel": action.channel or "",
+                })
 
     # --- whole runs ---
 
@@ -405,9 +411,9 @@ class ScenarioRun:
                     signal, payload = self.make_signal(measurement, spec, index,
                                                        value, tick)
                     self.transmit(signal, tick)
-                    activation = self.decide(payload, tick)
-                    if activation is not None:
-                        self.execute_activation(activation, tick)
+                    fired = self.decide(payload, tick)
+                    if fired is not None:
+                        self.execute_activation(*fired, tick)
                 except TwingraphError as exc:
                     raise StepFailure(exc, self.graph, self.records, tick) from exc
 

@@ -111,7 +111,7 @@ def _token(kind, m, line, col, diagnostics) -> Token | None:
             return _bad(diagnostics, "unterminated IRI reference", text, line, col)
         iri = text[1:-1]
         if any(c in iri for c in ns.IRI_FORBIDDEN):
-            return _bad(diagnostics, f"invalid character in IRI {text}", iri, line, col)
+            return _bad(diagnostics, f"invalid character in IRI {text!r}", iri, line, col)
         if not ns.is_absolute_iri(iri):
             return _bad(diagnostics, f"relative IRIs are not allowed: {text}", iri, line, col)
         return Token(IRIREF, iri, line, col)

@@ -112,6 +112,7 @@ def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "utf-8" in err, (argv, err)
+        assert f"{path}: " in err, (argv, err)
 
 
 def test_run_aborted_step_writes_partial_outputs(tmp_path, capsys, monkeypatch):

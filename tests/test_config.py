@@ -174,6 +174,10 @@ REJECTIONS = [
     ("duplicate-sensor",
      lambda doc: doc["sensors"].append(doc["sensors"][0] | {}),
      r"duplicate sensor IRI"),
+    ("sensor-local-name-collision",
+     lambda doc: doc["sensors"].append(
+         doc["sensors"][0] | {"iri": "https://example.org/other/s"}),
+     r"sensors 'ex:s' and 'https://example.org/other/s' share the local name 's'"),
     ("unknown-generator", put(("sensors", 0, "generator"), {"kind": "chaos"}),
      r"unknown generator kind"),
     ("generator-extra-field",

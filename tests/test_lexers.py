@@ -3,7 +3,9 @@
 The two tables were recorded from the character-by-character tokenizers
 these replaced; the scan must reproduce them exactly. One graph row differs:
 those tokenizers let a bare CR inside <...> through to the graph builder,
-which then raised; it is now an IRI diagnostic like a space.
+which then raised; it is now an IRI diagnostic like a space. The
+`invalid character in IRI` messages quote the IRI as a Python repr, so a CR
+in it prints as `\\r` and cannot move a terminal's cursor.
 """
 
 import json
@@ -55,13 +57,13 @@ GRAPH_TABLE = [
     ('<http://x y> <foo> <urn:a>',
      [('bad', 'http://x y', 1, 1), ('bad', 'foo', 1, 14), ('iriref', 'urn:a', 1, 20),
       ('eof', '', 1, 27)],
-     [(1, 1, 'invalid character in IRI <http://x y>'),
+     [(1, 1, "invalid character in IRI '<http://x y>'"),
       (1, 14, 'relative IRIs are not allowed: <foo>')]),
     ('<https://e.org/a\rb> a <http://www.cidoc-crm.org/cidoc-crm/E1> .\n',
      [('bad', 'https://e.org/a\rb', 1, 1), ('a', 'a', 1, 21),
       ('iriref', 'http://www.cidoc-crm.org/cidoc-crm/E1', 1, 23), ('punct', '.', 1, 63),
       ('eof', '', 2, 1)],
-     [(1, 1, 'invalid character in IRI <https://e.org/a\rb>')]),
+     [(1, 1, "invalid character in IRI '<https://e.org/a\\rb>'")]),
     ('"abc\nex:a',
      [('bad', 'abc', 1, 1), ('pname', 'ex:a', 2, 1, 'ex', 'a'), ('eof', '', 2, 5)],
      [(1, 1, 'unterminated string literal')]),

@@ -143,3 +143,16 @@ def test_matches_linear_scan_oracle(data, series):
     rng = _random.Random(data.draw(st.integers(0, 2**32)))
     rule = random_rule(rng, "r", "humidity")
     assert evaluate_rule(rule, series).fired == oracle_decision(rule, series)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    window=st.lists(st.integers(min_value=-30, max_value=120).map(Decimal),
+                    max_size=16),
+)
+def test_only_the_last_sustain_plus_one_values_matter(data, window):
+    import random as _random
+    rng = _random.Random(data.draw(st.integers(0, 2**32)))
+    rule = random_rule(rng, "r", "humidity")
+    assert evaluate_rule(rule, window) == evaluate_rule(rule, window[-(rule.sustain + 1):])

@@ -239,7 +239,7 @@ def test_execute_activation_rejects_other_nodes():
     config = scenario(BASIC_SENSOR, duration=1)
     run = ScenarioRun(config)
     with pytest.raises(NotAnActivationEventError):
-        run.execute_activation(Iri("https://example.org/rt/obj"), 0)
+        run.execute_activation(Iri("https://example.org/rt/obj"), (), 0)
 
 
 def test_signal_payload_bytes():
@@ -388,3 +388,36 @@ def test_static_world_matches_config():
     assert g.has_statement("ex:accelerometer", "HP11", "ex:monitoring-sw")
     assert g.has_statement("ex:hygrometer", "HP11", "ex:monitoring-sw")
     assert run.static_statements == 6
+
+
+def test_two_rules_activating_one_activator_give_one_actuation():
+    config = scenario(
+        BASIC_SENSOR, duration=3,
+        activators='[{"iri": "ex:pump", "action": "drain"}]',
+        rules=('RULE a WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:pump\n'
+               'RULE b WHEN TYPE = "humidity" AND VALUE >= 75 THEN ACTIVATE ex:pump'))
+    run = run_scenario(config)
+    tail = [(r.kind, r.fields) for r in run.records if r.tick == 2][-2:]
+    assert tail == [
+        ("activation", {"activation": "https://example.org/run/act/s1/2",
+                        "decider": "https://example.org/rt/brain",
+                        "firedRules": ["a", "b"],
+                        "signal": "https://example.org/run/sig/s1/2"}),
+        ("actuation", {"action": "drain",
+                       "activation": "https://example.org/run/act/s1/2",
+                       "activator": "https://example.org/rt/pump"})]
+
+
+def test_target_both_activator_and_actor_gets_actuation_then_alert():
+    config = scenario(
+        BASIC_SENSOR, duration=3,
+        activators='[{"iri": "ex:hub", "action": "ring"}]', actors='["ex:hub"]',
+        rules=('RULE a WHEN TYPE = "humidity" AND VALUE > 70 '
+               'THEN ALERT ex:hub VIA "sms", ACTIVATE ex:hub'))
+    run = run_scenario(config)
+    act = "https://example.org/run/act/s1/2"
+    hub = "https://example.org/rt/hub"
+    assert [(r.kind, r.fields) for r in run.records if r.tick == 2][-2:] == [
+        ("actuation", {"action": "ring", "activation": act, "activator": hub}),
+        ("alert", {"activation": act, "actor": hub, "channel": "sms"})]
+    assert run.graph.nodes[hub] == {"E39", "HC11"}
