@@ -2,6 +2,8 @@
 
 Every byte that reaches a serialized artifact (graph text, payload, event
 log) funnels through these helpers so equal values always render equally.
+Renderings come from the standard library's own formatters, so they are
+exact whatever the decimal context.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 
 def canonical_decimal(value: Decimal) -> str:
@@ -18,27 +20,18 @@ def canonical_decimal(value: Decimal) -> str:
         raise ValueError(f"not a finite decimal: {value}")
     if value == 0:
         return "0"
-    value = value.normalize()
-    sign, digits, exp = value.as_tuple()
-    body = "".join(str(d) for d in digits)
-    if exp >= 0:
-        text = body + "0" * exp
-    elif -exp < len(body):
-        text = body[:exp] + "." + body[exp:]
-    else:
-        text = "0." + "0" * (-exp - len(body)) + body
-    return ("-" if sign else "") + text
+    text = format(value, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
 
 
 def parse_decimal(text: str) -> Decimal:
-    """Parse a plain decimal numeral (optional sign, no exponent)."""
-    stripped = text[1:] if text[:1] in "+-" else text
-    if not stripped or not stripped.replace(".", "", 1).isdigit():
+    """Parse a plain decimal numeral (optional sign, no exponent, ASCII digits)."""
+    if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"not a plain decimal numeral: {text!r}")
-    try:
-        return Decimal(text)
-    except InvalidOperation as exc:
-        raise ValueError(f"not a plain decimal numeral: {text!r}") from exc
+    return Decimal(text)
 
 
 _FRACTION_RE = re.compile(r"\.([0-9]+)(?=[Z+\-]|$)")
@@ -70,14 +63,20 @@ def parse_datetime_utc(text: str) -> datetime:
 
 
 def format_datetime_utc(moment: datetime) -> str:
-    """Canonical UTC rendering, seconds precision unless fractions exist."""
+    """Canonical UTC rendering: four-digit year, seconds precision unless
+    fractions exist, whose trailing zeros are dropped."""
     if moment.tzinfo is None or moment.utcoffset() != timedelta(0):
         raise ValueError("datetime must carry a UTC zone")
-    base = moment.strftime("%Y-%m-%dT%H:%M:%S")
+    text = moment.replace(tzinfo=None).isoformat()
     if moment.microsecond:
-        frac = f"{moment.microsecond:06d}".rstrip("0")
-        base += "." + frac
-    return base + "Z"
+        text = text.rstrip("0")
+    return text + "Z"
+
+
+# Keys stay ASCII-escaped, string values keep their characters; both are
+# json.dumps's own C escapers, built once.
+_encode_key = json.JSONEncoder().encode
+_encode_text = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def dumps_canonical(value) -> str:
@@ -86,37 +85,26 @@ def dumps_canonical(value) -> str:
     Decimal values render as bare number tokens in their minimal form, which
     json.dumps cannot do natively.
     """
-    parts: list[str] = []
-    _write(value, parts)
-    return "".join(parts)
+    return _dumps(value)
 
 
-def _write(value, parts: list[str]) -> None:
+def _dumps(value) -> str:
+    if isinstance(value, str):
+        return _encode_text(value)
     if isinstance(value, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError("canonical JSON keys must be strings")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _write(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(value):
-            if i:
-                parts.append(",")
-            _write(item, parts)
-        parts.append("]")
-    elif isinstance(value, Decimal):
-        parts.append(canonical_decimal(value))
-    elif isinstance(value, bool) or value is None:
-        parts.append(json.dumps(value))
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=False))
-    else:
-        raise TypeError(f"no canonical JSON form for {type(value).__name__}")
+        keys = sorted(value)
+        if not all(isinstance(key, str) for key in keys):
+            raise TypeError("canonical JSON keys must be strings")
+        return "{" + ",".join(
+            _encode_key(key) + ":" + _dumps(value[key]) for key in keys) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_dumps(item) for item in value) + "]"
+    if isinstance(value, Decimal):
+        return canonical_decimal(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError(f"no canonical JSON form for {type(value).__name__}")

@@ -134,7 +134,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 def parse_scenario(text: str) -> ScenarioConfig:
     try:
         data = json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     return build_scenario(data)
 

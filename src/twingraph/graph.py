@@ -68,7 +68,7 @@ def _canonical_lexical(datatype: str, value) -> str:
     if datatype == "integer":
         text = str(value).strip()
         stripped = text[1:] if text[:1] in "+-" else text
-        if not stripped.isdigit():
+        if not (stripped.isascii() and stripped.isdigit()):
             raise ValueError(f"not an integer numeral: {text!r}")
         return str(int(text))
     if datatype == "dateTime":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from datetime import timedelta
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from . import namespaces as ns
@@ -232,7 +233,6 @@ class ScenarioRun:
     # --- clock and naming ---
 
     def timestamp(self, tick: int) -> str:
-        from datetime import timedelta
         return format_datetime_utc(
             self._start + timedelta(seconds=tick * self.config.tick_seconds))
 
@@ -254,18 +254,23 @@ class ScenarioRun:
             raise SensorNotInGraphError(f"sensor {spec.iri} is not in the graph")
         index = state.next_index
         state.next_index += 1
-        value = generator_value(spec.generator, index, state.stream_seed)
+        try:
+            value = generator_value(spec.generator, index, state.stream_seed)
+        except ArithmeticError as exc:
+            raise ScenarioError(f"sensor {spec.iri} sample {index}: generator value "
+                                f"out of range ({type(exc).__name__})") from exc
         local = ns.local_name(state.iri.value)
         measurement = self._fresh("m", local, index)
         g = self.graph
         g.add_entity(measurement, "HC13")
         g.add_statement(measurement, "L12", state.iri)
 
-        event_node = self._event_nodes.get(spec.measured_type)
+        event_slug = ns.slug(spec.observed_event)
+        event_node = self._event_nodes.get(event_slug)
         if event_node is None:
-            event_node = Iri(ns.RUN_IRI + "event/" + ns.slug(spec.observed_event))
+            event_node = Iri(ns.RUN_IRI + "event/" + event_slug)
             g.add_entity(event_node, "E5")
-            self._event_nodes[spec.measured_type] = event_node
+            self._event_nodes[event_slug] = event_node
         g.add_statement(measurement, "O24", event_node)
 
         type_node = self._type_nodes.get(spec.measured_type)

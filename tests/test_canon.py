@@ -1,0 +1,217 @@
+"""Canonical renderings: decimals, UTC timestamps, single-line JSON.
+
+The tables were recorded from the hand-written formatters these helpers
+replaced; the last section pins the inputs where those formatters were
+wrong (30-digit decimals, years before 1000, non-ASCII digits).
+"""
+
+import json
+import re
+from datetime import datetime, timedelta, timezone
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twingraph import Literal, PropertyDef, emit, load_seed, parse, parse_scenario, run_scenario
+from twingraph.canon import (
+    canonical_decimal,
+    dumps_canonical,
+    format_datetime_utc,
+    parse_datetime_utc,
+    parse_decimal,
+)
+
+UTC = timezone.utc
+DECIMAL_TEXT = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?")
+
+# --- tables ---
+
+DUMPS_TABLE = [
+    ({"b": 1, "a": [True, False, None]}, '{"a":[true,false,null],"b":1}'),
+    # keys are ASCII-escaped, values keep their characters
+    ({"é": "é", "k\u2028": "\u2028"}, '{"k\\u2028":"\u2028","\\u00e9":"é"}'),
+    ({"ctl": '\x00\x1f\t\n"\\/'}, '{"ctl":"\\u0000\\u001f\\t\\n\\"\\\\/"}'),
+    ([1, [2, (3, Decimal("4.50"))], ()], "[1,[2,[3,4.5]],[]]"),
+    ({"z": {"y": {"x": Decimal("-0")}}}, '{"z":{"y":{"x":0}}}'),
+    (Decimal("1E+3"), "1000"),
+    (Decimal("1.500"), "1.5"),
+    (Decimal("1E-30"), "0.000000000000000000000000000001"),
+    ("😀\ud800", '"😀\ud800"'),
+    (-2 ** 70, "-1180591620717411303424"),
+    ({}, "{}"),
+    ([], "[]"),
+]
+
+
+@pytest.mark.parametrize("value,expected", DUMPS_TABLE)
+def test_dumps_canonical_table(value, expected):
+    assert dumps_canonical(value) == expected
+
+
+@pytest.mark.parametrize("value,error", [
+    ({"a": 1.5}, TypeError),
+    ({1: "x"}, TypeError),
+    ({"a": 1, 2: "x"}, TypeError),
+    (set(), TypeError),
+    (b"x", TypeError),
+    (Decimal("NaN"), ValueError),
+    ([Decimal("Infinity")], ValueError),
+])
+def test_dumps_canonical_rejects(value, error):
+    with pytest.raises(error):
+        dumps_canonical(value)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("-0", "0"),
+    ("0E-7", "0"),
+    ("1E+3", "1000"),
+    ("1.500", "1.5"),
+    ("1E-30", "0.000000000000000000000000000001"),
+    ("-1E-30", "-0.000000000000000000000000000001"),
+    ("-12.340", "-12.34"),
+    ("100", "100"),
+    ("0.10", "0.1"),
+    ("123456789012345678901234567.8", "123456789012345678901234567.8"),
+])
+def test_canonical_decimal_table(text, expected):
+    assert canonical_decimal(Decimal(text)) == expected
+
+
+@pytest.mark.parametrize("text", ["NaN", "-Infinity", "sNaN"])
+def test_canonical_decimal_rejects_non_finite(text):
+    with pytest.raises(ValueError):
+        canonical_decimal(Decimal(text))
+
+
+@pytest.mark.parametrize("moment,expected", [
+    (datetime(2026, 5, 1, tzinfo=UTC), "2026-05-01T00:00:00Z"),
+    (datetime(2026, 5, 1, 12, 30, 5, 120000, tzinfo=UTC), "2026-05-01T12:30:05.12Z"),
+    (datetime(2026, 5, 1, 0, 0, 0, 1, tzinfo=UTC), "2026-05-01T00:00:00.000001Z"),
+    (datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC),
+     "9999-12-31T23:59:59.999999Z"),
+    (datetime(2026, 5, 1, tzinfo=timezone(timedelta(0))), "2026-05-01T00:00:00Z"),
+])
+def test_format_datetime_utc_table(moment, expected):
+    assert format_datetime_utc(moment) == expected
+
+
+@pytest.mark.parametrize("moment", [
+    datetime(2026, 5, 1),
+    datetime(2026, 5, 1, tzinfo=timezone(timedelta(hours=1))),
+])
+def test_format_datetime_utc_rejects_other_zones(moment):
+    with pytest.raises(ValueError):
+        format_datetime_utc(moment)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("42", Decimal("42")),
+    ("+4.50", Decimal("4.50")),
+    ("-.5", Decimal("-0.5")),
+    ("7.", Decimal("7")),
+    ("007.10", Decimal("7.10")),
+])
+def test_parse_decimal_table(text, expected):
+    parsed = parse_decimal(text)
+    assert parsed == expected and str(parsed) == str(expected)
+
+
+@pytest.mark.parametrize("text", ["", ".", "+", "1e3", "1E3", " 1", "1 ", "1_0",
+                                  "--1", "NaN", "Infinity"])
+def test_parse_decimal_rejects(text):
+    with pytest.raises(ValueError):
+        parse_decimal(text)
+
+
+# --- properties ---
+
+def _decimals(max_digits):
+    return st.builds(
+        lambda sign, coefficient, exponent: Decimal(
+            (sign, tuple(int(c) for c in str(coefficient)), exponent)),
+        st.integers(0, 1), st.integers(0, 10 ** max_digits - 1), st.integers(-80, 40))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | _decimals(27),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_canonical_json_reads_back_as_the_value(value):
+    text = dumps_canonical(value)
+    assert "\n" not in text
+    assert json.loads(text, parse_float=Decimal) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decimals(60))
+def test_canonical_decimal_is_minimal_and_exact(value):
+    text = canonical_decimal(value)
+    assert DECIMAL_TEXT.fullmatch(text), text
+    assert Decimal(text) == value
+    assert parse_decimal(text) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(timezones=st.just(UTC)))
+def test_timestamps_have_four_digit_years_and_read_back(moment):
+    text = format_datetime_utc(moment)
+    assert re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+                        r"(\.[0-9]*[1-9])?Z", text), text
+    assert parse_datetime_utc(text) == moment
+
+
+# --- exactness beyond the old formatters ---
+
+THIRTY_TWO_DIGITS = "1.00000000000000000000000000000001"
+
+
+def test_decimal_past_28_digits_keeps_its_value():
+    assert Literal.of("decimal", THIRTY_TWO_DIGITS).value == THIRTY_TWO_DIGITS
+    assert Literal.of("decimal", Decimal(THIRTY_TWO_DIGITS + "000")).value \
+        == THIRTY_TWO_DIGITS
+    registry = load_seed().register_property(PropertyDef(
+        id="P85", label="decimal", namespace="CRM", domain="E1", range="decimal"))
+    text = ("@prefix ex: <https://example.org/t/> .\n"
+            f"ex:a a hdto:HC3 .\nex:a crm:P85 {THIRTY_TWO_DIGITS} .\n")
+    graph, diagnostics = parse(text, registry)
+    assert not diagnostics
+    reread, diagnostics = parse(emit(graph), registry)
+    assert not diagnostics
+    assert Decimal(reread.objects_of("ex:a", "P85")[0].value) == Decimal(THIRTY_TWO_DIGITS)
+
+
+def test_run_before_year_1000_logs_readable_timestamps():
+    with open("examples/pisano/scenario.json", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["start"] = "0999-05-01T00:00:00Z"
+    run = run_scenario(parse_scenario(json.dumps(doc)))
+    start = datetime(999, 5, 1, tzinfo=UTC)
+    stamps = []
+    for record in run.records:
+        if "timestamp" in record.fields:
+            stamps.append((record.tick, record.fields["timestamp"]))
+        if "payload" in record.fields:
+            stamps.append((record.tick, json.loads(record.fields["payload"])["timestamp"]))
+    assert len(stamps) == 12  # 6 measurements, 6 signal payloads
+    for tick, stamp in stamps:
+        assert stamp.startswith("0999-05-01T")
+        assert parse_datetime_utc(stamp) == start + timedelta(hours=tick)
+
+
+@pytest.mark.parametrize("datatype", ["decimal", "integer"])
+def test_non_ascii_digits_are_not_numerals(datatype):
+    with pytest.raises(ValueError):
+        Literal.of(datatype, "١٢")
+    registry = load_seed().register_property(PropertyDef(
+        id="P86", label=datatype, namespace="CRM", domain="E1", range=datatype))
+    text = ("@prefix ex: <https://example.org/t/> .\n"
+            f'ex:a a hdto:HC3 .\nex:a crm:P86 "١٢"^^xsd:{datatype} .\n')
+    graph, diagnostics = parse(text, registry)
+    assert graph is None and diagnostics

@@ -141,6 +141,29 @@ def test_run_aborted_step_writes_partial_outputs(tmp_path, capsys, monkeypatch):
     assert json.loads(last) == {"aborted": "tick 1: sensor ex:x is not in the graph"}
 
 
+def test_generator_overflow_aborts_the_run(tmp_path, capsys):
+    with open(SCENARIO, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    sensor = next(s for s in doc["sensors"] if s["iri"] == "ex:hygrometer")
+    sensor["generator"] = {"kind": "ramp", "start": 0, "slope": 1}
+    scenario = tmp_path / "overflow.json"
+    # 9E+999999 is a valid JSON number; twice it is past the decimal range
+    scenario.write_text(json.dumps(doc).replace('"slope": 1', '"slope": 9E+999999'),
+                        encoding="utf-8")
+    out = tmp_path / "partial.rht.ttl"
+    log = tmp_path / "partial.log.jsonl"
+    code = main(["run", str(scenario), "--out", str(out), "--log", str(log)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "tick 2: sensor ex:hygrometer sample 2: generator value out of range (Overflow)"
+    assert captured.err == f"run aborted: {message}\n"
+    assert out.read_text(encoding="utf-8").startswith("@prefix")
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[-1]) == {"aborted": message}
+    assert len(lines) > 1
+
+
 def test_query_direct_and_transitive(capsys):
     assert main(["query", GOLDEN_GRAPH, "--instances-of", "HC9"]) == 0
     direct = capsys.readouterr().out.splitlines()

@@ -6,8 +6,10 @@ from decimal import Decimal
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twingraph import ConfigError, load_scenario, parse_scenario
+from twingraph.cli import main
 from twingraph.config import ConstantGen, ListGen, NoisyGen, build_scenario
 
 
@@ -102,6 +104,11 @@ def test_not_json_and_not_object():
         parse_scenario("{nope")
     with pytest.raises(ConfigError, match="top level must be an object"):
         parse_scenario("[1, 2]")
+    # past the parser's limits: int() takes at most 4300 digits (3.10.7+),
+    # and nesting is bounded by the recursion limit
+    for text in ('{"seed": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
+        with pytest.raises(ConfigError):
+            parse_scenario(text)
 
 
 def test_unreadable_path():
@@ -243,3 +250,101 @@ def test_schema_rejects_shape_errors():
     doc["sensors"][0]["positioned_on"] = "ex:obj"  # both attachments present
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, schema)
+
+
+# --- fuzz: mutated documents load or are ConfigError, and then run ---
+
+def _paths(node, prefix=()):
+    """(path, value) for every key path of a JSON document, the root excluded."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _paths(child, prefix + (key,))
+
+
+_NUMBERS = st.sampled_from([2 ** 64, -1, 0, 1, 3, Decimal("9E+999999"),
+                            Decimal("-9E+999999"), Decimal("0.5"), Decimal("1E-40")])
+_TEXTS = st.text(max_size=5) | st.sampled_from([
+    "ex:obj", "ex:room", "ex:fan", "ex:curator", "ex:sw", "ex:nope", "wd:Q1", "zz:x",
+    "humidity", "https://example.org/cfg/x", "0999-01-01T00:00:00Z",
+    "2026-03-01T12:00:00+01:00"])
+_GENERATORS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("ramp"), "start": _NUMBERS, "slope": _NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("sine"), "mean": _NUMBERS,
+                           "amplitude": _NUMBERS, "period": _NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("noisy"), "stddev": _NUMBERS,
+                           "inner": st.just({"kind": "constant", "value": 1})}))
+_VALUES = st.recursive(
+    _NUMBERS | _TEXTS | _GENERATORS | st.integers(-10, 10) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["iri", "kind", "value", "x"]), inner, max_size=3),
+    max_leaves=6)
+
+
+_BASE = list(_paths(base()))
+_BASE_TEXTS = st.sampled_from(sorted({v for _, v in _BASE if isinstance(v, str)}))
+_INTEGERS = st.sampled_from([2 ** 64, -1, 0, 1, 3]) | st.integers(-10, 10)
+
+
+def _like(value):
+    """Values of the same JSON kind as a base value, so that many mutants load."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return _INTEGERS | _NUMBERS
+    if isinstance(value, str):
+        return _BASE_TEXTS | _TEXTS
+    return _GENERATORS
+
+
+# three in four mutations set a scalar or a generator to a value of its kind,
+# the rest set any path, containers included, to any value
+_KEEP_KIND = st.sampled_from([(path, value) for path, value in _BASE
+                              if not isinstance(value, (dict, list)) or "kind" in value])
+_MUTATIONS = st.lists(st.one_of(
+    *[_KEEP_KIND.flatmap(lambda pair: st.tuples(st.just(pair[0]), _like(pair[1])))] * 3,
+    st.tuples(st.sampled_from([path for path, _ in _BASE]), _VALUES)), min_size=1, max_size=3)
+
+
+def _to_json(value):
+    """JSON text in which each Decimal keeps its own notation (9E+999999)."""
+    if isinstance(value, Decimal):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(key) + ":" + _to_json(item)
+                              for key, item in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_to_json, value)) + "]"
+    return json.dumps(value)
+
+
+def _mutate(doc, path, value):
+    node = doc
+    try:
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation replaced a container on this path
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_MUTATIONS)
+def test_mutated_scenarios_load_or_fail_typed_and_run(tmp_path, mutations):
+    doc = base()
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    text = _to_json(doc)
+    try:
+        parse_scenario(text)
+    except ConfigError:
+        return
+    scenario = tmp_path / "mutant.json"
+    scenario.write_text(text, encoding="utf-8")
+    code = main(["run", str(scenario), "--until", "4",
+                 "--out", str(tmp_path / "mutant.rht.ttl"),
+                 "--log", str(tmp_path / "mutant.log.jsonl")])
+    assert code in (0, 1, 2)

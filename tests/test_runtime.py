@@ -214,6 +214,28 @@ def test_observed_event_names_the_shared_node():
     assert "https://example.org/run/event/humidity-variation" in run.graph.nodes
 
 
+def test_each_observed_event_gets_its_own_node():
+    config = scenario("""[
+      {"iri": "ex:h2", "measured_type": "humidity", "unit": "%RH",
+       "software": "ex:sw", "located_in": "ex:room", "observed_event": "flood",
+       "generator": {"kind": "constant", "value": 1}},
+      {"iri": "ex:hygrometer", "measured_type": "humidity", "unit": "%RH",
+       "software": "ex:sw", "located_in": "ex:room", "observed_event": "damp",
+       "generator": {"kind": "constant", "value": 2}}
+    ]""", duration=2)
+    g = run_scenario(config).graph
+    run = "https://example.org/run/"
+    events = sorted(iri for iri, types in g.nodes.items() if "E5" in types)
+    assert events == [run + "event/damp", run + "event/flood"]
+    for sensor, event in (("h2", "flood"), ("hygrometer", "damp")):
+        for index in (0, 1):
+            m = Iri(f"{run}m/{sensor}/{index}")
+            assert g.objects_of(m, "O24") == [Iri(run + "event/" + event)]
+    # the measured type is still one shared node
+    assert g.objects_of(Iri(run + "m/h2/0"), "L17") \
+        == g.objects_of(Iri(run + "m/hygrometer/0"), "L17")
+
+
 def test_sample_rejects_unknown_sensor():
     config = scenario(BASIC_SENSOR, duration=1)
     run = ScenarioRun(config)
