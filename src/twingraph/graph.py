@@ -8,8 +8,9 @@ therefore never hold an ill-typed statement; validate() re-checks from
 scratch for graphs assembled by other means.
 
 Statements carry set semantics (duplicates collapse) but insertion order is
-preserved for queries and provenance walks. One writer at a time; readers
-may share a quiescent graph freely.
+preserved for queries and provenance walks. objects_of and provenance_chain
+index the statements appended since their last call, so they write too: use
+a graph from one thread at a time, or share it after writes stop and one ran.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _canonical_lexical(datatype: str, value) -> str:
         stripped = text[1:] if text[:1] in "+-" else text
         if not (stripped.isascii() and stripped.isdigit()):
             raise ValueError(f"not an integer numeral: {text!r}")
-        return str(int(text))
+        digits = stripped.lstrip("0") or "0"
+        return "-" + digits if text[0] == "-" and digits != "0" else digits
     if datatype == "dateTime":
         if isinstance(value, str):
             return format_datetime_utc(parse_datetime_utc(value))
@@ -128,6 +130,8 @@ _CHAIN_STEPS = (
     (("L12",), "out"),
     (("HP15", "P55"), "out"),
 )
+# Minted activations and signals share "<sensor>/<index>" (FORMAT.md).
+_RUN_ACT, _RUN_SIG = ns.RUN_IRI + "act/", ns.RUN_IRI + "sig/"
 
 
 _ERROR_REASONS = {
@@ -143,8 +147,11 @@ class Graph:
         self.registry = registry
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self.nodes: dict[str, set[str]] = {}
-        self.statements: list[Statement] = []  # insertion order
+        self.statements: list[Statement] = []  # insertion order, append-only
         self._statement_set: set[Statement] = set()
+        self._out: dict[str, list[Statement]] = {}
+        self._in: dict[str, list[Statement]] = {}
+        self._indexed = 0
 
     # --- identifiers ---
 
@@ -277,8 +284,18 @@ class Graph:
         resolved = self.resolve(subject)
         if property_id not in self.registry.properties:
             raise UnknownPropertyError(f"unknown property {property_id}")
-        return [s.object for s in self.statements
-                if s.subject == resolved and s.property == property_id]
+        return [s.object for s in self._adjacency()[0].get(resolved.value, ())
+                if s.property == property_id]
+
+    def _adjacency(self) -> tuple[dict[str, list[Statement]], dict[str, list[Statement]]]:
+        """Statements by subject (out) and IRI object (in), caught up on each call."""
+        out, into = self._out, self._in
+        for statement in self.statements[self._indexed:]:
+            out.setdefault(statement.subject.value, []).append(statement)
+            if isinstance(statement.object, Iri):
+                into.setdefault(statement.object.value, []).append(statement)
+        self._indexed = len(self.statements)
+        return out, into
 
     # --- provenance ---
 
@@ -286,8 +303,10 @@ class Graph:
         """Walk an activation, signal, or measurement back toward its asset.
 
         Follows O13, HP12, L20 upstream and L12 plus the sensor attachment
-        downstream, stopping quietly at the first missing link. When several
-        statements match a step, the earliest inserted one wins.
+        downstream, stopping quietly at the first missing link. From
+        run:act/<s>/<i>, the HP12 hop takes run:sig/<s>/<i>, the signal it
+        answered, when that reaches the decider; otherwise the earliest
+        inserted matching statement wins. A hop reads one node's statements.
         """
         resolved = self.resolve(start)
         types = self.nodes.get(resolved.value)
@@ -301,24 +320,22 @@ class Graph:
         if skip is None:
             raise NotAProvenanceNodeError(
                 f"{resolved} is not an activation event, signal, or measurement")
+        out, into = self._adjacency()
+        minted = skip == 0 and resolved.value.startswith(_RUN_ACT)
+        cause = _RUN_SIG + resolved.value[len(_RUN_ACT):] if minted else None
         path: list[Statement] = []
         current = resolved
         for properties, direction in _CHAIN_STEPS[skip:]:
-            hit = None
-            for statement in self.statements:
-                if statement.property not in properties:
-                    continue
-                if direction == "in" and statement.object == current:
-                    hit = statement
-                    current = statement.subject
-                    break
-                if direction == "out" and statement.subject == current:
-                    hit = statement
-                    current = statement.object
-                    break
+            adjacent = into if direction == "in" else out
+            hit = next((s for s in adjacent.get(current.value, ())
+                        if s.property in properties), None)
             if hit is None:
                 break
+            if cause is not None and "HP12" in properties:
+                hit = next((s for s in out.get(cause, ())
+                            if s.property == "HP12" and s.object == current), hit)
             path.append(hit)
+            current = hit.subject if direction == "in" else hit.object
         return path
 
     # --- equality for tests and tools ---

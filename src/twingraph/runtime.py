@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from datetime import timedelta
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 
 from . import namespaces as ns
 from .canon import dumps_canonical, format_datetime_utc, parse_datetime_utc
@@ -117,6 +117,8 @@ def fnv1a64(text: str) -> int:
 
 
 _QUANTUM = Decimal("1E-12")
+# Sums and products at MAX_PREC keep every digit; overflow still traps.
+_EXACT = Context(prec=MAX_PREC)
 
 
 def _as_decimal(x: float) -> Decimal:
@@ -136,17 +138,18 @@ def generator_value(generator: Generator, index: int, stream_seed: int) -> Decim
     if isinstance(generator, ConstantGen):
         return generator.value
     if isinstance(generator, RampGen):
-        return generator.start + generator.slope * index
+        return _EXACT.add(generator.start, _EXACT.multiply(generator.slope, index))
     if isinstance(generator, SineGen):
         angle = 2.0 * math.pi * (index % generator.period) / generator.period
-        return generator.mean + generator.amplitude * _as_decimal(math.sin(angle))
+        return _EXACT.add(generator.mean,
+                          _EXACT.multiply(generator.amplitude, _as_decimal(math.sin(angle))))
     if isinstance(generator, ListGen):
         return generator.values[min(index, len(generator.values) - 1)]
     if isinstance(generator, NoisyGen):
         node_seed = mix64(stream_seed ^ generator.seed)
         inner = generator_value(generator.inner, index,
                                 mix64(node_seed ^ 0xA5A5A5A5A5A5A5A5))
-        return inner + generator.stddev * gaussian_at(node_seed, index)
+        return _EXACT.add(inner, _EXACT.multiply(generator.stddev, gaussian_at(node_seed, index)))
     raise TypeError(f"unknown generator {type(generator).__name__}")
 
 

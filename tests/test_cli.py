@@ -195,12 +195,13 @@ def test_chain_from_activation(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     properties = [line.split("--")[1] for line in lines]
-    assert properties == ["O13", "HP12", "L20", "L12", "HP15"]
+    assert properties == ["O13", "HP12", "L20", "L12", "P55"]
     assert lines[0].startswith("https://example.org/pisano/decider ")
-    # the delivery hop is ambiguous at the decider; the earliest-inserted
-    # statement wins, which is the accelerometer's first signal
-    assert "sig/accelerometer/0" in lines[1]
-    assert lines[-1].endswith("http://www.wikidata.org/entity/Q3925522")
+    # six signals reach the decider; the walk takes the one the activation
+    # answered, which shares its sensor and index, not the earliest one
+    assert "sig/hygrometer/2" in lines[1]
+    # the hygrometer is located in the church rather than on the pulpit
+    assert lines[-1].endswith("http://www.wikidata.org/entity/Q1148335")
 
 
 def test_chain_from_measurement_is_shorter(capsys):

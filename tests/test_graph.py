@@ -1,6 +1,9 @@
 """Statement store: typing, eager validation, queries, provenance walks."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twingraph import Graph, Iri, Literal, Statement, ViolationReason, load_seed
 from twingraph.errors import (
@@ -14,6 +17,7 @@ from twingraph.errors import (
 )
 
 EX = "https://example.org/g/"
+RUN = "https://example.org/run/"
 
 
 @pytest.fixture
@@ -96,6 +100,9 @@ def test_literal_canonical_forms():
     assert Literal.of("decimal", "12").value == "12"
     assert Literal.of("integer", "0042").value == "42"
     assert Literal.of("integer", "-7").value == "-7"
+    assert Literal.of("integer", "+0042").value == "42"
+    assert Literal.of("integer", "-000").value == "0"
+    assert Literal.of("integer", "-" + "0" * 5 + "7" * 5000).value == "-" + "7" * 5000
     assert Literal.of("dateTime", "2026-05-01T00:00:00Z").value == "2026-05-01T00:00:00Z"
     # fractions drop trailing zeros and re-parse at any surviving width
     assert Literal.of("dateTime", "2026-05-01T00:00:00.250000Z").value == \
@@ -105,7 +112,8 @@ def test_literal_canonical_forms():
     assert Literal.of("anyURI", "https://example.org/x").value == "https://example.org/x"
     assert Literal.of("string", 'say "hi"\n').value == 'say "hi"\n'
     for kind, bad in [("decimal", "1e5"), ("decimal", "abc"),
-                      ("integer", "4.5"), ("dateTime", "yesterday"),
+                      ("integer", "4.5"), ("integer", "+-1"), ("integer", "-"),
+                      ("dateTime", "yesterday"),
                       ("dateTime", "2026-05-01T00:00:00+02:00"),
                       ("dateTime", "2026-05-01T00:00:00.Z"),
                       ("dateTime", "2026-05-01T00:00:00.1234567Z")]:
@@ -208,6 +216,102 @@ def test_provenance_chain_prefers_earliest_statement(seed_registry):
     chain = g.provenance_chain("ex:act")
     # two signals feed the decider; the first recorded transmission wins
     assert chain[1].subject == Iri(EX + "sig")
+
+
+def test_provenance_chain_takes_the_activations_own_signal(seed_registry):
+    g = _provenance_world(seed_registry)
+    g.prefixes["run"] = RUN
+    g.add_entity("run:sig/s/1", ["HC12"])
+    g.add_entity("run:act/s/1", ["HC14"])
+    g.add_entity("run:act/s/2", ["HC14"])
+    g.add_statement("run:sig/s/1", "HP12", "ex:decider")
+    g.add_statement("ex:decider", "O13", "run:act/s/1")
+    g.add_statement("ex:decider", "O13", "run:act/s/2")
+    # the signal minted with the activation's sensor and index
+    assert g.provenance_chain("run:act/s/1")[1].subject == Iri(RUN + "sig/s/1")
+    # no such signal: the earliest transmission to the decider
+    assert g.provenance_chain("run:act/s/2")[1].subject == Iri(EX + "sig")
+
+
+# --- the read index against a plain scan ---
+
+_WALK = [(("O13",), "in"), (("HP12",), "in"), (("L20",), "in"),
+         (("L12",), "out"), (("HP15", "P55"), "out")]
+
+
+def scan_chain(graph, start):
+    """Provenance walk by scanning every statement at every hop."""
+    types = graph.nodes[start.value]
+    skip = 0 if "HC14" in types else 2 if "HC12" in types else 3
+    cause = None
+    if skip == 0 and start.value.startswith(RUN + "act/"):
+        cause = Iri(RUN + "sig/" + start.value[len(RUN + "act/"):])
+    path, current = [], start
+    for properties, direction in _WALK[skip:]:
+        matches = [s for s in graph.statements if s.property in properties
+                   and (s.object if direction == "in" else s.subject) == current]
+        if not matches:
+            break
+        hit = matches[0]
+        if cause is not None and Statement(cause, "HP12", current) in matches:
+            hit = Statement(cause, "HP12", current)
+        path.append(hit)
+        current = hit.subject if direction == "in" else hit.object
+    return path
+
+
+def scan_objects(graph, subject, property_id):
+    return [s.object for s in graph.statements
+            if s.subject == subject and s.property == property_id]
+
+
+def _chain_world(registry, rng):
+    """Run-shaped nodes plus a pool of candidate chain statements, some of
+    them crossing sensors and indexes."""
+    g = Graph(registry, {"ex": EX, "run": RUN})
+    g.add_entity("ex:asset", ["HC3"])
+    g.add_entity("ex:place", ["E53"])
+    deciders = [g.add_entity(f"ex:d{k}", ["HC10"]) for k in range(2)]
+    sensors = [g.add_entity(f"ex:s{k}", ["HC9"]) for k in range(3)]
+    starts, pool = [], []
+    for sensor in sensors:
+        pool.append(rng.choice([(sensor, "HP15", g.resolve("ex:asset")),
+                                (sensor, "P55", g.resolve("ex:place"))]))
+        for i in range(3):
+            local = f"{sensor.value.rsplit('/', 1)[1]}/{i}"
+            m = g.add_entity(f"run:m/{local}", ["HC13"])
+            sig = g.add_entity(f"run:sig/{local}", ["HC12"])
+            act = g.add_entity(f"run:act/{local}", ["HC14"])
+            starts += [m, sig, act]
+            pool += [(m, "L12", sensor), (m, "L20", sig),
+                     (sig, "HP12", rng.choice(deciders)),
+                     (rng.choice(deciders), "O13", act)]
+    for _ in range(10):
+        pool.append((rng.choice(deciders), "O13", rng.choice(starts[2::3])))
+        pool.append((rng.choice(starts[1::3]), "HP12", rng.choice(deciders)))
+        pool.append((rng.choice(starts[0::3]), "L20", rng.choice(starts[1::3])))
+    return g, starts, pool
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_read_index_matches_a_scan(seed_registry, seed):
+    rng = random.Random(seed)
+    g, starts, pool = _chain_world(seed_registry, rng)
+    nodes = [Iri(v) for v in g.nodes]
+    for _ in range(60):
+        roll = rng.random()
+        if roll < 0.35:
+            g.add_statement(*rng.choice(pool))
+        elif roll < 0.55:
+            g.statements.append(Statement(*rng.choice(pool)))
+        elif roll < 0.8:
+            start = rng.choice(starts)
+            assert g.provenance_chain(start) == scan_chain(g, start)
+        else:
+            subject = rng.choice(nodes)
+            property_id = rng.choice(["O13", "HP12", "L20", "L12", "HP15", "P55"])
+            assert g.objects_of(subject, property_id) == scan_objects(g, subject, property_id)
 
 
 def test_content_equal(seed_registry):

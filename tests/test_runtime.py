@@ -6,6 +6,7 @@ import statistics
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twingraph import (
     Iri,
@@ -109,6 +110,13 @@ def test_gaussian_is_deterministic_and_quantized():
 def test_simple_generator_values():
     assert generator_value(ConstantGen(Decimal("0.01")), 5, 1) == Decimal("0.01")
     assert generator_value(RampGen(Decimal(10), Decimal(2)), 3, 1) == Decimal(16)
+    # every digit survives, past the default context's 28
+    long = Decimal("1.00000000000000000000000000000001")
+    assert generator_value(RampGen(long, Decimal(0)), 0, 1) == long
+    assert generator_value(RampGen(long, Decimal("0.5")), 3, 1) == \
+        Decimal("2.50000000000000000000000000000001")
+    assert generator_value(SineGen(long, Decimal(10), 4), 1, 1) == \
+        Decimal("11.00000000000000000000000000000001")
     lg = ListGen((Decimal(1), Decimal(2)))
     assert [generator_value(lg, i, 1) for i in range(4)] == [
         Decimal(1), Decimal(2), Decimal(2), Decimal(2)]
@@ -395,6 +403,17 @@ def test_double_runs_are_byte_identical():
     b = run_scenario(config)
     assert emit(a.graph) == emit(b.graph)
     assert render_log(a.records) == render_log(b.records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_activation_chain_names_the_logged_signal(seed):
+    run = run_scenario(random_scenario(random.Random(seed), "cause"))
+    for record in run.records:
+        if record.kind == "activation":
+            chain = run.graph.provenance_chain(Iri(record.fields["activation"]))
+            assert chain[1].property == "HP12"
+            assert chain[1].subject.value == record.fields["signal"]
 
 
 def test_static_world_matches_config():

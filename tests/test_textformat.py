@@ -142,6 +142,8 @@ def test_typed_literal_forms():
         ("P83", "dateTime", '"2026-05-01T12:00:00Z"^^xsd:dateTime', "2026-05-01T12:00:00Z"),
         ("P84", "anyURI", '"https://example.org/d"^^xsd:anyURI', "https://example.org/d"),
         ("P85", "decimal", "4.50", "4.5"),
+        # integers are unbounded, like decimals
+        ("P86", "integer", '"+000' + "9" * 5000 + '"^^xsd:integer', "9" * 5000),
     ]:
         registry = registry.register_property(PropertyDef(
             id=pid, label=kind, namespace="CRM", domain="E1", range=kind))
@@ -149,6 +151,8 @@ def test_typed_literal_forms():
         graph, diagnostics = parse(text, registry)
         assert not diagnostics, (pid, diagnostics)
         assert graph.objects_of("ex:a", pid)[0].value == canonical
+        reparsed, diagnostics = parse(emit(graph), registry)
+        assert not diagnostics and reparsed.content_equal(graph), pid
 
 
 # --- canonical emission ---
