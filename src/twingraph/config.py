@@ -98,7 +98,6 @@ class SensorSpec:
 @dataclass(frozen=True)
 class DeciderSpec:
     iri: str
-    rules_text: str
     rules: tuple[Rule, ...]
 
 
@@ -395,4 +394,4 @@ def build_scenario(data) -> ScenarioConfig:
         duration=duration, seed=seed, assets=tuple(assets), places=places,
         twin=twin, software=software, actors=actors,
         activators=tuple(activators), sensors=tuple(sensors),
-        decider=DeciderSpec(decider_iri, rules_text, tuple(rules)))
+        decider=DeciderSpec(decider_iri, tuple(rules)))

@@ -60,17 +60,13 @@ class UnknownObjectError(GraphError):
 class StatementViolationError(GraphError):
     """A statement failed domain, range, or datatype validation.
 
-    reason is a graph.ViolationReason member; the class sets involved
-    come along so callers can report precisely.
+    reason is a graph.ViolationReason member; the message names the
+    property and the classes or datatype found.
     """
 
-    def __init__(self, reason, message: str,
-                 subject_classes: frozenset[str] = frozenset(),
-                 object_classes: frozenset[str] = frozenset()):
+    def __init__(self, reason, message: str):
         super().__init__(message)
         self.reason = reason
-        self.subject_classes = subject_classes
-        self.object_classes = object_classes
 
 
 class NotAProvenanceNodeError(GraphError):

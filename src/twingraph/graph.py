@@ -7,16 +7,19 @@ satisfy the property's domain and range. A graph built through this API can
 therefore never hold an ill-typed statement; validate() re-checks from
 scratch for graphs assembled by other means.
 
-Statements carry set semantics (duplicates collapse) but insertion order is
-preserved for queries and provenance walks. objects_of and provenance_chain
-index the statements appended since their last call, so they write too: use
-a graph from one thread at a time, or share it after writes stop and one ran.
+The statements are one append-only ordered set, a dict keyed by statement:
+duplicates collapse and insertion order is kept for queries and provenance
+walks. A statement inserted unchecked (graph.statements[s] = None) is seen by
+every reader. objects_of and provenance_chain index the statements appended
+since their last call, so they write too: use a graph from one thread at a
+time, or share it after writes stop and one ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 from . import namespaces as ns
 from .canon import canonical_decimal, format_datetime_utc, parse_datetime_utc, parse_decimal
@@ -147,8 +150,8 @@ class Graph:
         self.registry = registry
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self.nodes: dict[str, set[str]] = {}
-        self.statements: list[Statement] = []  # insertion order, append-only
-        self._statement_set: set[Statement] = set()
+        # Append-only ordered set: the keys, in insertion order.
+        self.statements: dict[Statement, None] = {}
         self._out: dict[str, list[Statement]] = {}
         self._in: dict[str, list[Statement]] = {}
         self._indexed = 0
@@ -181,16 +184,14 @@ class Graph:
             obj = self.resolve(obj)
         statement = Statement(subject, property_id, obj)
         self._check_statement(statement)
-        if statement not in self._statement_set:
-            self._statement_set.add(statement)
-            self.statements.append(statement)
+        self.statements[statement] = None
         return statement
 
     def has_statement(self, subject, property_id: str, obj) -> bool:
         subject = self.resolve(subject)
         if isinstance(obj, (str, Iri)) and not isinstance(obj, Literal):
             obj = self.resolve(obj)
-        return Statement(subject, property_id, obj) in self._statement_set
+        return Statement(subject, property_id, obj) in self.statements
 
     def _check_statement(self, statement: Statement) -> None:
         pdef = self.registry.properties.get(statement.property)
@@ -200,7 +201,6 @@ class Graph:
         if not subject_types:
             raise UnknownSubjectError(f"unknown subject {statement.subject}")
         obj = statement.object
-        object_types = ()
         if isinstance(obj, Iri):
             object_types = self.nodes.get(obj.value)
             if not object_types:
@@ -208,31 +208,26 @@ class Graph:
             if pdef.range in LITERAL_KINDS:
                 raise StatementViolationError(
                     ViolationReason.RANGE_VIOLATION,
-                    f"{statement.property} expects a {pdef.range} literal, got an IRI",
-                    frozenset(subject_types), frozenset(object_types))
+                    f"{statement.property} expects a {pdef.range} literal, got an IRI")
         if not self.registry.falls_under(subject_types, pdef.domain):
             raise StatementViolationError(
                 ViolationReason.DOMAIN_VIOLATION,
                 f"subject of {statement.property} must fall under {pdef.domain}; "
-                f"found {sorted(subject_types)}",
-                frozenset(subject_types), frozenset(object_types))
+                f"found {sorted(subject_types)}")
         if isinstance(obj, Iri):
             if not self.registry.falls_under(object_types, pdef.range):
                 raise StatementViolationError(
                     ViolationReason.RANGE_VIOLATION,
                     f"object of {statement.property} must fall under {pdef.range}; "
-                    f"found {sorted(object_types)}",
-                    frozenset(subject_types), frozenset(object_types))
+                    f"found {sorted(object_types)}")
         elif pdef.range not in LITERAL_KINDS:
             raise StatementViolationError(
                 ViolationReason.RANGE_VIOLATION,
-                f"{statement.property} expects a {pdef.range}, got a literal",
-                frozenset(subject_types), frozenset(object_types))
+                f"{statement.property} expects a {pdef.range}, got a literal")
         elif obj.datatype != pdef.range:
             raise StatementViolationError(
                 ViolationReason.DATATYPE_VIOLATION,
-                f"{statement.property} expects a {pdef.range} literal, got {obj.datatype}",
-                frozenset(subject_types), frozenset(object_types))
+                f"{statement.property} expects a {pdef.range} literal, got {obj.datatype}")
 
     # --- validation ---
 
@@ -290,11 +285,14 @@ class Graph:
     def _adjacency(self) -> tuple[dict[str, list[Statement]], dict[str, list[Statement]]]:
         """Statements by subject (out) and IRI object (in), caught up on each call."""
         out, into = self._out, self._in
-        for statement in self.statements[self._indexed:]:
-            out.setdefault(statement.subject.value, []).append(statement)
-            if isinstance(statement.object, Iri):
-                into.setdefault(statement.object.value, []).append(statement)
-        self._indexed = len(self.statements)
+        new = len(self.statements) - self._indexed
+        if new:
+            # The tail from the end: islice from the front walks the prefix.
+            for statement in reversed(list(islice(reversed(self.statements), new))):
+                out.setdefault(statement.subject.value, []).append(statement)
+                if isinstance(statement.object, Iri):
+                    into.setdefault(statement.object.value, []).append(statement)
+            self._indexed = len(self.statements)
         return out, into
 
     # --- provenance ---
@@ -342,4 +340,4 @@ class Graph:
 
     def content_equal(self, other: "Graph") -> bool:
         return (self.nodes == other.nodes
-                and self._statement_set == other._statement_set)
+                and self.statements.keys() == other.statements.keys())

@@ -131,7 +131,7 @@ def test_criterion_2_pisano_golden_run():
         assert run.summary() == {"ticks": 3, "measurements": 6, "signals": 6,
                                  "activations": 1, "alerts": 1}
         graph = run.graph
-        statements = graph.statements
+        statements = list(graph.statements)
 
         static = statements[:run.static_statements]
         assert sorted(s.property for s in static) == \

@@ -74,7 +74,7 @@ def test_statement_rejections(graph):
         graph.add_statement("ex:twin", "HP1", "ex:place")
     assert err.value.reason is ViolationReason.RANGE_VIOLATION
     # nothing was recorded by the failed attempts
-    assert graph.statements == []
+    assert graph.statements == {}
 
 
 def test_literal_statements(seed_registry):
@@ -125,11 +125,11 @@ def test_validate_finds_injected_violation(graph):
     graph.add_statement("ex:asset", "P55", "ex:place")
     assert graph.validate().ok
     # slip a statement past the write checks
-    graph.statements.append(Statement(Iri(EX + "place"), "HP1", Iri(EX + "asset")))
+    graph.statements[Statement(Iri(EX + "place"), "HP1", Iri(EX + "asset"))] = None
     report = graph.validate()
     assert not report.ok
     assert [v.reason for v in report.violations] == [ViolationReason.DOMAIN_VIOLATION]
-    graph.statements.append(Statement(Iri(EX + "nowhere"), "P55", Iri(EX + "place")))
+    graph.statements[Statement(Iri(EX + "nowhere"), "P55", Iri(EX + "place"))] = None
     reasons = {v.reason for v in graph.validate().violations}
     assert ViolationReason.UNKNOWN_SUBJECT in reasons
 
@@ -304,14 +304,18 @@ def test_read_index_matches_a_scan(seed_registry, seed):
         if roll < 0.35:
             g.add_statement(*rng.choice(pool))
         elif roll < 0.55:
-            g.statements.append(Statement(*rng.choice(pool)))
-        elif roll < 0.8:
+            g.statements[Statement(*rng.choice(pool))] = None
+        elif roll < 0.75:
             start = rng.choice(starts)
             assert g.provenance_chain(start) == scan_chain(g, start)
-        else:
+        elif roll < 0.9:
             subject = rng.choice(nodes)
             property_id = rng.choice(["O13", "HP12", "L20", "L12", "HP15", "P55"])
             assert g.objects_of(subject, property_id) == scan_objects(g, subject, property_id)
+        else:
+            triple = rng.choice(pool)
+            assert g.has_statement(*triple) == any(s == Statement(*triple)
+                                                   for s in g.statements)
 
 
 def test_content_equal(seed_registry):
@@ -320,6 +324,11 @@ def test_content_equal(seed_registry):
     assert a.content_equal(b)
     b.add_entity("ex:extra", ["E53"])
     assert not a.content_equal(b)
+    # a statement inserted unchecked counts like any other
+    c = _provenance_world(seed_registry)
+    c.statements[Statement(Iri(EX + "sensor"), "P55", Iri(EX + "place"))] = None
+    assert not a.content_equal(c)
+    assert not c.content_equal(a)
 
 
 # --- validate(): which reason each ill-typed statement reports ---
@@ -387,7 +396,7 @@ def test_validate_reason_table(seed_registry, case, subject, property_id, obj, e
     g.add_entity("ex:place", ["E53"])
     g.add_entity("ex:twin", ["HC2"])
     g.nodes[_V + "odd"] = {"HC99"}
-    g.statements.append(Statement(subject, property_id, obj))
+    g.statements[Statement(subject, property_id, obj)] = None
     report = g.validate()
     assert [v.reason.name for v in report.violations] == expected
     assert report.ok == (not expected)

@@ -42,7 +42,7 @@ from twingraph.runtime import (
     splitmix_at,
 )
 
-from conftest import random_scenario
+from conftest import random_scenario, random_scenario_text
 
 
 def scenario(sensors_json, rules="", duration=4, seed=3,
@@ -354,8 +354,7 @@ def test_missing_action_target_aborts_atomically():
     assert not diagnostics
     import dataclasses
     broken = dataclasses.replace(
-        config, decider=DeciderSpec(iri=config.decider.iri,
-                                    rules_text="", rules=tuple(rules)))
+        config, decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
     with pytest.raises(StepFailure) as err:
         run_scenario(broken)
     failure = err.value
@@ -414,6 +413,47 @@ def test_activation_chain_names_the_logged_signal(seed):
             chain = run.graph.provenance_chain(Iri(record.fields["activation"]))
             assert chain[1].property == "HP12"
             assert chain[1].subject.value == record.fields["signal"]
+
+
+# --- whole-run oracles over random scenarios ---
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_emitted_graph_round_trips(seed):
+    from twingraph import emit, parse
+    run = run_scenario(random_scenario(random.Random(seed), "trip"))
+    text = emit(run.graph)
+    parsed, diagnostics = parse(text, run.graph.registry)
+    assert not diagnostics
+    assert parsed.content_equal(run.graph)
+    assert emit(parsed) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_shorter_run_is_a_prefix(seed):
+    rng = random.Random(seed)
+    config = random_scenario(rng, "prefix")
+    until = rng.randint(0, config.duration)
+    full, part = run_scenario(config), run_scenario(config, until)
+    assert render_log(full.records).startswith(render_log(part.records))
+    assert part.graph.statements.keys() <= full.graph.statements.keys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_entity_and_sensor_order_does_not_matter(seed):
+    from twingraph import emit
+    rng = random.Random(seed)
+    document = json.loads(random_scenario_text(rng, "order"))
+    before = run_scenario(parse_scenario(json.dumps(document)))
+    for value in document["entities"].values():
+        if isinstance(value, list):
+            rng.shuffle(value)
+    rng.shuffle(document["sensors"])
+    after = run_scenario(parse_scenario(json.dumps(document)))
+    assert emit(after.graph) == emit(before.graph)
+    assert render_log(after.records) == render_log(before.records)
 
 
 def test_static_world_matches_config():
