@@ -20,6 +20,7 @@ from .canon import dumps_canonical
 from .config import load_scenario
 from .errors import (
     ConfigError,
+    InvalidIriError,
     SEVERITY_ERROR,
     NotAProvenanceNodeError,
     UnknownClassError,
@@ -102,7 +103,8 @@ def cmd_chain(args) -> int:
     try:
         start = graph.resolve(args.start)
         path = graph.provenance_chain(start)
-    except (UnknownPrefixError, UnknownSubjectError, NotAProvenanceNodeError) as exc:
+    except (InvalidIriError, UnknownPrefixError, UnknownSubjectError,
+            NotAProvenanceNodeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     for statement in path:

@@ -18,7 +18,7 @@ from decimal import Decimal
 
 from . import namespaces as ns
 from .canon import parse_datetime_utc
-from .errors import ConfigError, UnknownPrefixError
+from .errors import ConfigError, InvalidIriError, UnknownPrefixError
 from .rules import ActionKind, Rule, parse_rules
 
 MAX_SEED = 2 ** 64 - 1
@@ -224,7 +224,7 @@ def build_scenario(data) -> ScenarioConfig:
             raise ConfigError(f"{where}: IRI must be a string")
         try:
             return ns.resolve_iri(text, prefixes)
-        except (UnknownPrefixError, ValueError) as exc:
+        except (InvalidIriError, UnknownPrefixError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
     start = _require(data, "start", str, "scenario")

@@ -49,6 +49,10 @@ class UnknownPrefixError(GraphError):
     pass
 
 
+class InvalidIriError(GraphError, ValueError):
+    """An IRI holds characters the text form cannot carry."""
+
+
 class UnknownSubjectError(GraphError):
     pass
 

@@ -34,7 +34,7 @@ from .errors import (
 from .ontology import LITERAL_KINDS, Registry
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Iri:
     """An absolute IRI; equality and order follow the expanded text."""
 
@@ -44,7 +44,7 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A typed literal in canonical lexical form. Build via Literal.of."""
 
@@ -88,7 +88,7 @@ def _canonical_lexical(datatype: str, value) -> str:
     raise ValueError(f"unknown literal datatype {datatype!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     subject: Iri
     property: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import UnknownPrefixError
+from .errors import InvalidIriError, UnknownPrefixError
 
 CRM = "CRM"
 CRMDIG = "CRMdig"
@@ -128,7 +128,7 @@ def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
 
 def _checked(iri: str) -> str:
     if any(c in iri for c in IRI_FORBIDDEN):
-        raise ValueError(f"IRI contains characters the text form cannot carry: {iri!r}")
+        raise InvalidIriError(f"IRI contains characters the text form cannot carry: {iri!r}")
     return iri
 
 

@@ -16,7 +16,7 @@ prefix map by whoever executes the rule.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -24,7 +24,7 @@ from enum import Enum
 from . import namespaces as ns
 from .canon import parse_decimal
 from .errors import ParseDiagnostic, SEVERITY_ERROR, has_errors
-from .lexer import EOF, Token, master, scan
+from .lexer import EOF, Lookahead, Token, master, scan
 
 COMPARATORS = ("<", "<=", ">", ">=", "=", "!=")
 
@@ -150,23 +150,14 @@ def _token(kind, m, line, col, diagnostics) -> Token | None:
 
 
 def _tokenize(text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
-    return scan(text, _TOKENS, _token)
+    diagnostics: list[ParseDiagnostic] = []
+    return list(scan(text, _TOKENS, _token, diagnostics)), diagnostics
 
 
-class _RuleParser:
-    def __init__(self, tokens: list[Token], diagnostics: list[ParseDiagnostic]):
-        self.tokens = tokens
-        self.pos = 0
-        self.diagnostics = diagnostics
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != EOF:
-            self.pos += 1
-        return token
+class _RuleParser(Lookahead):
+    def __init__(self, tokens: Iterator[Token]):
+        super().__init__(tokens)
+        self.diagnostics: list[ParseDiagnostic] = []
 
     def error(self, token: Token, message: str) -> None:
         self.diagnostics.append(
@@ -294,9 +285,10 @@ class _RuleParser:
 
 def parse_rules(text: str) -> tuple[list[Rule] | None, list[ParseDiagnostic]]:
     """Parse a rule block. Returns (rules, diagnostics); rules is None on error."""
-    tokens, diagnostics = _tokenize(text)
-    parser = _RuleParser(tokens, diagnostics)
+    diagnostics: list[ParseDiagnostic] = []  # the scan's, then the parser's
+    parser = _RuleParser(scan(text, _TOKENS, _token, diagnostics))
     rules = parser.run()
+    diagnostics += parser.diagnostics
     if has_errors(diagnostics):
         return None, diagnostics
     return rules, diagnostics

@@ -28,7 +28,9 @@ CRLF input.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import namespaces as ns
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
     has_errors,
 )
 from .graph import Graph, Iri, Literal, ViolationReason
-from .lexer import EOF, Token, master, scan
+from .lexer import EOF, Lookahead, Token, master, scan
 from .ontology import LITERAL_KINDS, Registry
 
 FILE_EXTENSION = ".rht.ttl"
@@ -127,18 +129,19 @@ def _token(kind, m, line, col, diagnostics) -> Token | None:
 
 
 def _tokenize(text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
-    return scan(text, _TOKENS, _token, BAD)
+    diagnostics: list[ParseDiagnostic] = []
+    return list(scan(text, _TOKENS, _token, diagnostics, BAD)), diagnostics
 
 
 # --- raw layer ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawLiteral:
     value: str
     datatype: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawTriple:
     subject: str
     subject_pos: tuple[int, int]
@@ -148,7 +151,7 @@ class RawTriple:
     object_pos: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawType:
     subject: str
     subject_pos: tuple[int, int]
@@ -164,20 +167,11 @@ class RawDocument:
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], diagnostics: list[ParseDiagnostic]):
-        self.tokens = tokens
-        self.pos = 0
-        self.doc = RawDocument(diagnostics=diagnostics)
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != EOF:
-            self.pos += 1
-        return token
+class _Parser(Lookahead):
+    def __init__(self, tokens: Iterator[Token]):
+        super().__init__(tokens)
+        self.doc = RawDocument()
+        self.iris: dict[str, str] = {}  # one string per distinct IRI text
 
     def error(self, token: Token, message: str) -> None:
         self.doc.diagnostics.append(
@@ -200,12 +194,14 @@ class _Parser:
 
     def resolve(self, token: Token) -> str | None:
         if token.kind == IRIREF:
-            return token.text
-        base = self.doc.prefixes.get(token.prefix, ns.DEFAULT_PREFIXES.get(token.prefix))
-        if base is None:
-            self.error(token, f"undeclared prefix {token.prefix!r}")
-            return None
-        return base + token.local
+            iri = token.text
+        else:
+            base = self.doc.prefixes.get(token.prefix, ns.DEFAULT_PREFIXES.get(token.prefix))
+            if base is None:
+                self.error(token, f"undeclared prefix {token.prefix!r}")
+                return None
+            iri = base + token.local
+        return self.iris.setdefault(iri, iri)
 
     def run(self) -> RawDocument:
         while True:
@@ -335,9 +331,12 @@ class _Parser:
 
 
 def parse_raw(text: str) -> RawDocument:
-    """Syntax-only parse: prefixes, type assertions, and raw triples."""
-    tokens, diagnostics = _tokenize(text)
-    return _Parser(tokens, diagnostics).run()
+    """Syntax-only parse: prefixes, type assertions, and raw triples. Scan
+    diagnostics come before syntax diagnostics, each kind in text order."""
+    scanned: list[ParseDiagnostic] = []
+    doc = _Parser(scan(text, _TOKENS, _token, scanned, BAD)).run()
+    doc.diagnostics[:0] = scanned
+    return doc
 
 
 # --- graph building ---
@@ -353,6 +352,7 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
     graph = Graph(registry, prefixes=dict(raw.prefixes))
     class_map = registry.class_iri_map()
     property_map = registry.property_iri_map()
+    iri = cache(Iri)  # one Iri per distinct text
 
     def fail(pos, message):
         diagnostics.append(ParseDiagnostic(pos[0], pos[1], SEVERITY_ERROR, message))
@@ -362,7 +362,7 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
         if class_id is None:
             fail(assertion.class_pos, f"unknown ontology class <{assertion.class_iri}>")
             continue
-        graph.add_entity(assertion.subject, class_id)
+        graph.add_entity(iri(assertion.subject), class_id)
 
     for triple in raw.triples:
         property_id = property_map.get(triple.predicate)
@@ -377,9 +377,9 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
                 fail(triple.object_pos, f"DatatypeViolation: {exc}")
                 continue
         else:
-            obj = Iri(triple.object)
+            obj = iri(triple.object)
         try:
-            graph.add_statement(Iri(triple.subject), property_id, obj)
+            graph.add_statement(iri(triple.subject), property_id, obj)
         except UnknownSubjectError as exc:
             fail(triple.subject_pos, f"UnknownSubject: {exc}")
         except UnknownObjectError as exc:

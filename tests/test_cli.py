@@ -255,6 +255,13 @@ def test_chain_rejects_unknown_prefix(capsys):
     assert "zz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["http://x y", "<http://x>y>", 'ex:a"b'])
+def test_chain_rejects_uncarriable_iri(capsys, start):
+    assert main(["chain", GOLDEN_GRAPH, "--from", start]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot carry" in err and "Traceback" not in err
+
+
 def test_chain_requires_from_flag():
     with pytest.raises(SystemExit) as exit_info:
         main(["chain", GOLDEN_GRAPH])

@@ -171,6 +171,18 @@ def test_backslash_newline_keeps_later_lines():
     ]
 
 
+def test_scan_diagnostics_come_before_parser_diagnostics():
+    # recorded from the parser that read a whole token list before parsing;
+    # the parser errors on lines 2 and 4 still follow the scan errors
+    text = '@prefix ex: <https://e/> .\nex:a ex:p .\nex:b ^ ex:c .\nex:bb ex:p "\\q" , .\n'
+    assert [d.render() for d in parse_raw(text).diagnostics] == [
+        "3:6 error stray '^'",
+        "4:13 error unknown escape sequence at column 14",
+        "2:11 error expected an object, found '.'",
+        "4:19 error expected an object, found '.'",
+    ]
+
+
 def _in_subprocess(code, *args):
     # the child imports the same twingraph sources as this process
     source_root = os.path.dirname(os.path.dirname(twingraph.__file__))

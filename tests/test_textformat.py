@@ -1,10 +1,13 @@
 """Text serialization: tokenizer diagnostics, parsing, canonical emission."""
 
+import json
 import random
+import tracemalloc
 
 import pytest
 
-from twingraph import Graph, Iri, Literal, PropertyDef, emit, load_seed, parse
+from twingraph import (Graph, Iri, Literal, PropertyDef, ScenarioRun, emit, load_seed, parse,
+                       parse_scenario)
 from twingraph.errors import SEVERITY_ERROR, SEVERITY_WARNING, has_errors
 from twingraph.textformat import FILE_EXTENSION, parse_raw
 
@@ -256,3 +259,50 @@ def test_random_graph_round_trips():
         assert not has_errors(diagnostics), diagnostics
         assert reparsed.content_equal(g)
         assert emit(reparsed) == text
+
+
+def test_iri_subject_is_not_read_as_a_curie():
+    # a prefix named like a URI scheme does not rewrite <...> subjects
+    text = ("@prefix https: <urn:x:> .\n"
+            "<https://e.org/a> a crm:E1 .\n<https://e.org/b> a crm:E53 .\n"
+            "<https://e.org/a> crm:P55 <https://e.org/b> .\n")
+    graph, diagnostics = parse(text, load_seed())
+    assert not diagnostics
+    assert sorted(graph.nodes) == ["https://e.org/a", "https://e.org/b"]
+    assert graph.has_statement(Iri("https://e.org/a"), "P55", Iri("https://e.org/b"))
+
+
+def test_parse_shares_one_iri_per_text():
+    text = HEADER + ("ex:a a hdto:HC3 .\nex:b a crm:E53 .\nex:c a crm:E53 .\n"
+                     "<https://example.org/t/a> crm:P55 ex:b .\nex:a crm:P55 ex:c .\n"
+                     "ex:b crm:P55 ex:c .\n")
+    triples = parse_raw(text).triples
+    assert triples[0].subject is triples[1].subject  # an IRIREF and a CURIE
+    assert triples[1].object is triples[2].object
+    graph, diagnostics = parse(text, load_seed())
+    assert not diagnostics
+    first, second, third = graph.statements
+    assert first.subject is second.subject and second.object is third.object
+
+
+def test_parse_peak_memory_per_text_byte():
+    # About 10 traced bytes per text byte when tokens stream into the parser
+    # and equal IRIs share one object, about 31 with a token list and a
+    # fresh string and Iri per occurrence.
+    scenario = json.load(open("examples/pisano/scenario.json", encoding="utf-8"))
+    scenario["duration"] = 200
+    run = ScenarioRun(parse_scenario(json.dumps(scenario)))
+    run.run()
+    text = emit(run.graph)
+    registry = load_seed()
+    assert len(run.graph.statements) >= 2000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        graph, diagnostics = parse(text, registry)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert graph is not None and not diagnostics
+    assert peak < 20 * len(text.encode("utf-8"))
