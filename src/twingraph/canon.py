@@ -77,6 +77,18 @@ def format_datetime_utc(moment: datetime) -> str:
 # json.dumps's own C escapers, built once.
 _encode_key = json.JSONEncoder().encode
 _encode_text = json.JSONEncoder(ensure_ascii=False).encode
+# Log records repeat a few dozen keys, so each exact str key is encoded once,
+# up to 1024 of them; a str subclass may define equality its own way.
+_encoded_keys: dict[str, str] = {}
+
+
+def _key(key: str) -> str:
+    text = _encoded_keys.get(key) if type(key) is str else None
+    if text is None:
+        text = _encode_key(key)
+        if type(key) is str and len(_encoded_keys) < 1024:
+            _encoded_keys[key] = text
+    return text
 
 
 def dumps_canonical(value) -> str:
@@ -89,16 +101,20 @@ def dumps_canonical(value) -> str:
 
 
 def _dumps(value) -> str:
+    kind = type(value)  # the exact types first; subclasses take isinstance
+    if kind is int:
+        return str(value)
+    if kind is Decimal:
+        return canonical_decimal(value)
     if isinstance(value, str):
         return _encode_text(value)
     if isinstance(value, dict):
         keys = sorted(value)
         if not all(isinstance(key, str) for key in keys):
             raise TypeError("canonical JSON keys must be strings")
-        return "{" + ",".join(
-            _encode_key(key) + ":" + _dumps(value[key]) for key in keys) + "}"
+        return "{" + ",".join([_key(key) + ":" + _dumps(value[key]) for key in keys]) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_dumps(item) for item in value) + "]"
+        return "[" + ",".join([_dumps(item) for item in value]) + "]"
     if isinstance(value, Decimal):
         return canonical_decimal(value)
     if value is None:

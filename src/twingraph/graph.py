@@ -268,9 +268,8 @@ class Graph:
 
     def instances_of(self, class_id: str, transitive: bool = False) -> list[Iri]:
         """Nodes typed with class_id, optionally via any subclass; IRI order."""
-        if class_id not in self.registry.classes:
-            raise UnknownClassError(f"unknown class {class_id}")
-        accepted = self.registry.subclass_closure(class_id) if transitive else {class_id}
+        descendants = self.registry.subclass_closure(class_id)  # or UnknownClassError
+        accepted = descendants if transitive else {class_id}
         found = [iri for iri, types in self.nodes.items() if types & accepted]
         return [Iri(v) for v in sorted(found)]
 

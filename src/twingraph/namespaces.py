@@ -80,11 +80,11 @@ PROPERTY_MARKERS = {
 PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
 # The ASCII characters of a CURIE local name, the one class both text
-# grammars and the emitter use. In graph text a trailing '.' ends the
-# statement, so a local name there never ends in one.
+# grammars and the emitter use. A local name never ends in '.', which ends
+# a graph-text statement, nor begins with '//', which marks an absolute IRI.
 _LOCAL_CHARS = "A-Za-z0-9_%~/-"  # and '.'
 LOCAL_CHAR = f"[.{_LOCAL_CHARS}]"
-LOCAL_NAME = f"[{_LOCAL_CHARS}]*(?:\\.+[{_LOCAL_CHARS}]+)*"
+LOCAL_NAME = f"(?!//)[{_LOCAL_CHARS}]*(?:\\.+[{_LOCAL_CHARS}]+)*"
 LOCAL_NAME_RE = re.compile(LOCAL_NAME + r"\Z")
 
 # Characters an IRI may not contain: the text form could not carry them
@@ -111,13 +111,13 @@ def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
     """Expand a CURIE or pass through an absolute IRI.
 
     <...> wrapping is stripped. CURIE prefixes resolve against the given map
-    with the defaults as fallback. Characters the serialization cannot
-    carry inside <...> are rejected up front.
+    with the defaults as fallback; "name://..." is never a CURIE. Characters
+    the serialization cannot carry inside <...> are rejected up front.
     """
     if text.startswith("<") and text.endswith(">"):
         return _checked(text[1:-1])
     head, sep, local = text.partition(":")
-    if sep and PREFIX_NAME_RE.match(head):
+    if sep and PREFIX_NAME_RE.match(head) and not local.startswith("//"):
         base = prefixes.get(head, DEFAULT_PREFIXES.get(head))
         if base is not None:
             return _checked(base + local)

@@ -59,6 +59,9 @@ class Registry:
     # class id -> that class and all its ancestors; derived from `classes`
     _ancestors: dict[str, frozenset[str]] = field(
         default_factory=dict, compare=False, repr=False)
+    # class id -> that class and all its descendants, filled on first use
+    _descendants: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     # --- mutation (returns a new registry) ---
 
@@ -100,14 +103,20 @@ class Registry:
         self._require_class(b)
         return b in self._ancestors[a]
 
-    def subclass_closure(self, c: str) -> set[str]:
+    def subclass_closure(self, c: str) -> frozenset[str]:
         """All registered descendants of c, including c itself."""
-        self._require_class(c)
-        return {cid for cid, ancestors in self._ancestors.items() if c in ancestors}
+        if c not in self._descendants:
+            self._require_class(c)
+            self._descendants[c] = frozenset(d for d, up in self._ancestors.items() if c in up)
+        return self._descendants[c]
 
     def falls_under(self, class_ids: set[str] | frozenset[str], class_id: str) -> bool:
         """Whether some class of class_ids is class_id or a subclass of it."""
-        return any(self.is_subclass_of(c, class_id) for c in class_ids)
+        if self.subclass_closure(class_id).isdisjoint(class_ids):
+            for c in class_ids:  # no match: an unregistered class is an error
+                self._require_class(c)
+            return False
+        return True
 
     def check_applicability(self, prop_id: str,
                             subject_classes: set[str] | frozenset[str],

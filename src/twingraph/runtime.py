@@ -59,7 +59,7 @@ ALERT = "alert"
 EVENT_KINDS = (MEASUREMENT, SIGNAL, TRANSMISSION, DECISION, ACTIVATION, ACTUATION, ALERT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One log line; records order totally by (tick, seq)."""
 

@@ -8,7 +8,7 @@ from decimal import Decimal
 from .canon import dumps_canonical
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalPayload:
     """What a signal carries from a measurement toward a decider."""
 

@@ -65,7 +65,7 @@ PUNCT = "punct"
 BAD = "bad"
 
 _TOKENS = master(rf"""
-    (?P<word>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*)(?::(?P<local>{ns.LOCAL_NAME}))?)  # or a PNAME
+    (?P<word>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*)(?::(?P<local>{ns.LOCAL_NAME})|://{ns.LOCAL_NAME})?)
   | (?P<punct>[;,.])
   | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
   | (?P<string>"(?P<body>(?:[^"\\\n\r]+|\\[\s\S]?)*)(?P<closed>")?)  # '\' takes any next char
@@ -406,6 +406,7 @@ def emit(graph: Graph) -> str:
     candidates = sorted(rendering.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     used: set[str] = set()
 
+    @cache  # each distinct IRI text is rendered once per call
     def render_iri(iri: str) -> str:
         for name, base in candidates:
             if iri.startswith(base):

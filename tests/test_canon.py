@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingraph import Literal, PropertyDef, emit, load_seed, parse, parse_scenario, run_scenario
+from twingraph import canon
 from twingraph.canon import (
     canonical_decimal,
     dumps_canonical,
@@ -26,6 +27,28 @@ UTC = timezone.utc
 DECIMAL_TEXT = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?")
 
 # --- tables ---
+
+class _Text(str):
+    pass
+
+
+class _Folded(str):
+    """Text that equals any text with the same letters in another case."""
+
+    def __eq__(self, other):
+        return isinstance(other, str) and self.lower() == other.lower()
+
+    def __hash__(self):
+        return hash(self.lower())
+
+
+class _Count(int):
+    pass
+
+
+class _Amount(Decimal):
+    pass
+
 
 DUMPS_TABLE = [
     ({"b": 1, "a": [True, False, None]}, '{"a":[true,false,null],"b":1}'),
@@ -41,6 +64,11 @@ DUMPS_TABLE = [
     (-2 ** 70, "-1180591620717411303424"),
     ({}, "{}"),
     ([], "[]"),
+    # subclasses render as their base types, as before the key memo
+    ({_Text("kind"): _Text("é\n")}, '{"kind":"é\\n"}'),
+    ([_Count(3), _Amount("1.50"), True, _Text("")], '[3,1.5,true,""]'),
+    ((1, [(_Text("a"), ()), ["b", (Decimal("2.0"), [None])]], ({"t": (1,)},)),
+     '[1,[["a",[]],["b",[2,[null]]]],[{"t":[1]}]]'),
 ]
 
 
@@ -61,6 +89,38 @@ def test_dumps_canonical_table(value, expected):
 def test_dumps_canonical_rejects(value, error):
     with pytest.raises(error):
         dumps_canonical(value)
+
+
+# --- the key memo ---
+
+def test_key_memo_keeps_a_str_subclass_apart():
+    dumps_canonical({"a": 1})  # the memo now holds the key "a"
+    assert dumps_canonical({_Folded("A"): 1}) == '{"A":1}'
+
+
+class _LikeSeq:
+    """Not a str, but hashes and compares like the text "seq"."""
+
+    def __hash__(self):
+        return hash("seq")
+
+    def __eq__(self, other):
+        return other == "seq"
+
+
+def test_non_str_key_is_rejected_after_its_text_was_memoized():
+    assert dumps_canonical({"seq": 1, "1": 2}) == '{"1":2,"seq":1}'
+    for value in ({_LikeSeq(): 1}, {1: 2}, {"seq": {_LikeSeq(): 1}}):
+        with pytest.raises(TypeError):
+            dumps_canonical(value)
+
+
+def test_key_memo_is_bounded():
+    keys = [f"k{i}" for i in range(3000)]
+    expected = "{" + ",".join(f'"{key}":0' for key in sorted(keys)) + "}"
+    assert dumps_canonical(dict.fromkeys(keys, 0)) == expected
+    assert dumps_canonical(dict.fromkeys(keys, 0)) == expected
+    assert len(canon._encoded_keys) <= 1024
 
 
 @pytest.mark.parametrize("text,expected", [

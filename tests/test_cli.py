@@ -262,6 +262,20 @@ def test_chain_rejects_uncarriable_iri(capsys, start):
     assert err.count("\n") == 1 and "cannot carry" in err and "Traceback" not in err
 
 
+# "https" names a prefix here, yet "https://..." still names an absolute IRI.
+SCHEME_PREFIX_GRAPH = ("@prefix https: <urn:x:> .\n"
+                       "<https://e.org/m> a rhdto:HC13 ; crmdig:L12 <urn:x://e.org/s> .\n"
+                       "<urn:x://e.org/s> a rhdto:HC9 .\n")
+
+
+@pytest.mark.parametrize("start", ["https://e.org/m", "<https://e.org/m>"])
+def test_chain_from_iri_whose_scheme_is_a_prefix_name(tmp_path, capsys, start):
+    path = tmp_path / "graph.rht.ttl"
+    path.write_text(SCHEME_PREFIX_GRAPH, encoding="utf-8")
+    assert main(["chain", str(path), "--from", start]) == 0
+    assert capsys.readouterr().out == "https://e.org/m --L12--> urn:x://e.org/s\n"
+
+
 def test_chain_requires_from_flag():
     with pytest.raises(SystemExit) as exit_info:
         main(["chain", GOLDEN_GRAPH])

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twingraph import (
+    Graph,
     OntologyClassDef,
     PropertyDef,
     Registry,
@@ -216,6 +218,52 @@ def test_extension_loads_with_forward_reference(seed_registry):
     assert grown.check_applicability("HP41", {"HC40"}, set())
     # base registry untouched
     assert "HC40" not in seed_registry.classes
+
+
+# --- cached class membership ---
+
+# The seed, and a registry grown from it by an extension file and by
+# register_class. They share class ids but not descendant sets: HC1 gains
+# HC40, HC41 and HC42 in the grown one only, and E55 gains HC42.
+_SEED = load_seed()
+_GROWN = load_extension(_SEED, EXT_OK)[0].register_class(OntologyClassDef(
+    id="HC42", label="painted label", namespace="HDTO", parents=("HC40", "E55")))
+_GROWN_IDS = sorted(_GROWN.classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_falls_under_matches_pairwise_subclass_tests(data):
+    target = data.draw(st.sampled_from(_GROWN_IDS), label="target")
+    # the seed is asked first, so a descendant set cached on it and read by
+    # the grown registry would show as a wrong answer there
+    for registry in (_SEED, _GROWN):
+        if target not in registry.classes:
+            continue
+        ids = sorted(registry.classes)
+        type_sets = data.draw(st.lists(st.frozensets(st.sampled_from(ids), max_size=4),
+                                       max_size=5), label="type sets")
+        graph = Graph(registry)
+        for i, types in enumerate(type_sets):
+            expected = any(registry.is_subclass_of(c, target) for c in types)
+            assert registry.falls_under(types, target) == expected
+            assert registry.falls_under(set(types), target) == expected
+            if expected:
+                assert registry.falls_under(types | {"E999"}, target)
+            else:
+                with pytest.raises(UnknownClassError):
+                    registry.falls_under(types | {"E999"}, target)
+            if types:
+                graph.add_entity(f"<https://example.org/n{i}>", sorted(types))
+        assert registry.subclass_closure(target) == {
+            c for c in ids if registry.is_subclass_of(c, target)}
+        assert [iri.value for iri in graph.instances_of(target, transitive=True)] == sorted(
+            iri for iri, types in graph.nodes.items()
+            if any(registry.is_subclass_of(c, target) for c in types))
+    with pytest.raises(UnknownClassError):
+        _GROWN.falls_under({"E1"}, "E999")
+    assert "HC40" not in _SEED.subclass_closure("HC1")
+    assert {"HC40", "HC41", "HC42"} <= _GROWN.subclass_closure("HC1")
 
 
 @pytest.mark.parametrize("text,needle", [

@@ -272,6 +272,33 @@ def test_iri_subject_is_not_read_as_a_curie():
     assert graph.has_statement(Iri("https://e.org/a"), "P55", Iri("https://e.org/b"))
 
 
+def test_scheme_named_prefix_round_trips():
+    # a CURIE local name never begins with '//', so "https://..." is absolute
+    # even where "https" names a prefix, and an IRI whose tail would need
+    # one is written <...>
+    g = Graph(load_seed(), {"https": "urn:x:"})
+    for text in ("https://e.org/m", "<urn:x://e.org/m>", "https:local"):
+        g.add_entity(text, ["HC3"])
+    assert sorted(g.nodes) == ["https://e.org/m", "urn:x://e.org/m", "urn:x:local"]
+    text = emit(g)
+    assert text.splitlines()[2:] == ["", "<https://e.org/m> a hdto:HC3 .", "",
+                                     "<urn:x://e.org/m> a hdto:HC3 .", "",
+                                     "https:local a hdto:HC3 ."]
+    reparsed, diagnostics = parse(text, load_seed())
+    assert not diagnostics
+    assert reparsed.content_equal(g)
+    assert emit(reparsed) == text
+
+
+def test_bare_absolute_iri_is_one_error():
+    graph, diagnostics = parse("@prefix https: <urn:x:> .\n"
+                               "https://e.org/m a hdto:HC3 .\nhttps:n a hdto:HC3 .\n",
+                               load_seed())
+    assert graph is None
+    assert [(d.line, d.col, d.message) for d in diagnostics] == [
+        (2, 1, "unexpected word 'https://e.org/m'")]
+
+
 def test_parse_shares_one_iri_per_text():
     text = HEADER + ("ex:a a hdto:HC3 .\nex:b a crm:E53 .\nex:c a crm:E53 .\n"
                      "<https://example.org/t/a> crm:P55 ex:b .\nex:a crm:P55 ex:c .\n"
