@@ -29,7 +29,6 @@ from .errors import (
     TwingraphError,
 )
 from .graph import (
-    EntityNode,
     Graph,
     Iri,
     Literal,
@@ -57,8 +56,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "ActionKind", "ConfigError", "ConstantGen", "Decision",
-    "EntityNode", "EventRecord", "FILE_EXTENSION", "Graph", "GraphError",
-    "Iri", "ListGen", "Literal", "LITERAL_KINDS", "NoisyGen",
+    "EventRecord", "FILE_EXTENSION", "Graph", "GraphError", "Iri", "ListGen",
+    "Literal", "LITERAL_KINDS", "NoisyGen",
     "OntologyClassDef", "ParseDiagnostic", "PropertyDef", "RampGen",
     "Registry", "RegistryError", "Rule", "ScenarioConfig", "ScenarioError",
     "ScenarioRun", "SEED_VERSION", "SensorSpec", "SignalPayload", "SineGen",

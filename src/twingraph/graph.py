@@ -2,10 +2,11 @@
 
 A graph holds typed entity nodes and (subject, property, object) statements.
 Every statement is checked eagerly against the registry: both ends must be
-known nodes, the property must be registered, and the node types must
-satisfy the property's domain and range. A graph built through this API can
-therefore never hold an ill-typed statement; validate() re-checks from
-scratch for graphs assembled by other means.
+known nodes, the property must be registered, a literal must parse as its
+datatype, and the node types must satisfy the property's domain and range.
+A graph built through this API can therefore never hold an ill-typed
+statement; validate() re-checks by the same rule for statements inserted by
+other means.
 
 The statements are one append-only ordered set, a dict keyed by statement:
 duplicates collapse and insertion order is kept for queries and provenance
@@ -95,12 +96,6 @@ class Statement:
     object: "Iri | Literal"
 
 
-@dataclass(frozen=True)
-class EntityNode:
-    iri: Iri
-    types: frozenset[str]
-
-
 class ViolationReason(Enum):
     UNKNOWN_SUBJECT = "UnknownSubject"
     UNKNOWN_OBJECT = "UnknownObject"
@@ -137,11 +132,11 @@ _CHAIN_STEPS = (
 _RUN_ACT, _RUN_SIG = ns.RUN_IRI + "act/", ns.RUN_IRI + "sig/"
 
 
-_ERROR_REASONS = {
-    UnknownPropertyError: ViolationReason.UNKNOWN_PROPERTY,
-    UnknownSubjectError: ViolationReason.UNKNOWN_SUBJECT,
-    UnknownObjectError: ViolationReason.UNKNOWN_OBJECT,
-    UnknownClassError: ViolationReason.UNKNOWN_SUBJECT,  # a node typed outside the registry
+# add_statement raises these for existence; StatementViolationError otherwise.
+_UNKNOWN_ERRORS = {
+    ViolationReason.UNKNOWN_PROPERTY: UnknownPropertyError,
+    ViolationReason.UNKNOWN_SUBJECT: UnknownSubjectError,
+    ViolationReason.UNKNOWN_OBJECT: UnknownObjectError,
 }
 
 
@@ -179,55 +174,62 @@ class Graph:
 
     def add_statement(self, subject, property_id: str, obj) -> Statement:
         """Validate and insert one statement; duplicates collapse silently."""
-        subject = self.resolve(subject)
-        if isinstance(obj, (str, Iri)) and not isinstance(obj, Literal):
-            obj = self.resolve(obj)
-        statement = Statement(subject, property_id, obj)
-        self._check_statement(statement)
+        statement = self._statement(subject, property_id, obj)
+        found = self._violation(statement)
+        if found is not None:
+            error = _UNKNOWN_ERRORS.get(found[0])
+            raise error(found[1]) if error else StatementViolationError(*found)
         self.statements[statement] = None
         return statement
 
     def has_statement(self, subject, property_id: str, obj) -> bool:
-        subject = self.resolve(subject)
-        if isinstance(obj, (str, Iri)) and not isinstance(obj, Literal):
-            obj = self.resolve(obj)
-        return Statement(subject, property_id, obj) in self.statements
+        return self._statement(subject, property_id, obj) in self.statements
 
-    def _check_statement(self, statement: Statement) -> None:
+    def _statement(self, subject, property_id: str, obj) -> Statement:
+        if isinstance(obj, (str, Iri)):
+            obj = self.resolve(obj)
+        return Statement(self.resolve(subject), property_id, obj)
+
+    def _violation(self, statement: Statement) -> tuple[ViolationReason, str] | None:
+        """The first rule the statement breaks, or None. In order: property,
+        subject and object exist; a literal parses as its datatype; no IRI on
+        a literal range; domain; class range (no literal there); datatype. A
+        node typed outside the registry raises UnknownClassError."""
         pdef = self.registry.properties.get(statement.property)
         if pdef is None:
-            raise UnknownPropertyError(f"unknown property {statement.property}")
+            return ViolationReason.UNKNOWN_PROPERTY, f"unknown property {statement.property}"
         subject_types = self.nodes.get(statement.subject.value)
         if not subject_types:
-            raise UnknownSubjectError(f"unknown subject {statement.subject}")
+            return ViolationReason.UNKNOWN_SUBJECT, f"unknown subject {statement.subject}"
         obj = statement.object
         if isinstance(obj, Iri):
             object_types = self.nodes.get(obj.value)
             if not object_types:
-                raise UnknownObjectError(f"unknown object {obj}")
+                return ViolationReason.UNKNOWN_OBJECT, f"unknown object {obj}"
             if pdef.range in LITERAL_KINDS:
-                raise StatementViolationError(
-                    ViolationReason.RANGE_VIOLATION,
-                    f"{statement.property} expects a {pdef.range} literal, got an IRI")
+                return (ViolationReason.RANGE_VIOLATION,
+                        f"{statement.property} expects a {pdef.range} literal, got an IRI")
+        else:
+            try:
+                _canonical_lexical(obj.datatype, obj.value)
+            except ValueError as exc:
+                return ViolationReason.DATATYPE_VIOLATION, str(exc)
         if not self.registry.falls_under(subject_types, pdef.domain):
-            raise StatementViolationError(
-                ViolationReason.DOMAIN_VIOLATION,
-                f"subject of {statement.property} must fall under {pdef.domain}; "
-                f"found {sorted(subject_types)}")
+            return (ViolationReason.DOMAIN_VIOLATION,
+                    f"subject of {statement.property} must fall under {pdef.domain}; "
+                    f"found {sorted(subject_types)}")
         if isinstance(obj, Iri):
             if not self.registry.falls_under(object_types, pdef.range):
-                raise StatementViolationError(
-                    ViolationReason.RANGE_VIOLATION,
-                    f"object of {statement.property} must fall under {pdef.range}; "
-                    f"found {sorted(object_types)}")
+                return (ViolationReason.RANGE_VIOLATION,
+                        f"object of {statement.property} must fall under {pdef.range}; "
+                        f"found {sorted(object_types)}")
         elif pdef.range not in LITERAL_KINDS:
-            raise StatementViolationError(
-                ViolationReason.RANGE_VIOLATION,
-                f"{statement.property} expects a {pdef.range}, got a literal")
+            return (ViolationReason.RANGE_VIOLATION,
+                    f"{statement.property} expects a {pdef.range}, got a literal")
         elif obj.datatype != pdef.range:
-            raise StatementViolationError(
-                ViolationReason.DATATYPE_VIOLATION,
-                f"{statement.property} expects a {pdef.range} literal, got {obj.datatype}")
+            return (ViolationReason.DATATYPE_VIOLATION,
+                    f"{statement.property} expects a {pdef.range} literal, got {obj.datatype}")
+        return None
 
     # --- validation ---
 
@@ -235,36 +237,15 @@ class Graph:
         """Re-check every statement; never raises."""
         violations: list[Violation] = []
         for statement in self.statements:
-            found = None
             try:
-                self._check_statement(statement)
-            except StatementViolationError as exc:
-                found = (exc.reason, str(exc))
-            except (UnknownPropertyError, UnknownSubjectError) as exc:
-                violations.append(Violation(_ERROR_REASONS[type(exc)], str(exc), statement))
-                continue
-            except (UnknownObjectError, UnknownClassError) as exc:
-                found = (_ERROR_REASONS[type(exc)], str(exc))
-            # Insertion only ever sees canonical literals; one slipped in by
-            # other means may not parse, which outranks the type checks.
-            obj = statement.object
-            if isinstance(obj, Literal):
-                try:
-                    _canonical_lexical(obj.datatype, obj.value)
-                except ValueError as exc:
-                    found = (ViolationReason.DATATYPE_VIOLATION, str(exc))
+                found = self._violation(statement)
+            except UnknownClassError as exc:
+                found = ViolationReason.UNKNOWN_SUBJECT, str(exc)
             if found is not None:
                 violations.append(Violation(*found, statement))
         return ValidationReport(ok=not violations, violations=violations)
 
     # --- queries ---
-
-    def node(self, iri) -> EntityNode:
-        resolved = self.resolve(iri)
-        types = self.nodes.get(resolved.value)
-        if not types:
-            raise UnknownSubjectError(f"unknown node {resolved}")
-        return EntityNode(resolved, frozenset(types))
 
     def instances_of(self, class_id: str, transitive: bool = False) -> list[Iri]:
         """Nodes typed with class_id, optionally via any subclass; IRI order."""

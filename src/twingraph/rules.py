@@ -231,10 +231,14 @@ class _RuleParser(Lookahead):
             self.take()
             count_token = self.take()
             if count_token.kind != NUMBER or not count_token.text.isdigit() \
-                    or int(count_token.text) < 1:
+                    or not count_token.text.strip("0"):  # zero
                 self.error(count_token, "FOR takes a positive integer sample count")
                 return None
-            sustain = int(count_token.text)
+            try:
+                sustain = int(count_token.text)
+            except ValueError:  # beyond the digits int() reads from text
+                self.error(count_token, "FOR sample count has too many digits")
+                return None
             if not self.expect_word("SAMPLES"):
                 return None
             token = self.peek()

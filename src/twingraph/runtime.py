@@ -167,7 +167,6 @@ def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
 
 @dataclass
 class _SensorState:
-    spec: SensorSpec
     iri: Iri
     stream_seed: int
     next_index: int = 0
@@ -184,13 +183,15 @@ class ScenarioRun:
         self.graph = Graph(self.registry, prefixes=prefixes)
         self.records: list[EventRecord] = []
         self._seq = 0
+        self.ticks_run = 0
         self._start = parse_datetime_utc(config.start)
-        # Each measured type keeps the last sustain+1 values its rules read;
-        # a type no rule reads keeps none.
+        # Each measured type keeps the last sustain+1 values its rules read, but
+        # no more than the run can sample, plus one; a type no rule reads keeps none.
+        most = len(config.sensors) * config.duration
         sizes = {spec.measured_type: 0 for spec in config.sensors}
         for rule in config.decider.rules:
             kind = rule.measured_type
-            sizes[kind] = max(sizes.get(kind, 0), rule.sustain + 1)
+            sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
         self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
         self._event_nodes: dict[str, Iri] = {}
         self._type_nodes: dict[str, Iri] = {}
@@ -199,7 +200,7 @@ class ScenarioRun:
         self.static_statements = len(self.graph.statements)
         self._sensors = {
             spec.iri: _SensorState(
-                spec, self.graph.resolve(spec.iri),
+                self.graph.resolve(spec.iri),
                 mix64(config.seed ^ fnv1a64(config.resolve(spec.iri))))
             for spec in config.sensors}
         self.decider_iri = self.graph.resolve(config.decider.iri)
@@ -430,7 +431,7 @@ class ScenarioRun:
         for record in self.records:
             counts[record.kind] += 1
         return {
-            "ticks": getattr(self, "ticks_run", 0),
+            "ticks": self.ticks_run,
             "measurements": counts[MEASUREMENT],
             "signals": counts[SIGNAL],
             "activations": counts[ACTIVATION],

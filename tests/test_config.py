@@ -138,6 +138,9 @@ REJECTIONS = [
      r"bad prefix declaration"),
     ("relative-prefix-iri", put(("prefixes", "ex"), "not-absolute"),
      r"absolute IRI"),
+    # the graph text could not declare it, so the written graph would not parse
+    ("prefix-iri-with-space", put(("prefixes", "bad"), "https://a b/"),
+     r"prefix 'bad' must map to an absolute IRI"),
     ("reserved-run-prefix", put(("prefixes", "run"), "https://elsewhere.org/"),
      r"reserved"),
     ("offset-start", put(("start",), "2026-03-01T12:00:00+02:00"), r"bad start"),

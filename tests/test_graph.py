@@ -39,8 +39,7 @@ def test_prefix_resolution(graph):
 
 def test_entity_types_merge(graph):
     graph.add_entity("ex:asset", ["HC6"])
-    node = graph.node("ex:asset")
-    assert node.types == {"HC3", "HC6"}
+    assert graph.nodes[EX + "asset"] == {"HC3", "HC6"}
     with pytest.raises(UnknownClassError):
         graph.add_entity("ex:asset", ["HC99"])
 
@@ -81,7 +80,8 @@ def test_literal_statements(seed_registry):
     from twingraph import PropertyDef
     registry = seed_registry.register_property(PropertyDef(
         id="P80", label="has reading", namespace="CRM",
-        domain="E1", range="decimal"))
+        domain="E1", range="decimal")).register_property(PropertyDef(
+        id="P81", label="read at", namespace="CRM", domain="E1", range="dateTime"))
     g = Graph(registry, {"ex": EX})
     g.add_entity("ex:asset", ["HC3"])
     st = g.add_statement("ex:asset", "P80", Literal.of("decimal", "4.50"))
@@ -89,6 +89,13 @@ def test_literal_statements(seed_registry):
     with pytest.raises(StatementViolationError) as err:
         g.add_statement("ex:asset", "P80", Literal("string", "wet"))
     assert err.value.reason is ViolationReason.DATATYPE_VIOLATION
+    # a lexical form that does not parse as its datatype is refused on insert
+    for property_id, bad in (("P80", Literal("decimal", "abc")),
+                             ("P81", Literal("dateTime", "junk"))):
+        with pytest.raises(StatementViolationError) as err:
+            g.add_statement("ex:asset", property_id, bad)
+        assert err.value.reason is ViolationReason.DATATYPE_VIOLATION
+    assert list(g.statements) == [st]
     # class-valued ranges refuse literals
     with pytest.raises(StatementViolationError):
         g.add_statement("ex:asset", "P55", Literal("string", "here"))

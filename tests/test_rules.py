@@ -63,6 +63,10 @@ def test_duplicate_rule_id_rejected():
     ('RULE r WHEN TYPE = humidity AND VALUE > 1 THEN ALERT ex:a VIA "m"', "quoted"),
     ('RULE r WHEN TYPE = "h" AND VALUE >> 1 THEN ALERT ex:a VIA "m"', "number"),
     ('RULE r WHEN TYPE = "h" AND VALUE > 1 FOR 0 SAMPLES THEN ALERT ex:a VIA "m"', "positive"),
+    # more digits than int() reads from text (4300 by default)
+    pytest.param('RULE r WHEN TYPE = "h" AND VALUE > 1 FOR ' + "9" * 5000
+                 + ' SAMPLES THEN ALERT ex:a VIA "m"', "too many digits",
+                 id="count-past-int-digits"),
     ('RULE r WHEN TYPE = "h" AND VALUE > 1 MODE SOMETIMES THEN ALERT ex:a VIA "m"', "MODE"),
     ('RULE r WHEN TYPE = "h" AND VALUE > 1 THEN', "ACTIVATE"),
     ('RULE r WHEN TYPE = "h" AND VALUE > 1 THEN ALERT ex:a', "VIA"),

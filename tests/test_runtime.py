@@ -305,6 +305,25 @@ def test_decision_record_written_even_when_nothing_fires():
     assert all(d.fields["firedRules"] == [] for d in decisions)
 
 
+def test_sample_count_past_any_run_fires_nothing():
+    # the history keeps at most what the run samples, not sustain+1 values
+    config = scenario(BASIC_SENSOR, duration=4,
+                      rules=f'RULE r WHEN TYPE = "humidity" AND VALUE > 0 FOR {2 ** 63} '
+                            'SAMPLES MODE EVERY THEN ALERT ex:opd VIA "email"')
+    run = run_scenario(config)
+    assert run.summary() == {"ticks": 4, "measurements": 4, "signals": 4,
+                             "activations": 0, "alerts": 0}
+    # sensors of one measured type share its history, which so can outgrow
+    # the duration: 4 values in 2 ticks, and FOR 3 rises once, at the third
+    second = dict(json.loads(BASIC_SENSOR)[0], iri="ex:s2")
+    two = json.dumps(json.loads(BASIC_SENSOR) + [second])
+    run = run_scenario(scenario(two, duration=2,
+                                rules='RULE r WHEN TYPE = "humidity" AND VALUE > 0 FOR 3 '
+                                      'SAMPLES THEN ALERT ex:opd VIA "email"'))
+    assert run.summary()["measurements"] == 4
+    assert run.summary()["activations"] == 1
+
+
 def test_activation_names_follow_signal_index():
     config = scenario(BASIC_SENSOR, duration=4,
                       rules='RULE r WHEN TYPE = "humidity" AND VALUE > 70 '

@@ -29,7 +29,7 @@ def test_comments_and_crlf():
     text = HEADER + "# a comment\r\nex:a a hdto:HC3 .\r\n"
     graph, diagnostics = parse(text, load_seed())
     assert graph is not None and not diagnostics
-    assert graph.node("ex:a").types == {"HC3"}
+    assert graph.nodes[graph.resolve("ex:a").value] == {"HC3"}
 
 
 def test_unterminated_string_position():
