@@ -82,8 +82,9 @@ def _canonical_lexical(datatype: str, value) -> str:
             return format_datetime_utc(parse_datetime_utc(value))
         return format_datetime_utc(value)
     if datatype == "anyURI":
-        text = str(value)
-        if not text or any(ch.isspace() for ch in text):
+        text = str(value)  # absolute, and carried by the text form as is
+        if not ns.is_absolute_iri(text) or any(
+                ch.isspace() or ch in ns.IRI_FORBIDDEN for ch in text):
             raise ValueError(f"not a valid anyURI: {text!r}")
         return text
     raise ValueError(f"unknown literal datatype {datatype!r}")

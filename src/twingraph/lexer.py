@@ -1,18 +1,25 @@
 """The one scan loop behind both text grammars (graph text and rule DSL).
 
 The scan is a generator that the parsers pull from, each keeping one token
-of lookahead (Lookahead), so no token list is built. A grammar supplies a
-master pattern, an alternation of named groups built with master(), and a
-function that turns one match into a token. The loop owns what the
-grammars share: blanks and LF/CRLF line ends, 1-based line:col positions,
-the "unexpected character" fallback, and the EOF token. Every group
-consumes at least one character and some group matches any character, so a
-scan always moves forward and always terminates.
+of lookahead (Lookahead), so no token list is built. A grammar supplies
+named groups, compiled by master(), and a function that turns one match into
+a token. Each match starts with the blanks and line ends before its token,
+so one loop step makes one token, and trailing blanks go with an empty
+end-of-text group. The loop owns the "unexpected character" fallback and the
+EOF token. Some group matches any character and every group but the end
+consumes one at least, so a scan always moves forward and terminates.
+
+Positions are offsets into the text, as in Go's go/token. Lines turns one
+into a 1-based line:col (a line ends at LF, so CRLF works; a lone CR is a
+blank). It builds its table of line starts on first use, and only
+diagnostics use it, so a clean read never builds one.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import namedtuple
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ParseDiagnostic, SEVERITY_ERROR
@@ -23,31 +30,47 @@ EOF = "eof"
 class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character
     prefix: str = ""  # prefix and local name of a graph-text PNAME
     local: str = ""
 
 
+Placed = namedtuple("Placed", "kind text line col prefix local")  # for tokenize
+
+
+class Lines:
+    """1-based line:col of offsets into one text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts: list[int] | None = None  # offset where each line starts
+
+    def __call__(self, pos: int) -> tuple[int, int]:
+        if self.starts is None:
+            self.starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        line = bisect_right(self.starts, pos)
+        return line, pos - self.starts[line - 1] + 1
+
+    def diagnostic(self, pos: int, message: str,
+                   severity: str = SEVERITY_ERROR) -> ParseDiagnostic:
+        return ParseDiagnostic(*self(pos), severity, message)
+
+
 def master(alternatives: str) -> re.Pattern:
-    """Compile a grammar's token groups between the shared ones: blanks and
-    newlines first, any other single character last. A group named `rest`
+    """Compile a grammar's token groups, each after any blanks, then any
+    other single character and the end of the text. A group named `rest`
     covers text that runs to the end of its line and makes no token (a
-    comment, say); the EOF token's column ignores it, so an input that ends
-    there reports its end where that text began."""
-    return re.compile(r"(?P<blank>[ \t\r]+)|(?P<newline>\n)|" + alternatives
-                      + r"|(?P<unexpected>.)", re.VERBOSE)
+    comment, say); an input that ends in one has its EOF where it began."""
+    return re.compile(r"[ \t\r\n]*(?:" + alternatives
+                      + r"|(?P<unexpected>.)|(?P<end>\Z))", re.VERBOSE)
 
 
 class Lookahead:
-    """A parser's one token of lookahead over a scan."""
+    """A parser's one token of lookahead (current) over a scan."""
 
     def __init__(self, tokens: Iterator[Token]):
         self.tokens = tokens
         self.current = next(tokens)
-
-    def peek(self) -> Token:
-        return self.current
 
     def take(self) -> Token:  # the scan moves on unless it is at EOF
         token = self.current
@@ -56,40 +79,39 @@ class Lookahead:
         return token
 
 
-def scan(text: str, pattern: re.Pattern, build: Callable[..., "Token | None"],
+def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"],
          diagnostics: list[ParseDiagnostic], bad: str | None = None) -> Iterator[Token]:
-    """Yield the tokens of a text, ending with an EOF token, and append its
-    diagnostics to the given list as the scan reaches them.
+    """Yield the tokens of lines.text, ending with an EOF token, and append
+    its diagnostics to the given list as the scan reaches them.
 
-    build(kind, match, line, col, diagnostics) returns the token for one
-    match of a grammar group, or None, and appends any diagnostics. An
-    unexpected character is an error; it is kept as a token of kind `bad`
-    when one is given, and dropped otherwise.
+    build(kind, match, lines, diagnostics) returns the token for a match of
+    the grammar group `kind` (the match's tail, after its blanks), or None,
+    and appends any diagnostics. An unexpected character is an error; it is
+    kept as a token of kind `bad` when one is given, and dropped otherwise.
     """
-    line, line_start, last = 1, 0, 0  # last: where the EOF column is measured
-    for m in pattern.finditer(text):
+    rest = None  # the last comment's match, for EOF
+    for m in pattern.finditer(lines.text):
         kind = m.lastgroup
-        if kind == "blank":
-            last = m.end()
-        elif kind == "newline":
-            line += 1
-            line_start = last = m.end()
+        if kind == "unexpected":
+            pos, char = m.start(kind), m.group(kind)
+            diagnostics.append(lines.diagnostic(pos, f"unexpected character {char!r}"))
+            if bad is not None:
+                yield Token(bad, char, pos)
+        elif kind == "end":  # which can match once more, empty, so return
+            pos = m.end()
+            yield Token(EOF, "", rest.start("rest") if rest and rest.end() == pos else pos)
+            return
         else:
-            pos, end = m.span()
-            col = pos - line_start + 1
-            if kind == "unexpected":
-                char = m.group()
-                diagnostics.append(ParseDiagnostic(
-                    line, col, SEVERITY_ERROR, f"unexpected character {char!r}"))
-                token = Token(bad, char, line, col) if bad is not None else None
-            else:
-                token = build(kind, m, line, col, diagnostics)
+            if kind == "rest":
+                rest = m
+            token = build(kind, m, lines, diagnostics)
             if token is not None:
                 yield token
-            if kind != "rest":
-                last = end
-            newline = text.rfind("\n", pos, end)  # a string may span lines
-            if newline >= 0:
-                line += text.count("\n", pos, end)
-                line_start = newline + 1
-    yield Token(EOF, "", line, last - line_start + 1)
+
+
+def tokenize(text: str, pattern: re.Pattern, build: Callable[..., "Token | None"],
+             bad: str | None = None) -> tuple[list[Placed], list[ParseDiagnostic]]:
+    """A whole scan, each token placed at its line:col, and its diagnostics."""
+    lines, diagnostics = Lines(text), []
+    return [Placed(t.kind, t.text, *lines(t.pos), t.prefix, t.local)
+            for t in scan(lines, pattern, build, diagnostics, bad)], diagnostics

@@ -260,13 +260,13 @@ def load_extension(registry: Registry, text: str):
     registry unused.
     """
     from . import textformat
-    from .errors import ParseDiagnostic, SEVERITY_ERROR, has_errors
+    from .errors import has_errors
 
     raw = textformat.parse_raw(text)
     diagnostics = list(raw.diagnostics)
 
     def fail(pos, message):
-        diagnostics.append(ParseDiagnostic(pos[0], pos[1], SEVERITY_ERROR, message))
+        diagnostics.append(raw.lines.diagnostic(pos, message))
 
     for assertion in raw.types:
         fail(assertion.subject_pos, "'a' assertions are not part of extension files")

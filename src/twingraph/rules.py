@@ -20,11 +20,12 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from typing import NoReturn
 
 from . import namespaces as ns
 from .canon import parse_decimal
-from .errors import ParseDiagnostic, SEVERITY_ERROR, has_errors
-from .lexer import EOF, Lookahead, Token, master, scan
+from .errors import ParseDiagnostic, has_errors
+from .lexer import EOF, Lines, Lookahead, Token, master, scan, tokenize
 
 COMPARATORS = ("<", "<=", ">", ">=", "=", "!=")
 
@@ -131,48 +132,51 @@ _TOKENS = master(rf"""
 """)
 
 
-def _token(kind, m, line, col, diagnostics) -> Token | None:
-    text = m.group()
+def _token(kind, m, lines, diagnostics) -> Token | None:
+    text = m.group(kind)
+    pos = m.end() - len(text)
     if kind == "word":
-        return Token(WORD if m.group("curie") is None else TARGET, text, line, col)
+        return Token(WORD if m.group("curie") is None else TARGET, text, pos)
     if kind == "string":
-        return Token(STRING, text[1:-1], line, col)
+        return Token(STRING, text[1:-1], pos)
     if kind in (CMP, TARGET, NUMBER, COMMA):  # groups named after their kinds
-        return Token(kind, text, line, col)
+        return Token(kind, text, pos)
     if kind == "bang":
         message = "stray '!'"
     elif text[0] == '"':
         message = "unterminated string"
     else:
         return None  # a comment
-    diagnostics.append(ParseDiagnostic(line, col, SEVERITY_ERROR, message))
+    diagnostics.append(lines.diagnostic(pos, message))
     return None
 
 
-def _tokenize(text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
-    diagnostics: list[ParseDiagnostic] = []
-    return list(scan(text, _TOKENS, _token, diagnostics)), diagnostics
+def _tokenize(text: str):
+    return tokenize(text, _TOKENS, _token)
+
+
+class _Rejected(Exception):
+    """Ends a rule at its first error; the parser goes on at the next RULE."""
 
 
 class _RuleParser(Lookahead):
-    def __init__(self, tokens: Iterator[Token]):
+    def __init__(self, tokens: Iterator[Token], lines: Lines):
         super().__init__(tokens)
+        self.lines = lines
         self.diagnostics: list[ParseDiagnostic] = []
 
-    def error(self, token: Token, message: str) -> None:
-        self.diagnostics.append(
-            ParseDiagnostic(token.line, token.col, SEVERITY_ERROR, message))
+    def reject(self, token: Token, message: str) -> NoReturn:
+        self.diagnostics.append(self.lines.diagnostic(token.pos, message))
+        raise _Rejected
 
-    def expect_word(self, keyword: str) -> bool:
+    def expect_word(self, keyword: str) -> None:
         token = self.take()
-        if token.kind == WORD and token.text == keyword:
-            return True
-        self.error(token, f"expected {keyword}, found {token.text or 'end of input'!r}")
-        return False
+        if token.kind != WORD or token.text != keyword:
+            self.reject(token, f"expected {keyword}, found {token.text or 'end of input'!r}")
 
     def sync_to_rule(self) -> None:
         while True:
-            token = self.peek()
+            token = self.current
             if token.kind == EOF or (token.kind == WORD and token.text == "RULE"):
                 return
             self.take()
@@ -180,117 +184,93 @@ class _RuleParser(Lookahead):
     def run(self) -> list[Rule]:
         rules: list[Rule] = []
         seen: dict[str, Token] = {}
-        while self.peek().kind != EOF:
-            rule = self.rule(seen)
-            if rule is not None:
-                rules.append(rule)
-            else:
+        while self.current.kind != EOF:
+            try:
+                rules.append(self.rule(seen))
+            except _Rejected:
                 self.sync_to_rule()
         return rules
 
-    def rule(self, seen: dict[str, Token]) -> Rule | None:
-        if not self.expect_word("RULE"):
-            return None
+    def rule(self, seen: dict[str, Token]) -> Rule:
+        self.expect_word("RULE")
         id_token = self.take()
         if id_token.kind != WORD or id_token.text in _KEYWORDS:
-            self.error(id_token, "expected a rule id after RULE")
-            return None
+            self.reject(id_token, "expected a rule id after RULE")
         if id_token.text in seen:
-            self.error(id_token, f"duplicate rule id {id_token.text!r}")
-            return None
-        if not self.expect_word("WHEN") or not self.expect_word("TYPE"):
-            return None
+            self.reject(id_token, f"duplicate rule id {id_token.text!r}")
+        self.expect_word("WHEN")
+        self.expect_word("TYPE")
         eq = self.take()
         if eq.kind != CMP or eq.text != "=":
-            self.error(eq, "expected '=' after TYPE")
-            return None
+            self.reject(eq, "expected '=' after TYPE")
         type_token = self.take()
         if type_token.kind != STRING:
-            self.error(type_token, "expected a quoted measured type")
-            return None
-        if not self.expect_word("AND") or not self.expect_word("VALUE"):
-            return None
+            self.reject(type_token, "expected a quoted measured type")
+        self.expect_word("AND")
+        self.expect_word("VALUE")
         cmp_token = self.take()
         if cmp_token.kind != CMP:
-            self.error(cmp_token, "expected a comparator after VALUE")
-            return None
+            self.reject(cmp_token, "expected a comparator after VALUE")
         number_token = self.take()
         if number_token.kind != NUMBER:
-            self.error(number_token, "expected a number threshold")
-            return None
+            self.reject(number_token, "expected a number threshold")
         try:
             threshold = parse_decimal(number_token.text)
         except ValueError as exc:
-            self.error(number_token, str(exc))
-            return None
+            self.reject(number_token, str(exc))
 
         sustain = 1
         mode = TriggerMode.ON_RISE
-        token = self.peek()
+        token = self.current
         if token.kind == WORD and token.text == "FOR":
             self.take()
             count_token = self.take()
             if count_token.kind != NUMBER or not count_token.text.isdigit() \
                     or not count_token.text.strip("0"):  # zero
-                self.error(count_token, "FOR takes a positive integer sample count")
-                return None
+                self.reject(count_token, "FOR takes a positive integer sample count")
             try:
                 sustain = int(count_token.text)
             except ValueError:  # beyond the digits int() reads from text
-                self.error(count_token, "FOR sample count has too many digits")
-                return None
-            if not self.expect_word("SAMPLES"):
-                return None
-            token = self.peek()
+                self.reject(count_token, "FOR sample count has too many digits")
+            self.expect_word("SAMPLES")
+            token = self.current
         if token.kind == WORD and token.text == "MODE":
             self.take()
             mode_token = self.take()
             if mode_token.kind != WORD or mode_token.text not in ("ON_RISE", "EVERY"):
-                self.error(mode_token, "MODE takes ON_RISE or EVERY")
-                return None
+                self.reject(mode_token, "MODE takes ON_RISE or EVERY")
             mode = TriggerMode(mode_token.text)
-        if not self.expect_word("THEN"):
-            return None
+        self.expect_word("THEN")
 
-        actions: list[Action] = []
-        while True:
-            action = self.action()
-            if action is None:
-                return None
-            actions.append(action)
-            if self.peek().kind == COMMA:
-                self.take()
-                continue
-            break
+        actions = [self.action()]
+        while self.current.kind == COMMA:
+            self.take()
+            actions.append(self.action())
 
         seen[id_token.text] = id_token
         return Rule(id_token.text, type_token.text, cmp_token.text, threshold,
                     sustain, mode, tuple(actions))
 
-    def action(self) -> Action | None:
+    def action(self) -> Action:
         verb = self.take()
         if verb.kind != WORD or verb.text not in ("ACTIVATE", "ALERT"):
-            self.error(verb, "expected ACTIVATE or ALERT")
-            return None
+            self.reject(verb, "expected ACTIVATE or ALERT")
         target = self.take()
         if target.kind != TARGET:
-            self.error(target, f"{verb.text} takes an IRI target")
-            return None
+            self.reject(target, f"{verb.text} takes an IRI target")
         if verb.text == "ACTIVATE":
             return Action(ActionKind.ACTIVATE, target.text)
-        if not self.expect_word("VIA"):
-            return None
+        self.expect_word("VIA")
         channel = self.take()
         if channel.kind != STRING:
-            self.error(channel, "VIA takes a quoted channel")
-            return None
+            self.reject(channel, "VIA takes a quoted channel")
         return Action(ActionKind.ALERT, target.text, channel.text)
 
 
 def parse_rules(text: str) -> tuple[list[Rule] | None, list[ParseDiagnostic]]:
     """Parse a rule block. Returns (rules, diagnostics); rules is None on error."""
-    diagnostics: list[ParseDiagnostic] = []  # the scan's, then the parser's
-    parser = _RuleParser(scan(text, _TOKENS, _token, diagnostics))
+    lines, diagnostics = Lines(text), []  # the scan's, then the parser's
+    parser = _RuleParser(scan(lines, _TOKENS, _token, diagnostics), lines)
     rules = parser.run()
     diagnostics += parser.diagnostics
     if has_errors(diagnostics):

@@ -43,7 +43,7 @@ from .errors import (
     has_errors,
 )
 from .graph import Graph, Iri, Literal, ViolationReason
-from .lexer import EOF, Lookahead, Token, master, scan
+from .lexer import EOF, Lines, Lookahead, Token, master, scan, tokenize
 from .ontology import LITERAL_KINDS, Registry
 
 FILE_EXTENSION = ".rht.ttl"
@@ -77,22 +77,23 @@ _TOKENS = master(rf"""
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 
-def _bad(diagnostics, message, text, line, col) -> Token:
-    diagnostics.append(ParseDiagnostic(line, col, SEVERITY_ERROR, message))
-    return Token(BAD, text, line, col)
+def _bad(lines, diagnostics, message, text, pos) -> Token:
+    diagnostics.append(lines.diagnostic(pos, message))
+    return Token(BAD, text, pos)
 
 
-def _token(kind, m, line, col, diagnostics) -> Token | None:
-    text = m.group()
+def _token(kind, m, lines, diagnostics) -> Token | None:
+    text = m.group(kind)
+    pos = m.end() - len(text)
     if kind == "word":
-        local = m.group("local")
+        prefix, local = m.group("prefix", "local")
         if local is not None:
-            return Token(PNAME, text, line, col, m.group("prefix"), local)
+            return Token(PNAME, text, pos, prefix, local)
         if text == "a":
-            return Token(WORD_A, text, line, col)
-        return _bad(diagnostics, f"unexpected word {text!r}", text, line, col)
+            return Token(WORD_A, text, pos)
+        return _bad(lines, diagnostics, f"unexpected word {text!r}", text, pos)
     if kind == PUNCT or kind == NUMBER:  # groups named after their kinds
-        return Token(kind, text, line, col)
+        return Token(kind, text, pos)
     if kind == "string":
         value = m.group("body")
         if "\\" in value:
@@ -100,37 +101,37 @@ def _token(kind, m, line, col, diagnostics) -> Token | None:
                 char = _ESCAPES.get(escape.group(1))
                 if char is not None:
                     return char
+                line, col = lines(pos)
                 at = col + 1 + escape.start()
                 diagnostics.append(ParseDiagnostic(
                     line, at, SEVERITY_ERROR, f"unknown escape sequence at column {at + 1}"))
                 return ""
             value = _ESCAPE_RE.sub(unescape, value)
         if m.group("closed") is None:
-            return _bad(diagnostics, "unterminated string literal", value, line, col)
-        return Token(STRING, value, line, col)
+            return _bad(lines, diagnostics, "unterminated string literal", value, pos)
+        return Token(STRING, value, pos)
     if kind == "iri":
         if text[-1] != ">":
-            return _bad(diagnostics, "unterminated IRI reference", text, line, col)
+            return _bad(lines, diagnostics, "unterminated IRI reference", text, pos)
         iri = text[1:-1]
         if any(c in iri for c in ns.IRI_FORBIDDEN):
-            return _bad(diagnostics, f"invalid character in IRI {text!r}", iri, line, col)
+            return _bad(lines, diagnostics, f"invalid character in IRI {text!r}", iri, pos)
         if not ns.is_absolute_iri(iri):
-            return _bad(diagnostics, f"relative IRIs are not allowed: {text}", iri, line, col)
-        return Token(IRIREF, iri, line, col)
+            return _bad(lines, diagnostics, f"relative IRIs are not allowed: {text}", iri, pos)
+        return Token(IRIREF, iri, pos)
     if kind == "caret":
         if text == DTSEP:
-            return Token(DTSEP, text, line, col)
-        return _bad(diagnostics, "stray '^'", text, line, col)
+            return Token(DTSEP, text, pos)
+        return _bad(lines, diagnostics, "stray '^'", text, pos)
     if kind == "directive":
         if text == AT_PREFIX:
-            return Token(AT_PREFIX, text, line, col)
-        return _bad(diagnostics, f"unknown directive {text}", text, line, col)
+            return Token(AT_PREFIX, text, pos)
+        return _bad(lines, diagnostics, f"unknown directive {text}", text, pos)
     return None  # rest: a comment
 
 
-def _tokenize(text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
-    diagnostics: list[ParseDiagnostic] = []
-    return list(scan(text, _TOKENS, _token, diagnostics, BAD)), diagnostics
+def _tokenize(text: str):
+    return tokenize(text, _TOKENS, _token, BAD)
 
 
 # --- raw layer ---
@@ -142,25 +143,26 @@ class RawLiteral:
 
 
 @dataclass(frozen=True, slots=True)
-class RawTriple:
+class RawTriple:  # each *_pos is an offset into the text; see RawDocument.lines
     subject: str
-    subject_pos: tuple[int, int]
+    subject_pos: int
     predicate: str
-    predicate_pos: tuple[int, int]
+    predicate_pos: int
     object: "str | RawLiteral"
-    object_pos: tuple[int, int]
+    object_pos: int
 
 
 @dataclass(frozen=True, slots=True)
 class RawType:
     subject: str
-    subject_pos: tuple[int, int]
+    subject_pos: int
     class_iri: str
-    class_pos: tuple[int, int]
+    class_pos: int
 
 
 @dataclass
 class RawDocument:
+    lines: Lines  # line:col of the text's offsets
     prefixes: dict[str, str] = field(default_factory=dict)
     triples: list[RawTriple] = field(default_factory=list)
     types: list[RawType] = field(default_factory=list)
@@ -168,18 +170,13 @@ class RawDocument:
 
 
 class _Parser(Lookahead):
-    def __init__(self, tokens: Iterator[Token]):
+    def __init__(self, tokens: Iterator[Token], lines: Lines):
         super().__init__(tokens)
-        self.doc = RawDocument()
+        self.doc = RawDocument(lines)
         self.iris: dict[str, str] = {}  # one string per distinct IRI text
 
-    def error(self, token: Token, message: str) -> None:
-        self.doc.diagnostics.append(
-            ParseDiagnostic(token.line, token.col, SEVERITY_ERROR, message))
-
-    def warn(self, token: Token, message: str) -> None:
-        self.doc.diagnostics.append(
-            ParseDiagnostic(token.line, token.col, SEVERITY_WARNING, message))
+    def error(self, token: Token, message: str, severity=SEVERITY_ERROR) -> None:
+        self.doc.diagnostics.append(self.doc.lines.diagnostic(token.pos, message, severity))
 
     def skip_statement(self, just_took: Token | None = None) -> None:
         # already at a boundary when the offending token was the '.'
@@ -205,7 +202,7 @@ class _Parser(Lookahead):
 
     def run(self) -> RawDocument:
         while True:
-            token = self.peek()
+            token = self.current
             if token.kind == EOF:
                 return self.doc
             if token.kind == AT_PREFIX:
@@ -239,7 +236,7 @@ class _Parser(Lookahead):
             self.error(dot, "expected '.' after '@prefix' declaration")
             self.skip_statement()
         if name_token.prefix in self.doc.prefixes:
-            self.warn(name_token, f"prefix {name_token.prefix!r} redeclared")
+            self.error(name_token, f"prefix {name_token.prefix!r} redeclared", SEVERITY_WARNING)
         self.doc.prefixes[name_token.prefix] = iri_token.text
 
     def triple(self) -> None:
@@ -248,15 +245,12 @@ class _Parser(Lookahead):
         if subject is None:
             self.skip_statement()
             return
-        subject_pos = (subject_token.line, subject_token.col)
         while True:
             pred_token = self.take()
             if pred_token.kind == WORD_A:
                 predicate = None
-                predicate_pos = (pred_token.line, pred_token.col)
             elif pred_token.kind in (PNAME, IRIREF):
                 predicate = self.resolve(pred_token)
-                predicate_pos = (pred_token.line, pred_token.col)
                 if predicate is None:
                     self.skip_statement()
                     return
@@ -267,7 +261,7 @@ class _Parser(Lookahead):
                 self.skip_statement(pred_token)
                 return
             while True:
-                if not self.object_entry(subject, subject_pos, predicate, predicate_pos):
+                if not self.object_entry(subject, subject_token.pos, predicate, pred_token.pos):
                     return
                 sep = self.take()
                 if sep.kind == PUNCT and sep.text == ",":
@@ -282,7 +276,6 @@ class _Parser(Lookahead):
 
     def object_entry(self, subject, subject_pos, predicate, predicate_pos) -> bool:
         token = self.take()
-        object_pos = (token.line, token.col)
         if token.kind in (PNAME, IRIREF):
             obj = self.resolve(token)
             if obj is None:
@@ -304,14 +297,14 @@ class _Parser(Lookahead):
                 self.error(token, "'a' takes a class reference, not a literal")
                 self.skip_statement()
                 return False
-            self.doc.types.append(RawType(subject, subject_pos, obj, object_pos))
+            self.doc.types.append(RawType(subject, subject_pos, obj, token.pos))
         else:
             self.doc.triples.append(RawTriple(
-                subject, subject_pos, predicate, predicate_pos, obj, object_pos))
+                subject, subject_pos, predicate, predicate_pos, obj, token.pos))
         return True
 
     def string_literal(self, token: Token) -> RawLiteral | None:
-        if self.peek().kind != DTSEP:
+        if self.current.kind != DTSEP:
             return RawLiteral(token.text, "string")
         self.take()
         dt_token = self.take()
@@ -333,8 +326,8 @@ class _Parser(Lookahead):
 def parse_raw(text: str) -> RawDocument:
     """Syntax-only parse: prefixes, type assertions, and raw triples. Scan
     diagnostics come before syntax diagnostics, each kind in text order."""
-    scanned: list[ParseDiagnostic] = []
-    doc = _Parser(scan(text, _TOKENS, _token, scanned, BAD)).run()
+    lines, scanned = Lines(text), []
+    doc = _Parser(scan(lines, _TOKENS, _token, scanned, BAD), lines).run()
     doc.diagnostics[:0] = scanned
     return doc
 
@@ -355,7 +348,7 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
     iri = cache(Iri)  # one Iri per distinct text
 
     def fail(pos, message):
-        diagnostics.append(ParseDiagnostic(pos[0], pos[1], SEVERITY_ERROR, message))
+        diagnostics.append(raw.lines.diagnostic(pos, message))
 
     for assertion in raw.types:
         class_id = class_map.get(assertion.class_iri)

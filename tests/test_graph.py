@@ -123,7 +123,11 @@ def test_literal_canonical_forms():
                       ("dateTime", "yesterday"),
                       ("dateTime", "2026-05-01T00:00:00+02:00"),
                       ("dateTime", "2026-05-01T00:00:00.Z"),
-                      ("dateTime", "2026-05-01T00:00:00.1234567Z")]:
+                      ("dateTime", "2026-05-01T00:00:00.1234567Z"),
+                      # an anyURI is absolute and has no character IRIs forbid
+                      ("anyURI", ""), ("anyURI", "not-absolute"), ("anyURI", "a<b>"),
+                      ("anyURI", "https://e.org/a<b>"), ("anyURI", "https://e.org/a b"),
+                      ("anyURI", "https://e.org/a\u00a0b")]:
         with pytest.raises(ValueError):
             Literal.of(kind, bad)
 

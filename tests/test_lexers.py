@@ -98,6 +98,31 @@ GRAPH_TABLE = [
      [('pname', 'ex:a', 1, 3, 'ex', 'a'), ('punct', ';', 3, 3), ('punct', ',', 3, 4),
       ('eof', '', 3, 5)],
      []),
+    # edge rows: empty, blanks only, a trailing comment with no LF, CRLF at
+    # EOF, a lone CR mid-line, an unknown escape after a backslash-newline
+    ('',
+     [('eof', '', 1, 1)],
+     []),
+    (' \t\r\n  \n\t',
+     [('eof', '', 3, 2)],
+     []),
+    ('ex:a .\n  # last line',
+     [('pname', 'ex:a', 1, 1, 'ex', 'a'), ('punct', '.', 1, 6), ('eof', '', 2, 3)],
+     []),
+    ('ex:a .\r\n',
+     [('pname', 'ex:a', 1, 1, 'ex', 'a'), ('punct', '.', 1, 6), ('eof', '', 2, 1)],
+     []),
+    ('ex:a # c\r\n',
+     [('pname', 'ex:a', 1, 1, 'ex', 'a'), ('eof', '', 2, 1)],
+     []),
+    ('ex:a\rex:b .',
+     [('pname', 'ex:a', 1, 1, 'ex', 'a'), ('pname', 'ex:b', 1, 6, 'ex', 'b'),
+      ('punct', '.', 1, 11), ('eof', '', 1, 12)],
+     []),
+    ('"a\\\nb\\qc" ex:z',
+     [('string', 'abc', 1, 1), ('pname', 'ex:z', 2, 7, 'ex', 'z'), ('eof', '', 2, 11)],
+     [(1, 3, 'unknown escape sequence at column 4'),
+      (1, 6, 'unknown escape sequence at column 7')]),
 ]
 
 RULES_TABLE = [
@@ -141,6 +166,29 @@ RULES_TABLE = [
      [('word', 'RULE', 1, 1), ('word', 'r', 1, 6), ('word', 'WHEN', 1, 8),
       ('word', 'TYPE', 1, 13), ('cmp', '=', 1, 18), ('eof', '', 1, 20)],
      [(1, 20, 'unterminated string')]),
+    # edge rows, as in GRAPH_TABLE; the rule DSL has no escapes
+    ('',
+     [('eof', '', 1, 1)],
+     []),
+    (' \t\r\n  \n\t',
+     [('eof', '', 3, 2)],
+     []),
+    ('RULE r\n  # last line',
+     [('word', 'RULE', 1, 1), ('word', 'r', 1, 6), ('eof', '', 2, 3)],
+     []),
+    ('RULE r\r\n',
+     [('word', 'RULE', 1, 1), ('word', 'r', 1, 6), ('eof', '', 2, 1)],
+     []),
+    ('RULE # c\r\n',
+     [('word', 'RULE', 1, 1), ('eof', '', 2, 1)],
+     []),
+    ('RULE\rr',
+     [('word', 'RULE', 1, 1), ('word', 'r', 1, 6), ('eof', '', 1, 7)],
+     []),
+    ('"a\\\nb\\q" x',
+     [('word', 'b', 2, 1), ('word', 'q', 2, 3), ('eof', '', 2, 4)],
+     [(1, 1, 'unterminated string'), (2, 2, "unexpected character '\\\\'"),
+      (2, 4, 'unterminated string')]),
 ]
 
 def _flatten(tokens):
@@ -249,3 +297,32 @@ def test_any_text_ends_in_diagnostics(text):
     assert (parsed is None) == has_errors(rule_diagnostics)
     assert (graph is None) == has_errors(graph_diagnostics)
     assert (grown is None) == has_errors(extension_diagnostics)
+
+
+def _offset(text, line, col):
+    # line:col back to an offset by plain counting, apart from the scan's own
+    lines = text.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+    return sum(len(earlier) + 1 for earlier in lines[:line - 1]) + col - 1
+
+
+@pytest.mark.parametrize("grammar", [textformat, rules])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS) | st.text(max_size=3), max_size=30).map("".join))
+def test_token_positions_point_at_their_source(grammar, text):
+    # a token's line:col is where its text starts: no blank is there, and
+    # scanning from there gives the same token first
+    *tokens, eof = grammar._tokenize(text)[0]
+    last = -1
+    for token in tokens:
+        at = _offset(text, token.line, token.col)
+        assert at > last and text[at] not in " \t\r\n"
+        again = grammar._tokenize(text[at:])[0][0]
+        assert again._replace(line=token.line, col=token.col) == token
+        assert (again.line, again.col) == (1, 1)
+        last = at
+    # EOF is at the end, or where a trailing comment (or, in rules, an
+    # unterminated string) that runs to the end began
+    at = _offset(text, eof.line, eof.col)
+    assert at > last
+    assert at == len(text) or (text[at] in '#"' and "\n" not in text[at:])

@@ -138,6 +138,17 @@ def test_datatype_violation_diagnostic():
     assert any(d.message.startswith("DatatypeViolation:") for d in diagnostics)
 
 
+def test_relative_any_uri_is_a_datatype_violation_at_the_object():
+    registry = load_seed().register_property(PropertyDef(
+        id="P84", label="ref", namespace="CRM", domain="E1", range="anyURI"))
+    text = HEADER + 'ex:a a hdto:HC3 .\nex:a crm:P84\n    "x"^^xsd:anyURI .\n'
+    graph, diagnostics = parse(text, registry)
+    assert graph is None
+    line = HEADER.count("\n") + 3
+    assert [d.render() for d in diagnostics] == [
+        f"{line}:5 error DatatypeViolation: not a valid anyURI: 'x'"]
+
+
 def test_typed_literal_forms():
     registry = load_seed()
     for pid, kind, token, canonical in [
