@@ -28,7 +28,7 @@ from .errors import (
     UnknownSubjectError,
 )
 from .ontology import SEED_VERSION, load_seed
-from .runtime import ScenarioRun, StepFailure, render_log
+from .runtime import ScenarioRun, StepFailure
 
 
 def _parse_graph_file(path: str):
@@ -77,7 +77,7 @@ def _write_outputs(args, graph, records, abort_message: str | None = None) -> No
             handle.write(textformat.emit(graph))
     if args.log:
         with open(args.log, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_log(records))
+            handle.writelines(record.to_json() + "\n" for record in records)
             if abort_message is not None:
                 handle.write(dumps_canonical({"aborted": abort_message}) + "\n")
 

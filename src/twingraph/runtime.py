@@ -74,7 +74,7 @@ class EventRecord:
 
 
 def render_log(records: list[EventRecord]) -> str:
-    """JSON Lines, every line LF-terminated."""
+    """JSON Lines, every line LF-terminated; `twingraph run` streams the same lines."""
     return "".join(record.to_json() + "\n" for record in records)
 
 

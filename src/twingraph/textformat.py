@@ -31,6 +31,8 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import groupby
+from operator import attrgetter
 
 from . import namespaces as ns
 from .errors import (
@@ -101,8 +103,7 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
                 char = _ESCAPES.get(escape.group(1))
                 if char is not None:
                     return char
-                line, col = lines(pos)
-                at = col + 1 + escape.start()
+                line, at = lines(pos + 1 + escape.start())
                 diagnostics.append(ParseDiagnostic(
                     line, at, SEVERITY_ERROR, f"unknown escape sequence at column {at + 1}"))
                 return ""
@@ -417,31 +418,30 @@ def emit(graph: Graph) -> str:
             return f'"{escaped}"'
         return f'"{escaped}"^^{render_iri(ns.XSD_IRI + literal.datatype)}'
 
-    def object_sort_key(obj):
+    def statement_sort_key(statement):  # property, then IRIs before literals
+        obj = statement.object
         if isinstance(obj, Iri):
-            return (0, obj.value, "")
-        return (1, obj.datatype, obj.value)
+            return (statement.property, 0, obj.value, "")
+        return (statement.property, 1, obj.datatype, obj.value)
 
-    by_subject: dict[str, dict[str, list]] = {}
+    def render_object(obj) -> str:
+        return render_iri(obj.value) if isinstance(obj, Iri) else render_literal(obj)
+
+    by_subject: dict[str, list] = {}
     for statement in graph.statements:
-        groups = by_subject.setdefault(statement.subject.value, {})
-        groups.setdefault(statement.property, []).append(statement.object)
+        by_subject.setdefault(statement.subject.value, []).append(statement)
 
-    blocks: list[str] = []
+    blocks = [""]  # slot 0: the header, set last as it names the prefixes used
     for subject in sorted(graph.nodes):
-        lines: list[str] = []
         types = sorted(render_iri(graph.registry.class_iri(t))
                        for t in graph.nodes[subject])
-        lines.append(f"{render_iri(subject)} a {', '.join(types)}")
-        for property_id in sorted(by_subject.get(subject, {})):
-            objects = sorted(by_subject[subject][property_id], key=object_sort_key)
-            rendered = ", ".join(
-                render_iri(o.value) if isinstance(o, Iri) else render_literal(o)
-                for o in objects)
+        lines = [f"\n{render_iri(subject)} a {', '.join(types)}"]
+        statements = sorted(by_subject.pop(subject, ()), key=statement_sort_key)
+        for property_id, group in groupby(statements, key=attrgetter("property")):
             lines.append(f"    {render_iri(graph.registry.property_iri(property_id))} "
-                         f"{rendered}")
+                         f"{', '.join(render_object(s.object) for s in group)}")
         blocks.append(" ;\n".join(lines) + " .\n")
 
     declared = {name: rendering[name] for name in set(graph.prefixes) | used}
-    header = "".join(f"@prefix {name}: <{declared[name]}> .\n" for name in sorted(declared))
-    return header + "".join("\n" + block for block in blocks)
+    blocks[0] = "".join(f"@prefix {name}: <{declared[name]}> .\n" for name in sorted(declared))
+    return "".join(blocks)

@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10: no tomllib in the standard library
     tomllib = None
 
-from twingraph import StepFailure, load_scenario, run_scenario
-from twingraph.cli import main
+from twingraph import (StepFailure, emit, load_scenario, parse_scenario, render_log,
+                       run_scenario)
+from twingraph.cli import _write_outputs, main
 from twingraph.errors import SensorNotInGraphError
 
 GOLDEN_GRAPH = "examples/pisano/golden.rht.ttl"
@@ -196,6 +199,75 @@ def test_generator_overflow_aborts_the_run(tmp_path, capsys):
     lines = log.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[-1]) == {"aborted": message}
     assert len(lines) > 1
+
+
+def _run_outputs(tmp_path, scenario_text):
+    """Exit code and the graph and log bytes `twingraph run` writes."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_text, encoding="utf-8")
+    out = tmp_path / "run.rht.ttl"
+    log = tmp_path / "run.log.jsonl"
+    code = main(["run", str(scenario), "--out", str(out), "--log", str(log)])
+    return code, out.read_bytes(), log.read_bytes()
+
+
+@pytest.mark.parametrize("path", [SCENARIO, "examples/pisano/scenario-noisy.json"])
+def test_run_writes_what_emit_and_render_log_render(tmp_path, path):
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["duration"] = 40
+    run = run_scenario(parse_scenario(json.dumps(doc)))
+    assert run.summary()["activations"] > 0
+    code, graph_bytes, log_bytes = _run_outputs(tmp_path, json.dumps(doc))
+    assert code == 0
+    assert graph_bytes == emit(run.graph).encode("utf-8")
+    assert log_bytes == render_log(run.records).encode("utf-8")
+
+
+def test_aborted_run_writes_the_partial_log_then_the_aborted_line(tmp_path):
+    with open(SCENARIO, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    sensor = next(s for s in doc["sensors"] if s["iri"] == "ex:hygrometer")
+    sensor["generator"] = {"kind": "ramp", "start": 0, "slope": 1}
+    text = json.dumps(doc).replace('"slope": 1', '"slope": 9E+999999')
+    with pytest.raises(StepFailure) as failure:
+        run_scenario(parse_scenario(text))
+    code, graph_bytes, log_bytes = _run_outputs(tmp_path, text)
+    assert code == 1
+    assert graph_bytes == emit(failure.value.graph).encode("utf-8")
+    aborted = ('{"aborted":"tick 2: sensor ex:hygrometer sample 2: '
+               'generator value out of range (Overflow)"}\n')
+    assert log_bytes == (render_log(failure.value.records) + aborted).encode("utf-8")
+
+
+def test_writer_peak_memory_per_output_byte(tmp_path):
+    # The log goes to its file one line at a time, so its traced peak is
+    # about a write buffer: 0.06 of the log's bytes at 200 ticks, 2.25 when
+    # the whole log is joined first. The graph text is one join of
+    # per-subject blocks: about 3.7 traced bytes per text byte, 8.3 with a
+    # list per (subject, property) and a header + body copy.
+    with open(SCENARIO, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["duration"] = 200
+    run = run_scenario(parse_scenario(json.dumps(doc)))
+
+    def traced_peak(out=None, log=None):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _write_outputs(Namespace(out=out, log=log), run.graph, run.records)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    out = tmp_path / "run.rht.ttl"
+    log = tmp_path / "run.log.jsonl"
+    graph_peak = traced_peak(out=str(out))
+    log_peak = traced_peak(log=str(log))
+    assert log.stat().st_size > 300_000
+    assert log_peak < 0.2 * log.stat().st_size
+    assert graph_peak < 6 * out.stat().st_size
 
 
 def test_query_direct_and_transitive(capsys):

@@ -122,7 +122,7 @@ GRAPH_TABLE = [
     ('"a\\\nb\\qc" ex:z',
      [('string', 'abc', 1, 1), ('pname', 'ex:z', 2, 7, 'ex', 'z'), ('eof', '', 2, 11)],
      [(1, 3, 'unknown escape sequence at column 4'),
-      (1, 6, 'unknown escape sequence at column 7')]),
+      (2, 2, 'unknown escape sequence at column 3')]),
 ]
 
 RULES_TABLE = [
