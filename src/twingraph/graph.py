@@ -133,7 +133,7 @@ _CHAIN_STEPS = (
 _RUN_ACT, _RUN_SIG = ns.RUN_IRI + "act/", ns.RUN_IRI + "sig/"
 
 
-# add_statement raises these for existence; StatementViolationError otherwise.
+# insert raises these for existence; StatementViolationError otherwise.
 _UNKNOWN_ERRORS = {
     ViolationReason.UNKNOWN_PROPERTY: UnknownPropertyError,
     ViolationReason.UNKNOWN_SUBJECT: UnknownSubjectError,
@@ -175,7 +175,10 @@ class Graph:
 
     def add_statement(self, subject, property_id: str, obj) -> Statement:
         """Validate and insert one statement; duplicates collapse silently."""
-        statement = self._statement(subject, property_id, obj)
+        return self.insert(self._statement(subject, property_id, obj))
+
+    def insert(self, statement: Statement) -> Statement:
+        """The one checked insert, for a Statement of Iri and Literal terms."""
         found = self._violation(statement)
         if found is not None:
             error = _UNKNOWN_ERRORS.get(found[0])

@@ -44,7 +44,7 @@ from .errors import (
     UnknownSubjectError,
     has_errors,
 )
-from .graph import Graph, Iri, Literal, ViolationReason
+from .graph import Graph, Iri, Literal, Statement, ViolationReason
 from .lexer import EOF, Lines, Lookahead, Token, master, scan, tokenize
 from .ontology import LITERAL_KINDS, Registry
 
@@ -77,6 +77,7 @@ _TOKENS = master(rf"""
   | (?P<rest>\#[^\n]*)
 """)
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
+_new = tuple.__new__  # a Token at half the cost of the namedtuple's Python-level __new__
 
 
 def _bad(lines, diagnostics, message, text, pos) -> Token:
@@ -90,12 +91,12 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
     if kind == "word":
         prefix, local = m.group("prefix", "local")
         if local is not None:
-            return Token(PNAME, text, pos, prefix, local)
+            return _new(Token, (PNAME, text, pos, prefix, local))
         if text == "a":
-            return Token(WORD_A, text, pos)
+            return _new(Token, (WORD_A, text, pos, "", ""))
         return _bad(lines, diagnostics, f"unexpected word {text!r}", text, pos)
     if kind == PUNCT or kind == NUMBER:  # groups named after their kinds
-        return Token(kind, text, pos)
+        return _new(Token, (kind, text, pos, "", ""))
     if kind == "string":
         value = m.group("body")
         if "\\" in value:
@@ -110,7 +111,7 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
             value = _ESCAPE_RE.sub(unescape, value)
         if m.group("closed") is None:
             return _bad(lines, diagnostics, "unterminated string literal", value, pos)
-        return Token(STRING, value, pos)
+        return _new(Token, (STRING, value, pos, "", ""))
     if kind == "iri":
         if text[-1] != ">":
             return _bad(lines, diagnostics, "unterminated IRI reference", text, pos)
@@ -119,14 +120,14 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
             return _bad(lines, diagnostics, f"invalid character in IRI {text!r}", iri, pos)
         if not ns.is_absolute_iri(iri):
             return _bad(lines, diagnostics, f"relative IRIs are not allowed: {text}", iri, pos)
-        return Token(IRIREF, iri, pos)
+        return _new(Token, (IRIREF, iri, pos, "", ""))
     if kind == "caret":
         if text == DTSEP:
-            return Token(DTSEP, text, pos)
+            return _new(Token, (DTSEP, text, pos, "", ""))
         return _bad(lines, diagnostics, "stray '^'", text, pos)
     if kind == "directive":
         if text == AT_PREFIX:
-            return Token(AT_PREFIX, text, pos)
+            return _new(Token, (AT_PREFIX, text, pos, "", ""))
         return _bad(lines, diagnostics, f"unknown directive {text}", text, pos)
     return None  # rest: a comment
 
@@ -137,13 +138,13 @@ def _tokenize(text: str):
 
 # --- raw layer ---
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawLiteral:
     value: str
     datatype: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawTriple:  # each *_pos is an offset into the text; see RawDocument.lines
     subject: str
     subject_pos: int
@@ -153,7 +154,7 @@ class RawTriple:  # each *_pos is an offset into the text; see RawDocument.lines
     object_pos: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawType:
     subject: str
     subject_pos: int
@@ -175,31 +176,32 @@ class _Parser(Lookahead):
         super().__init__(tokens)
         self.doc = RawDocument(lines)
         self.iris: dict[str, str] = {}  # one string per distinct IRI text
+        self.curies: dict[str, str] = {}  # CURIE text -> its IRI from iris
 
     def error(self, token: Token, message: str, severity=SEVERITY_ERROR) -> None:
         self.doc.diagnostics.append(self.doc.lines.diagnostic(token.pos, message, severity))
 
     def skip_statement(self, just_took: Token | None = None) -> None:
         # already at a boundary when the offending token was the '.'
-        if just_took is not None and (
-                just_took.kind == EOF
-                or (just_took.kind == PUNCT and just_took.text == ".")):
-            return
-        while True:
+        token = just_took or self.take()
+        while token.kind != EOF and not (token.kind == PUNCT and token.text == "."):
             token = self.take()
-            if token.kind == EOF or (token.kind == PUNCT and token.text == "."):
-                return
 
     def resolve(self, token: Token) -> str | None:
+        """The interned IRI of an IRIREF or PNAME token, or None after an
+        undeclared-prefix error. curies memoizes CURIEs only (<p:x> is not
+        p:x) and is cleared whenever @prefix stores a base."""
         if token.kind == IRIREF:
-            iri = token.text
-        else:
+            return self.iris.setdefault(token.text, token.text)
+        iri = self.curies.get(token.text)
+        if iri is None:
             base = self.doc.prefixes.get(token.prefix, ns.DEFAULT_PREFIXES.get(token.prefix))
             if base is None:
                 self.error(token, f"undeclared prefix {token.prefix!r}")
                 return None
             iri = base + token.local
-        return self.iris.setdefault(iri, iri)
+            iri = self.curies[token.text] = self.iris.setdefault(iri, iri)
+        return iri
 
     def run(self) -> RawDocument:
         while True:
@@ -239,6 +241,7 @@ class _Parser(Lookahead):
         if name_token.prefix in self.doc.prefixes:
             self.error(name_token, f"prefix {name_token.prefix!r} redeclared", SEVERITY_WARNING)
         self.doc.prefixes[name_token.prefix] = iri_token.text
+        self.curies.clear()
 
     def triple(self) -> None:
         subject_token = self.take()
@@ -326,7 +329,9 @@ class _Parser(Lookahead):
 
 def parse_raw(text: str) -> RawDocument:
     """Syntax-only parse: prefixes, type assertions, and raw triples. Scan
-    diagnostics come before syntax diagnostics, each kind in text order."""
+    diagnostics come before syntax diagnostics, each kind in text order.
+    The records are slotted, not frozen (a frozen __init__ costs twice as
+    much), and hold IRIs expanded and interned, each CURIE text once."""
     lines, scanned = Lines(text), []
     doc = _Parser(scan(lines, _TOKENS, _token, scanned, BAD), lines).run()
     doc.diagnostics[:0] = scanned
@@ -373,7 +378,7 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
         else:
             obj = iri(triple.object)
         try:
-            graph.add_statement(iri(triple.subject), property_id, obj)
+            graph.insert(Statement(iri(triple.subject), property_id, obj))
         except UnknownSubjectError as exc:
             fail(triple.subject_pos, f"UnknownSubject: {exc}")
         except UnknownObjectError as exc:

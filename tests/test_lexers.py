@@ -250,7 +250,8 @@ def test_non_ascii_rule_word_is_a_diagnostic():
 
 
 def test_run_rejects_non_ascii_rule_word(tmp_path):
-    scenario = json.load(open("examples/pisano/scenario.json", encoding="utf-8"))
+    with open("examples/pisano/scenario.json", encoding="utf-8") as handle:
+        scenario = json.load(handle)
     scenario["decider"]["rules"] = "RULE \u00e9"
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
