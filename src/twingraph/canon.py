@@ -74,12 +74,18 @@ def format_datetime_utc(moment: datetime) -> str:
 
 
 # Keys stay ASCII-escaped, string values keep their characters; both are
-# json.dumps's own C escapers, built once.
-_encode_key = json.JSONEncoder().encode
-_encode_text = json.JSONEncoder(ensure_ascii=False).encode
+# the C escapers json.dumps itself calls.
+_encode_key = json.encoder.encode_basestring_ascii
+_encode_text = json.encoder.encode_basestring
 # Log records repeat a few dozen keys, so each exact str key is encoded once,
 # up to 1024 of them; a str subclass may define equality its own way.
 _encoded_keys: dict[str, str] = {}
+# A record's key set is fixed by its kind, so a dict's layout (its keys in
+# sorted order, each with its encoded '"key":' prefix) is built once per key
+# tuple in insertion order, up to 1024 tuples. Only tuples of exact str keys
+# are kept: for those, tuple equality is text equality.
+_layouts: dict[tuple, list[tuple[str, str]]] = {}
+_EXACT_STR = frozenset((str,))
 
 
 def _key(key: str) -> str:
@@ -102,6 +108,8 @@ def dumps_canonical(value) -> str:
 
 def _dumps(value) -> str:
     kind = type(value)  # the exact types first; subclasses take isinstance
+    if kind is str:
+        return _encode_text(value)
     if kind is int:
         return str(value)
     if kind is Decimal:
@@ -109,10 +117,17 @@ def _dumps(value) -> str:
     if isinstance(value, str):
         return _encode_text(value)
     if isinstance(value, dict):
-        keys = sorted(value)
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError("canonical JSON keys must be strings")
-        return "{" + ",".join([_key(key) + ":" + _dumps(value[key]) for key in keys]) + "}"
+        shape = tuple(value)
+        exact = _EXACT_STR.issuperset(map(type, shape))
+        layout = _layouts.get(shape) if exact else None
+        if layout is None:
+            keys = sorted(shape)
+            if not all(isinstance(key, str) for key in keys):
+                raise TypeError("canonical JSON keys must be strings")
+            layout = [(key, _key(key) + ":") for key in keys]
+            if exact and len(_layouts) < 1024:
+                _layouts[shape] = layout
+        return "{" + ",".join([prefix + _dumps(value[key]) for key, prefix in layout]) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join([_dumps(item) for item in value]) + "]"
     if isinstance(value, Decimal):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 
 from . import namespaces as ns
 from .canon import parse_datetime_utc
@@ -119,6 +120,12 @@ class ScenarioConfig:
 
     def resolve(self, text: str) -> str:
         return ns.resolve_iri(text, self.prefixes)
+
+    @cached_property
+    def sensor_order(self) -> tuple[SensorSpec, ...]:
+        """The sensors sorted by expanded IRI, the order they sample in within
+        a tick. Resolved once per config: its sensors and prefixes are fixed."""
+        return tuple(sorted(self.sensors, key=lambda s: self.resolve(s.iri)))
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -157,10 +157,10 @@ def generator_value(generator: Generator, index: int, stream_seed: int) -> Decim
 
 def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
     """Sensors due at a tick: (tick - phase) mod period = 0 and tick >= phase,
-    sorted by expanded IRI."""
-    due = [s for s in config.sensors
-           if tick >= s.phase and (tick - s.phase) % s.period == 0]
-    return sorted(due, key=lambda s: config.resolve(s.iri))
+    in expanded-IRI order. The order is the config's sensor_order, sorted
+    once per config; each tick only filters it."""
+    return [s for s in config.sensor_order
+            if tick >= s.phase and (tick - s.phase) % s.period == 0]
 
 
 # --- the run ---
@@ -168,6 +168,7 @@ def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
 @dataclass
 class _SensorState:
     iri: Iri
+    local: str  # the local name run IRIs are minted from
     stream_seed: int
     next_index: int = 0
 
@@ -193,17 +194,22 @@ class ScenarioRun:
             kind = rule.measured_type
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
         self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
+        self._activator_actions: dict[str, str] = {}
+        # Run-constant lookups, each filled on first use: observed-event and
+        # type nodes by label, action targets by text (resolved targets only).
         self._event_nodes: dict[str, Iri] = {}
         self._type_nodes: dict[str, Iri] = {}
-        self._activator_actions: dict[str, str] = {}
+        self._targets: dict[str, Iri] = {}
         self._build_static()
         self.static_statements = len(self.graph.statements)
-        self._sensors = {
-            spec.iri: _SensorState(
-                self.graph.resolve(spec.iri),
+        self._sensors = {}
+        for spec in config.sensors:
+            iri = self.graph.resolve(spec.iri)
+            self._sensors[spec.iri] = _SensorState(
+                iri, ns.local_name(iri.value),
                 mix64(config.seed ^ fnv1a64(config.resolve(spec.iri))))
-            for spec in config.sensors}
         self.decider_iri = self.graph.resolve(config.decider.iri)
+        self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
         g = self.graph
@@ -237,8 +243,12 @@ class ScenarioRun:
     # --- clock and naming ---
 
     def timestamp(self, tick: int) -> str:
-        return format_datetime_utc(
-            self._start + timedelta(seconds=tick * self.config.tick_seconds))
+        """The tick's canonical UTC time; formatted once per tick, as every
+        sample of a tick asks for it."""
+        if self._clock[0] != tick:
+            self._clock = (tick, format_datetime_utc(
+                self._start + timedelta(seconds=tick * self.config.tick_seconds)))
+        return self._clock[1]
 
     def _fresh(self, kind: str, sensor_local: str, index: int | str) -> Iri:
         return Iri(f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}")
@@ -263,18 +273,17 @@ class ScenarioRun:
         except ArithmeticError as exc:
             raise ScenarioError(f"sensor {spec.iri} sample {index}: generator value "
                                 f"out of range ({type(exc).__name__})") from exc
-        local = ns.local_name(state.iri.value)
-        measurement = self._fresh("m", local, index)
+        measurement = self._fresh("m", state.local, index)
         g = self.graph
         g.add_entity(measurement, "HC13")
         g.add_statement(measurement, "L12", state.iri)
 
-        event_slug = ns.slug(spec.observed_event)
-        event_node = self._event_nodes.get(event_slug)
+        # labels with one slug share a node; add_entity merges the repeat
+        event_node = self._event_nodes.get(spec.observed_event)
         if event_node is None:
-            event_node = Iri(ns.RUN_IRI + "event/" + event_slug)
+            event_node = Iri(ns.RUN_IRI + "event/" + ns.slug(spec.observed_event))
             g.add_entity(event_node, "E5")
-            self._event_nodes[event_slug] = event_node
+            self._event_nodes[spec.observed_event] = event_node
         g.add_statement(measurement, "O24", event_node)
 
         type_node = self._type_nodes.get(spec.measured_type)
@@ -301,7 +310,7 @@ class ScenarioRun:
         if not types or not self.registry.falls_under(types, "HC13"):
             raise NotAMeasurementError(f"{measurement} is not a measurement node")
         state = self._sensors[spec.iri]
-        signal = self._fresh("sig", ns.local_name(state.iri.value), index)
+        signal = self._fresh("sig", state.local, index)
         self.graph.add_entity(signal, "HC12")
         self.graph.add_statement(measurement, "L20", signal)
         payload = SignalPayload(
@@ -334,7 +343,8 @@ class ScenarioRun:
         Returns it with its resolved (action, target) pairs, one per kind and
         target in first-fired order (the first ALERT's channel wins). Targets
         are all checked before anything is written, so a missing one aborts
-        the step with the graph untouched.
+        the step with the graph untouched. A target's text is resolved once
+        per run; its node and type are checked at every firing.
         """
         history = self._histories[payload.measured_type]
         history.append(payload.value)
@@ -361,10 +371,13 @@ class ScenarioRun:
 
         resolved: dict[tuple[ActionKind, str], tuple[Action, Iri]] = {}
         for action in fired_actions:
-            try:
-                target = self.graph.resolve(action.target)
-            except UnknownPrefixError as exc:
-                raise ActionTargetMissingError(str(exc)) from exc
+            target = self._targets.get(action.target)
+            if target is None:
+                try:
+                    target = self.graph.resolve(action.target)
+                except UnknownPrefixError as exc:
+                    raise ActionTargetMissingError(str(exc)) from exc
+                self._targets[action.target] = target
             types = self.graph.nodes.get(target.value)
             wanted = "HC11" if action.kind is ActionKind.ACTIVATE else "E39"
             if not types or not self.registry.falls_under(types, wanted):

@@ -123,6 +123,22 @@ def test_key_memo_is_bounded():
     assert len(canon._encoded_keys) <= 1024
 
 
+# --- dict layouts ---
+
+def test_insertion_order_does_not_change_the_text():
+    expected = '{"a":2,"b":{"x":[],"y":null},"c":"3"}'
+    assert dumps_canonical({"b": {"y": None, "x": []}, "a": 2, "c": "3"}) == expected
+    assert dumps_canonical({"c": "3", "a": 2, "b": {"x": [], "y": None}}) == expected
+    assert dumps_canonical({"a": 2, "b": {"y": None, "x": []}, "c": "3"}) == expected
+
+
+def test_layout_memo_is_bounded():
+    for i in range(3000):
+        assert dumps_canonical({f"k{i}": i, "z": 0}) == f'{{"k{i}":{i},"z":0}}'
+    assert len(canon._layouts) <= 1024
+    assert dumps_canonical({"z": 0, "k7": 7}) == '{"k7":7,"z":0}'
+
+
 @pytest.mark.parametrize("text,expected", [
     ("-0", "0"),
     ("0E-7", "0"),
@@ -207,6 +223,24 @@ def test_canonical_json_reads_back_as_the_value(value):
     text = dumps_canonical(value)
     assert "\n" not in text
     assert json.loads(text, parse_float=Decimal) == value
+
+
+# Keys below DEL, which json.dumps escapes the same way whether or not it
+# escapes non-ASCII; a small pool makes key tuples repeat in new orders.
+_ASCII_KEYS = st.sampled_from(["kind", "seq", "tick", "a", "b"]) \
+    | st.text(st.characters(max_codepoint=0x7E), max_size=3)
+_PLAIN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_ASCII_KEYS, inner, max_size=5),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PLAIN_VALUES)
+def test_canonical_json_is_sorted_compact_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 @settings(max_examples=300, deadline=None)

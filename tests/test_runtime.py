@@ -1,5 +1,6 @@
 """Reactive runtime: scheduling, generators, step semantics, logging."""
 
+import dataclasses
 import json
 import random
 import statistics
@@ -166,14 +167,26 @@ def test_schedule_matches_brute_force():
           "generator": {{"kind": "constant", "value": 1}}}}""")
     sensors = "[" + ",".join(parts) + "]"
     config = scenario(sensors, duration=12)
-    for tick in range(12):
-        due = schedule_due(config, tick)
-        expected = sorted(
-            (s for s in config.sensors
-             if tick >= s.phase and (tick - s.phase) % s.period == 0),
-            key=lambda s: config.resolve(s.iri))
-        assert [s.iri for s in due] == [s.iri for s in expected]
-        assert due == sorted(due, key=lambda s: config.resolve(s.iri))
+    # CURIE order is the reverse of expanded-IRI order under these prefixes
+    crossed = dataclasses.replace(
+        config, prefixes={**config.prefixes, "a": "https://z.example/",
+                          "b": "https://a.example/"},
+        sensors=tuple(dataclasses.replace(s, iri=f"{'ab'[i % 2]}:{s.iri[3:]}")
+                      for i, s in enumerate(config.sensors)))
+    # another sensor set from a config whose order was already used
+    schedule_due(config, 0)
+    fewer = dataclasses.replace(config, sensors=config.sensors[3:] + config.sensors[:2])
+    for cfg in (config, crossed, fewer):
+        dues = [schedule_due(cfg, tick) for tick in range(12)]
+        for tick, due in enumerate(dues):
+            expected = sorted(
+                (s for s in cfg.sensors
+                 if tick >= s.phase and (tick - s.phase) % s.period == 0),
+                key=lambda s: cfg.resolve(s.iri))
+            assert [s.iri for s in due] == [s.iri for s in expected]
+            assert due == sorted(due, key=lambda s: cfg.resolve(s.iri))
+        if cfg is crossed:
+            assert any([s.iri for s in due] != sorted(s.iri for s in due) for due in dues)
 
 
 def test_phase_delays_first_sample():
@@ -242,6 +255,29 @@ def test_each_observed_event_gets_its_own_node():
     # the measured type is still one shared node
     assert g.objects_of(Iri(run + "m/h2/0"), "L17") \
         == g.objects_of(Iri(run + "m/hygrometer/0"), "L17")
+
+
+def test_labels_with_one_slug_share_an_event_node():
+    config = scenario("""[
+      {"iri": "ex:d1", "measured_type": "contact", "unit": "1",
+       "software": "ex:sw", "located_in": "ex:room", "observed_event": "door open",
+       "generator": {"kind": "constant", "value": 1}},
+      {"iri": "ex:d2", "measured_type": "contact", "unit": "1",
+       "software": "ex:sw", "located_in": "ex:room", "observed_event": "door-open",
+       "generator": {"kind": "constant", "value": 1}},
+      {"iri": "ex:w1", "measured_type": "contact", "unit": "1",
+       "software": "ex:sw", "located_in": "ex:room", "observed_event": "window open",
+       "generator": {"kind": "constant", "value": 0}}
+    ]""", duration=2)
+    g = run_scenario(config).graph
+    run = "https://example.org/run/"
+    events = sorted(iri for iri, types in g.nodes.items() if "E5" in types)
+    assert events == [run + "event/door-open", run + "event/window-open"]
+    for sensor, event in (("d1", "door-open"), ("d2", "door-open"), ("w1", "window-open")):
+        for index in (0, 1):
+            m = Iri(f"{run}m/{sensor}/{index}")
+            assert g.objects_of(m, "O24") == [Iri(run + "event/" + event)]
+    assert g.nodes[run + "event/door-open"] == {"E5"}
 
 
 def test_sample_rejects_unknown_sensor():
@@ -384,6 +420,51 @@ def test_missing_action_target_aborts_atomically():
     assert not [i for i in g.instances_of("HC14")]
     kinds = [r.kind for r in failure.records]
     assert "decision" in kinds and "activation" not in kinds
+
+
+def test_per_run_work_does_not_grow_with_ticks(monkeypatch):
+    """Resolving IRIs and slugging labels is paid once per run, and the
+    clock is formatted at most once per tick, whatever the run's length."""
+    from twingraph import namespaces, runtime
+
+    sensors = """[
+      {"iri": "ex:s1", "measured_type": "humidity", "unit": "%RH",
+       "software": "ex:sw", "located_in": "ex:room", "observed_event": "damp air",
+       "generator": {"kind": "ramp", "start": 60, "slope": 1}},
+      {"iri": "ex:s2", "measured_type": "humidity", "unit": "%RH",
+       "software": "ex:sw", "positioned_on": "ex:obj", "period": 2, "phase": 1,
+       "generator": {"kind": "constant", "value": 90}}
+    ]"""
+    rules = ('RULE r WHEN TYPE = "humidity" AND VALUE > 70 MODE EVERY '
+             'THEN ACTIVATE ex:pump, ALERT ex:opd VIA "email"')
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def run_counts(duration):
+        config = scenario(sensors, rules=rules, duration=duration,
+                          activators='[{"iri": "ex:pump", "action": "drain"}]')
+        run = ScenarioRun(config)
+        counts.update(resolve_iri=0, slug=0, format_datetime_utc=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(namespaces, "resolve_iri",
+                          counted("resolve_iri", namespaces.resolve_iri))
+            patch.setattr(namespaces, "slug", counted("slug", namespaces.slug))
+            patch.setattr(runtime, "format_datetime_utc",
+                          counted("format_datetime_utc", runtime.format_datetime_utc))
+            run.run()
+        assert run.summary()["activations"] > duration // 2
+        return dict(counts)
+
+    short, long = run_counts(20), run_counts(40)
+    assert short["resolve_iri"] == long["resolve_iri"]
+    assert short["slug"] == long["slug"]
+    assert short["format_datetime_utc"] <= 20
+    assert long["format_datetime_utc"] <= 40
 
 
 def test_until_truncates_run():
