@@ -77,24 +77,12 @@ def format_datetime_utc(moment: datetime) -> str:
 # the C escapers json.dumps itself calls.
 _encode_key = json.encoder.encode_basestring_ascii
 _encode_text = json.encoder.encode_basestring
-# Log records repeat a few dozen keys, so each exact str key is encoded once,
-# up to 1024 of them; a str subclass may define equality its own way.
-_encoded_keys: dict[str, str] = {}
 # A record's key set is fixed by its kind, so a dict's layout (its keys in
 # sorted order, each with its encoded '"key":' prefix) is built once per key
 # tuple in insertion order, up to 1024 tuples. Only tuples of exact str keys
 # are kept: for those, tuple equality is text equality.
 _layouts: dict[tuple, list[tuple[str, str]]] = {}
 _EXACT_STR = frozenset((str,))
-
-
-def _key(key: str) -> str:
-    text = _encoded_keys.get(key) if type(key) is str else None
-    if text is None:
-        text = _encode_key(key)
-        if type(key) is str and len(_encoded_keys) < 1024:
-            _encoded_keys[key] = text
-    return text
 
 
 def dumps_canonical(value) -> str:
@@ -124,7 +112,7 @@ def _dumps(value) -> str:
             keys = sorted(shape)
             if not all(isinstance(key, str) for key in keys):
                 raise TypeError("canonical JSON keys must be strings")
-            layout = [(key, _key(key) + ":") for key in keys]
+            layout = [(key, _encode_key(key) + ":") for key in keys]
             if exact and len(_layouts) < 1024:
                 _layouts[shape] = layout
         return "{" + ",".join([prefix + _dumps(value[key]) for key, prefix in layout]) + "}"

@@ -145,7 +145,9 @@ class Graph:
     def __init__(self, registry: Registry, prefixes: dict[str, str] | None = None):
         self.registry = registry
         self.prefixes: dict[str, str] = dict(prefixes or {})
-        self.nodes: dict[str, set[str]] = {}
+        # Each node's classes, one shared frozenset per distinct combination.
+        self.nodes: dict[str, frozenset[str]] = {}
+        self._type_sets: dict[frozenset[str], frozenset[str]] = {}
         # Append-only ordered set: the keys, in insertion order.
         self.statements: dict[Statement, None] = {}
         self._out: dict[str, list[Statement]] = {}
@@ -162,7 +164,7 @@ class Graph:
     # --- construction ---
 
     def add_entity(self, iri, class_ids) -> Iri:
-        """Create or extend a node; type sets merge across calls."""
+        """Create or extend a node; merged types make a new interned frozenset."""
         node = self.resolve(iri)
         types = [class_ids] if isinstance(class_ids, str) else list(class_ids)
         if not types:
@@ -170,7 +172,8 @@ class Graph:
         for cid in types:
             if cid not in self.registry.classes:
                 raise UnknownClassError(f"unknown class {cid}")
-        self.nodes.setdefault(node.value, set()).update(types)
+        merged = frozenset(types).union(self.nodes.get(node.value, ()))
+        self.nodes[node.value] = self._type_sets.setdefault(merged, merged)
         return node
 
     def add_statement(self, subject, property_id: str, obj) -> Statement:

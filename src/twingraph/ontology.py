@@ -15,6 +15,7 @@ registered, from its parents' sets; subclass questions are set lookups.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from . import namespaces as ns
@@ -110,7 +111,7 @@ class Registry:
             self._descendants[c] = frozenset(d for d, up in self._ancestors.items() if c in up)
         return self._descendants[c]
 
-    def falls_under(self, class_ids: set[str] | frozenset[str], class_id: str) -> bool:
+    def falls_under(self, class_ids: AbstractSet[str], class_id: str) -> bool:
         """Whether some class of class_ids is class_id or a subclass of it."""
         if self.subclass_closure(class_id).isdisjoint(class_ids):
             for c in class_ids:  # no match: an unregistered class is an error
@@ -118,9 +119,8 @@ class Registry:
             return False
         return True
 
-    def check_applicability(self, prop_id: str,
-                            subject_classes: set[str] | frozenset[str],
-                            object_classes: set[str] | frozenset[str]) -> bool:
+    def check_applicability(self, prop_id: str, subject_classes: AbstractSet[str],
+                            object_classes: AbstractSet[str]) -> bool:
         """Whether a statement typed this way satisfies domain and range.
 
         True iff some subject class falls under the property's domain and,

@@ -340,11 +340,20 @@ def parse_raw(text: str) -> RawDocument:
 
 # --- graph building ---
 
+def _drain(records: list):
+    """The records in order, each removed from the list as it is taken."""
+    records.reverse()
+    while records:
+        yield records.pop()
+
+
 def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagnostic]]:
     """Parse a document into a validated graph.
 
     Returns (graph, diagnostics); the graph is None whenever any diagnostic
-    has error severity. Warnings alone do not block.
+    has error severity. Warnings alone do not block. parse consumes its own
+    raw document, in text order: each record is dropped once inserted, so
+    the raw records and the graph do not peak together.
     """
     raw = parse_raw(text)
     diagnostics = list(raw.diagnostics)
@@ -356,14 +365,14 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
     def fail(pos, message):
         diagnostics.append(raw.lines.diagnostic(pos, message))
 
-    for assertion in raw.types:
+    for assertion in _drain(raw.types):
         class_id = class_map.get(assertion.class_iri)
         if class_id is None:
             fail(assertion.class_pos, f"unknown ontology class <{assertion.class_iri}>")
             continue
         graph.add_entity(iri(assertion.subject), class_id)
 
-    for triple in raw.triples:
+    for triple in _drain(raw.triples):
         property_id = property_map.get(triple.predicate)
         if property_id is None:
             fail(triple.predicate_pos, f"UnknownProperty: unknown property "

@@ -120,7 +120,7 @@ def test_key_memo_is_bounded():
     expected = "{" + ",".join(f'"{key}":0' for key in sorted(keys)) + "}"
     assert dumps_canonical(dict.fromkeys(keys, 0)) == expected
     assert dumps_canonical(dict.fromkeys(keys, 0)) == expected
-    assert len(canon._encoded_keys) <= 1024
+    assert len(canon._layouts) <= 1024
 
 
 # --- dict layouts ---

@@ -44,6 +44,15 @@ def test_entity_types_merge(graph):
         graph.add_entity("ex:asset", ["HC99"])
 
 
+def test_entity_types_merge_over_a_plain_set(graph):
+    graph.nodes[EX + "odd"] = {"HC3"}  # placed directly, not through add_entity
+    graph.add_entity("ex:odd", ["HC6"])
+    graph.add_entity("ex:asset", ["HC6"])
+    merged = graph.nodes[EX + "odd"]
+    assert type(merged) is frozenset and merged == {"HC3", "HC6"}
+    assert merged is graph.nodes[EX + "asset"]  # interned: one object per class set
+
+
 def test_statement_accepted(graph):
     st = graph.add_statement("ex:asset", "P55", "ex:place")
     assert st.subject == Iri(EX + "asset")

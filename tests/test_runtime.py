@@ -515,6 +515,35 @@ def test_activation_chain_names_the_logged_signal(seed):
             assert chain[1].subject.value == record.fields["signal"]
 
 
+# --- shared node type sets ---
+
+def type_set_objects(graph):
+    """How many type-set objects the nodes hold, checked to be one per class set."""
+    assert all(type(types) is frozenset for types in graph.nodes.values())
+    objects = len({id(types) for types in graph.nodes.values()})
+    assert objects == len(set(map(frozenset, graph.nodes.values())))
+    return objects
+
+
+def test_pisano_graphs_share_one_type_set_per_class_set():
+    from twingraph import parse
+    with open("examples/pisano/scenario.json", encoding="utf-8") as handle:
+        scenario = json.load(handle)
+    scenario["duration"] = 40
+    run = ScenarioRun(parse_scenario(json.dumps(scenario)))
+    run.run()
+    with open("examples/pisano/golden.rht.ttl", encoding="utf-8") as handle:
+        golden, _ = parse(handle.read(), load_seed())
+    for graph in (run.graph, golden):
+        assert type_set_objects(graph) < len(graph.nodes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_random_runs_share_one_type_set_per_class_set(seed):
+    type_set_objects(run_scenario(random_scenario(random.Random(seed), "shared")).graph)
+
+
 # --- whole-run oracles over random scenarios ---
 
 @settings(max_examples=100, deadline=None)
