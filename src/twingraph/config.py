@@ -13,9 +13,10 @@ thresholds never pass through binary floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
+from typing import NamedTuple
 
 from . import namespaces as ns
 from .canon import parse_datetime_utc
@@ -28,31 +29,26 @@ _LATEST = parse_datetime_utc("9999-12-31T23:59:59Z")  # a scenario clock ends by
 
 # --- generators ---
 
-@dataclass(frozen=True)
-class ConstantGen:
+class ConstantGen(NamedTuple):
     value: Decimal
 
 
-@dataclass(frozen=True)
-class RampGen:
+class RampGen(NamedTuple):
     start: Decimal
     slope: Decimal  # per tick at the sensor's sampling cadence
 
 
-@dataclass(frozen=True)
-class SineGen:
+class SineGen(NamedTuple):
     mean: Decimal
     amplitude: Decimal
     period: int  # samples per cycle
 
 
-@dataclass(frozen=True)
-class ListGen:
+class ListGen(NamedTuple):
     values: tuple[Decimal, ...]  # last value repeats
 
 
-@dataclass(frozen=True)
-class NoisyGen:
+class NoisyGen(NamedTuple):
     inner: "Generator"
     stddev: Decimal
     seed: int = 0
@@ -63,20 +59,17 @@ Generator = ConstantGen | RampGen | SineGen | ListGen | NoisyGen
 
 # --- static entities and sensors ---
 
-@dataclass(frozen=True)
-class AssetSpec:
+class AssetSpec(NamedTuple):
     iri: str
     located_in: str | None = None
 
 
-@dataclass(frozen=True)
-class TwinSpec:
+class TwinSpec(NamedTuple):
     iri: str
     twin_of: str
 
 
-@dataclass(frozen=True)
-class ActivatorSpec:
+class ActivatorSpec(NamedTuple):
     iri: str
     action: str
 
@@ -96,8 +89,7 @@ class SensorSpec:
     condition_state: str | None = None
 
 
-@dataclass(frozen=True)
-class DeciderSpec:
+class DeciderSpec(NamedTuple):
     iri: str
     rules: tuple[Rule, ...]
 

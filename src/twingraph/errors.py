@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TwingraphError(Exception):
@@ -109,8 +109,7 @@ SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """A finding at a 1-based line:column position in a source text."""
 
     line: int

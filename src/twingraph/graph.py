@@ -18,9 +18,10 @@ time, or share it after writes stop and one ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from typing import NamedTuple
 
 from . import namespaces as ns
 from .canon import canonical_decimal, format_datetime_utc, parse_datetime_utc, parse_decimal
@@ -106,17 +107,15 @@ class ViolationReason(Enum):
     DATATYPE_VIOLATION = "DatatypeViolation"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     reason: ViolationReason
     message: str
     statement: Statement
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
 
 
 # Backward provenance walk, outermost start first. Each step names the

@@ -48,7 +48,6 @@ RUN_PREFIX = "run"
 RUN_IRI = "https://example.org/run/"
 
 # Reserved vocabulary for ontology extension files.
-REG_PREFIX = "reg"
 REG_IRI = "https://example.org/ns/registry#"
 
 # Emitter-known prefixes: declared automatically when rendered output uses

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import namespaces as ns
 from .errors import (
@@ -34,8 +35,7 @@ SEED_VERSION = "2026.1"
 LITERAL_KINDS = ("string", "decimal", "integer", "dateTime", "anyURI")
 
 
-@dataclass(frozen=True)
-class OntologyClassDef:
+class OntologyClassDef(NamedTuple):
     id: str
     label: str
     namespace: str
@@ -43,8 +43,7 @@ class OntologyClassDef:
     scope_note: str = ""
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(NamedTuple):
     id: str
     label: str
     namespace: str

@@ -17,10 +17,9 @@ prefix map by whoever executes the rule.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import namespaces as ns
 from .canon import parse_decimal
@@ -43,15 +42,13 @@ class ActionKind(Enum):
     ALERT = "ALERT"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: ActionKind
     target: str  # CURIE or <IRI> text, resolved at execution time
     channel: str | None = None  # ALERT only
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     measured_type: str
     comparator: str
@@ -61,8 +58,7 @@ class Rule:
     actions: tuple[Action, ...] = ()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     fired: bool
     rule_id: str
     actions: tuple[Action, ...] = ()
@@ -96,12 +92,13 @@ def evaluate_rule(rule: Rule, window: Sequence[Decimal]) -> Decision:
     n = len(window)
     if n == 0:
         return Decision(False, rule.id, ())
+    sustain, comparator, threshold = rule.sustain, rule.comparator, rule.threshold
 
     def holds(end: int) -> bool:
-        if end + 1 < rule.sustain:
+        if end + 1 < sustain:
             return False
-        return all(compare(window[i], rule.comparator, rule.threshold)
-                   for i in range(end - rule.sustain + 1, end + 1))
+        return all(compare(window[i], comparator, threshold)
+                   for i in range(end - sustain + 1, end + 1))
 
     now = holds(n - 1)
     if rule.mode is TriggerMode.EVERY:

@@ -165,12 +165,12 @@ def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
 
 # --- the run ---
 
-@dataclass
 class _SensorState:
-    iri: Iri
-    local: str  # the local name run IRIs are minted from
-    stream_seed: int
-    next_index: int = 0
+    def __init__(self, iri: Iri, local: str, stream_seed: int):
+        self.iri = iri
+        self.local = local  # the local name run IRIs are minted from
+        self.stream_seed = stream_seed
+        self.next_index = 0
 
 
 class ScenarioRun:

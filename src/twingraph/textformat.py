@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from operator import attrgetter
@@ -162,13 +162,13 @@ class RawType:
     class_pos: int
 
 
-@dataclass
 class RawDocument:
-    lines: Lines  # line:col of the text's offsets
-    prefixes: dict[str, str] = field(default_factory=dict)
-    triples: list[RawTriple] = field(default_factory=list)
-    types: list[RawType] = field(default_factory=list)
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    def __init__(self, lines: Lines):
+        self.lines = lines  # line:col of the text's offsets
+        self.prefixes: dict[str, str] = {}
+        self.triples: list[RawTriple] = []
+        self.types: list[RawType] = []
+        self.diagnostics: list[ParseDiagnostic] = []
 
 
 class _Parser(Lookahead):
