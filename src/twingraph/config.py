@@ -110,14 +110,11 @@ class ScenarioConfig:
     sensors: tuple[SensorSpec, ...]
     decider: DeciderSpec
 
-    def resolve(self, text: str) -> str:
-        return ns.resolve_iri(text, self.prefixes)
-
     @cached_property
     def sensor_order(self) -> tuple[SensorSpec, ...]:
-        """The sensors sorted by expanded IRI, the order they sample in within
-        a tick. Resolved once per config: its sensors and prefixes are fixed."""
-        return tuple(sorted(self.sensors, key=lambda s: self.resolve(s.iri)))
+        """The sensors sorted by IRI, the order they sample in within a tick.
+        Sorted once per config: its sensors are fixed."""
+        return tuple(sorted(self.sensors, key=lambda s: s.iri))
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -222,9 +219,20 @@ def build_scenario(data) -> ScenarioConfig:
         if not isinstance(text, str):
             raise ConfigError(f"{where}: IRI must be a string")
         try:
-            return ns.resolve_iri(text, prefixes)
+            iri = ns.resolve_iri(text, prefixes)
         except (InvalidIriError, UnknownPrefixError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        if iri.startswith(ns.RUN_IRI):
+            raise ConfigError(f"{where}: {text!r} expands under {ns.RUN_IRI}, which is "
+                              "reserved for runtime-minted IRIs")
+        return iri
+
+    def declared(text, where, field, members, what):
+        """Expand a reference that must name a member, quoting it as written."""
+        iri = expand(text, where)
+        if iri not in members:
+            raise ConfigError(f"{where}: {field} {text!r} is not {what}")
+        return iri
 
     start = _require(data, "start", str, "scenario")
     try:
@@ -264,16 +272,13 @@ def build_scenario(data) -> ScenarioConfig:
             if isinstance(item, dict):
                 _reject_unknown(item, {"iri"}, where)
                 item = _require(item, "iri", str, where)
-            expand(item, where)
-            out.append(item)
+            out.append(expand(item, where))
         return tuple(out)
 
     places = iri_list("places")
     software = iri_list("software")
     actors = iri_list("actors")
-    place_set = {expand(p, "entities.places") for p in places}
-    software_set = {expand(s, "entities.software") for s in software}
-    actor_set = {expand(a, "entities.actors") for a in actors}
+    place_set, software_set, actor_set = set(places), set(software), set(actors)
 
     assets = []
     for i, item in enumerate(section("assets")):
@@ -281,13 +286,13 @@ def build_scenario(data) -> ScenarioConfig:
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: must be an object")
         _reject_unknown(item, {"iri", "located_in"}, where)
-        iri = _require(item, "iri", str, where)
-        expand(iri, where)
+        iri = expand(_require(item, "iri", str, where), where)
         located_in = item.get("located_in")
-        if located_in is not None and expand(located_in, where) not in place_set:
-            raise ConfigError(f"{where}: located_in {located_in!r} is not a declared place")
+        if located_in is not None:
+            located_in = declared(located_in, where, "located_in", place_set,
+                                  "a declared place")
         assets.append(AssetSpec(iri, located_in))
-    asset_set = {expand(a.iri, "entities.assets") for a in assets}
+    asset_set = {a.iri for a in assets}
 
     twin = None
     if entities.get("twin") is not None:
@@ -298,21 +303,22 @@ def build_scenario(data) -> ScenarioConfig:
         _reject_unknown(item, {"iri", "twin_of"}, where)
         iri = _require(item, "iri", str, where)
         twin_of = _require(item, "twin_of", str, where)
-        expand(iri, where)
-        if expand(twin_of, where) not in asset_set:
-            raise ConfigError(f"{where}: twin_of {twin_of!r} is not a declared asset")
-        twin = TwinSpec(iri, twin_of)
+        twin = TwinSpec(expand(iri, where),
+                        declared(twin_of, where, "twin_of", asset_set, "a declared asset"))
 
     activators = []
+    activator_set = set()
     for i, item in enumerate(section("activators")):
         where = f"entities.activators[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: must be an object")
         _reject_unknown(item, {"iri", "action"}, where)
         iri = _require(item, "iri", str, where)
-        expand(iri, where)
-        activators.append(ActivatorSpec(iri, _require(item, "action", str, where)))
-    activator_set = {expand(a.iri, "entities.activators") for a in activators}
+        expanded = expand(iri, where)
+        if expanded in activator_set:
+            raise ConfigError(f"{where}: duplicate activator IRI {iri!r}")
+        activator_set.add(expanded)
+        activators.append(ActivatorSpec(expanded, _require(item, "action", str, where)))
 
     sensors = []
     seen_locals: dict[str, tuple[str, str]] = {}  # local name -> (IRI text, expanded)
@@ -337,19 +343,19 @@ def build_scenario(data) -> ScenarioConfig:
         if not measured_type:
             raise ConfigError(f"{where}: measured_type must not be empty")
         unit = _require(item, "unit", str, where)
-        sw = _require(item, "software", str, where)
-        if expand(sw, where) not in software_set:
-            raise ConfigError(f"{where}: software {sw!r} is not declared")
+        sw = declared(_require(item, "software", str, where), where, "software",
+                      software_set, "declared")
         positioned_on = item.get("positioned_on")
         located_in = item.get("located_in")
         if (positioned_on is None) == (located_in is None):
             raise ConfigError(f"{where}: exactly one of positioned_on or located_in "
                               "is required")
-        if positioned_on is not None and expand(positioned_on, where) not in asset_set:
-            raise ConfigError(f"{where}: positioned_on {positioned_on!r} "
-                              "is not a declared asset")
-        if located_in is not None and expand(located_in, where) not in place_set:
-            raise ConfigError(f"{where}: located_in {located_in!r} is not a declared place")
+        if positioned_on is not None:
+            positioned_on = declared(positioned_on, where, "positioned_on", asset_set,
+                                     "a declared asset")
+        else:
+            located_in = declared(located_in, where, "located_in", place_set,
+                                  "a declared place")
         period = item.get("period", 1)
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ConfigError(f"{where}: period must be an integer of at least 1")
@@ -365,28 +371,28 @@ def build_scenario(data) -> ScenarioConfig:
             raise ConfigError(f"{where}: observed_event must be a non-empty string")
         generator = _generator(_require(item, "generator", dict, where),
                                where + ".generator")
-        sensors.append(SensorSpec(iri, measured_type, unit, sw, generator,
+        sensors.append(SensorSpec(expanded, measured_type, unit, sw, generator,
                                   positioned_on, located_in, period, phase,
                                   observed_event, condition_state))
 
     decider_data = _require(data, "decider", dict, "scenario")
     _reject_unknown(decider_data, {"iri", "rules"}, "decider")
-    decider_iri = _require(decider_data, "iri", str, "decider")
-    expand(decider_iri, "decider")
+    decider_iri = expand(_require(decider_data, "iri", str, "decider"), "decider")
     rules_text = _require(decider_data, "rules", str, "decider")
     rules, diagnostics = parse_rules(rules_text)
     if rules is None:
         findings = "; ".join(d.render() for d in diagnostics)
         raise ConfigError(f"decider.rules: {findings}")
-    for rule in rules:
+    targets = {ActionKind.ACTIVATE: (activator_set, "a declared activator"),
+               ActionKind.ALERT: (actor_set, "a declared actor")}
+    for n, rule in enumerate(rules):
+        where = f"decider.rules({rule.id})"
+        actions = []
         for action in rule.actions:
-            target = expand(action.target, f"decider.rules({rule.id})")
-            if action.kind is ActionKind.ACTIVATE and target not in activator_set:
-                raise ConfigError(f"decider.rules({rule.id}): ACTIVATE target "
-                                  f"{action.target!r} is not a declared activator")
-            if action.kind is ActionKind.ALERT and target not in actor_set:
-                raise ConfigError(f"decider.rules({rule.id}): ALERT target "
-                                  f"{action.target!r} is not a declared actor")
+            target = declared(action.target, where, f"{action.kind.value} target",
+                              *targets[action.kind])
+            actions.append(action._replace(target=target))
+        rules[n] = rule._replace(actions=tuple(actions))
 
     return ScenarioConfig(
         prefixes=prefixes, start=start, tick_seconds=tick_seconds,

@@ -10,8 +10,8 @@ trigger mode decides when a holding condition fires: ON_RISE (default) only
 on the transition from not-holding to holding, EVERY whenever it holds.
 Comparisons are exact decimal arithmetic; no binary floating point.
 
-Action targets are kept as written (CURIE or <IRI>) and resolved against a
-prefix map by whoever executes the rule.
+parse_rules keeps action targets as written (CURIE or <IRI>); build_scenario
+expands each one to the absolute IRI that the runtime then uses as it is.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ActionKind(Enum):
 
 class Action(NamedTuple):
     kind: ActionKind
-    target: str  # CURIE or <IRI> text, resolved at execution time
+    target: str  # as written by parse_rules; absolute after build_scenario
     channel: str | None = None  # ALERT only
 
 

@@ -39,7 +39,6 @@ from .errors import (
     ScenarioError,
     SensorNotInGraphError,
     TwingraphError,
-    UnknownPrefixError,
 )
 from .graph import Graph, Iri
 from .ontology import Registry, load_seed
@@ -194,51 +193,49 @@ class ScenarioRun:
             kind = rule.measured_type
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
         self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
-        self._activator_actions: dict[str, str] = {}
+        self._activator_actions = {a.iri: a.action for a in config.activators}
         # Run-constant lookups, each filled on first use: observed-event and
-        # type nodes by label, action targets by text (resolved targets only).
+        # type nodes by label.
         self._event_nodes: dict[str, Iri] = {}
         self._type_nodes: dict[str, Iri] = {}
-        self._targets: dict[str, Iri] = {}
         self._build_static()
         self.static_statements = len(self.graph.statements)
-        self._sensors = {}
-        for spec in config.sensors:
-            iri = self.graph.resolve(spec.iri)
-            self._sensors[spec.iri] = _SensorState(
-                iri, ns.local_name(iri.value),
-                mix64(config.seed ^ fnv1a64(config.resolve(spec.iri))))
-        self.decider_iri = self.graph.resolve(config.decider.iri)
+        self._sensors = {
+            spec.iri: _SensorState(Iri(spec.iri), ns.local_name(spec.iri),
+                                   mix64(config.seed ^ fnv1a64(spec.iri)))
+            for spec in config.sensors}
+        self.decider_iri = Iri(config.decider.iri)
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
+        """Add the scenario's entities, whose absolute IRIs are not resolved."""
         g = self.graph
         config = self.config
         for place in config.places:
-            g.add_entity(place, "E53")
+            g.add_entity(Iri(place), "E53")
         for asset in config.assets:
-            g.add_entity(asset.iri, "HC3")
+            g.add_entity(Iri(asset.iri), "HC3")
         for asset in config.assets:
             if asset.located_in is not None:
-                g.add_statement(asset.iri, "P55", asset.located_in)
+                g.add_statement(Iri(asset.iri), "P55", Iri(asset.located_in))
         if config.twin is not None:
-            g.add_entity(config.twin.iri, "HC2")
-            g.add_statement(config.twin.iri, "HP1", config.twin.twin_of)
+            g.add_entity(Iri(config.twin.iri), "HC2")
+            g.add_statement(Iri(config.twin.iri), "HP1", Iri(config.twin.twin_of))
         for software in config.software:
-            g.add_entity(software, "D14")
+            g.add_entity(Iri(software), "D14")
         for actor in config.actors:
-            g.add_entity(actor, "E39")
+            g.add_entity(Iri(actor), "E39")
         for activator in config.activators:
-            iri = g.add_entity(activator.iri, "HC11")
-            self._activator_actions[iri.value] = activator.action
-        g.add_entity(config.decider.iri, "HC10")
+            g.add_entity(Iri(activator.iri), "HC11")
+        g.add_entity(Iri(config.decider.iri), "HC10")
         for sensor in config.sensors:
-            g.add_entity(sensor.iri, "HC9")
+            iri = Iri(sensor.iri)
+            g.add_entity(iri, "HC9")
             if sensor.positioned_on is not None:
-                g.add_statement(sensor.iri, "HP15", sensor.positioned_on)
+                g.add_statement(iri, "HP15", Iri(sensor.positioned_on))
             else:
-                g.add_statement(sensor.iri, "P55", sensor.located_in)
-            g.add_statement(sensor.iri, "HP11", sensor.software)
+                g.add_statement(iri, "P55", Iri(sensor.located_in))
+            g.add_statement(iri, "HP11", Iri(sensor.software))
 
     # --- clock and naming ---
 
@@ -340,11 +337,10 @@ class ScenarioRun:
                tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
         """Evaluate rules against the signal; at most one activation event.
 
-        Returns it with its resolved (action, target) pairs, one per kind and
-        target in first-fired order (the first ALERT's channel wins). Targets
-        are all checked before anything is written, so a missing one aborts
-        the step with the graph untouched. A target's text is resolved once
-        per run; its node and type are checked at every firing.
+        Returns it with its (action, target) pairs, one per kind and target
+        in first-fired order (the first ALERT's channel wins). Targets are
+        absolute IRIs, each checked for its node and type before anything is
+        written, so a missing one aborts the step with the graph untouched.
         """
         history = self._histories[payload.measured_type]
         history.append(payload.value)
@@ -371,13 +367,7 @@ class ScenarioRun:
 
         resolved: dict[tuple[ActionKind, str], tuple[Action, Iri]] = {}
         for action in fired_actions:
-            target = self._targets.get(action.target)
-            if target is None:
-                try:
-                    target = self.graph.resolve(action.target)
-                except UnknownPrefixError as exc:
-                    raise ActionTargetMissingError(str(exc)) from exc
-                self._targets[action.target] = target
+            target = Iri(action.target)
             types = self.graph.nodes.get(target.value)
             wanted = "HC11" if action.kind is ActionKind.ACTIVATE else "E39"
             if not types or not self.registry.falls_under(types, wanted):
@@ -424,6 +414,8 @@ class ScenarioRun:
     # --- whole runs ---
 
     def run(self, until: int | None = None) -> None:
+        if until is not None and until < 0:
+            raise ValueError(f"until must not be negative, got {until}")
         ticks = self.config.duration if until is None else min(self.config.duration, until)
         self.ticks_run = ticks
         for tick in range(ticks):

@@ -193,7 +193,8 @@ def test_generator_overflow_aborts_the_run(tmp_path, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    message = "tick 2: sensor ex:hygrometer sample 2: generator value out of range (Overflow)"
+    message = ("tick 2: sensor https://example.org/pisano/hygrometer sample 2: "
+               "generator value out of range (Overflow)")
     assert captured.err == f"run aborted: {message}\n"
     assert out.read_text(encoding="utf-8").startswith("@prefix")
     lines = log.read_text(encoding="utf-8").splitlines()
@@ -235,8 +236,8 @@ def test_aborted_run_writes_the_partial_log_then_the_aborted_line(tmp_path):
     code, graph_bytes, log_bytes = _run_outputs(tmp_path, text)
     assert code == 1
     assert graph_bytes == emit(failure.value.graph).encode("utf-8")
-    aborted = ('{"aborted":"tick 2: sensor ex:hygrometer sample 2: '
-               'generator value out of range (Overflow)"}\n')
+    aborted = ('{"aborted":"tick 2: sensor https://example.org/pisano/hygrometer '
+               'sample 2: generator value out of range (Overflow)"}\n')
     assert log_bytes == (render_log(failure.value.records) + aborted).encode("utf-8")
 
 

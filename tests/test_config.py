@@ -10,7 +10,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twingraph import ConfigError, load_scenario, parse_scenario
 from twingraph.cli import main
-from twingraph.config import ConstantGen, ListGen, NoisyGen, build_scenario
+from twingraph.config import (
+    ActivatorSpec,
+    AssetSpec,
+    ConstantGen,
+    ListGen,
+    NoisyGen,
+    TwinSpec,
+    build_scenario,
+)
 
 
 def base() -> dict:
@@ -44,13 +52,35 @@ def base() -> dict:
 def test_valid_document_and_defaults():
     config = build_scenario(base())
     assert config.seed == 5
-    assert config.twin.twin_of == "ex:obj"
+    assert config.twin.twin_of == "https://example.org/cfg/obj"
     sensor = config.sensors[0]
+    assert sensor.iri == "https://example.org/cfg/s"
     assert sensor.period == 1 and sensor.phase == 0
     assert sensor.observed_event == "humidity"  # falls back to measured_type
     assert sensor.condition_state is None
     assert config.decider.rules[0].id == "r"
-    assert config.resolve("ex:s") == "https://example.org/cfg/s"
+    assert [a.target for a in config.decider.rules[0].actions] == [
+        "https://example.org/cfg/fan", "https://example.org/cfg/curator"]
+
+
+def test_every_iri_field_holds_the_expanded_iri():
+    doc = base()
+    sensor = dict(doc["sensors"][0], iri="<https://example.org/cfg/t>",
+                  positioned_on="ex:obj")
+    del sensor["located_in"]
+    doc["sensors"].append(sensor)
+    config = build_scenario(doc)
+    ex = "https://example.org/cfg/"
+    assert config.places == (ex + "room",)
+    assert config.software == (ex + "sw",)
+    assert config.actors == (ex + "curator",)
+    assert config.assets == (AssetSpec(ex + "obj", ex + "room"),)
+    assert config.twin == TwinSpec(ex + "twin", ex + "obj")
+    assert config.activators == (ActivatorSpec(ex + "fan", "spin"),)
+    assert config.decider.iri == ex + "brain"
+    assert [(s.iri, s.software, s.positioned_on, s.located_in)
+            for s in config.sensors] == [(ex + "s", ex + "sw", None, ex + "room"),
+                                         (ex + "t", ex + "sw", ex + "obj", None)]
 
 
 def test_entity_sections_may_be_absent():
@@ -161,6 +191,25 @@ REJECTIONS = [
      r"not a declared asset"),
     ("activator-without-action", put(("entities", "activators", 0), {"iri": "ex:fan"}),
      r"missing required field 'action'"),
+    # one IRI, two spellings: the second action would replace the first
+    ("duplicate-activator",
+     lambda doc: doc["entities"]["activators"].append(
+         {"iri": "<https://example.org/cfg/fan>", "action": "fill"}),
+     r"entities\.activators\[1\]: duplicate activator IRI "
+     r"'<https://example\.org/cfg/fan>'"),
+    # scenario entities would merge with the runtime's own individuals
+    ("decider-in-run-namespace",
+     put(("decider", "iri"), "<https://example.org/run/sig/hygrometer/2>"),
+     r"decider: '<https://example\.org/run/sig/hygrometer/2>' expands under "
+     r"https://example\.org/run/, which is reserved for runtime-minted IRIs"),
+    ("place-in-run-namespace",
+     put(("entities", "places", 0), "<https://example.org/run/m/hygrometer/0>"),
+     r"entities\.places\[0\]: .* reserved for runtime-minted IRIs"),
+    ("actor-in-run-namespace-by-alias",
+     lambda doc: (doc["prefixes"].__setitem__("r2", "https://example.org/run/"),
+                  doc["entities"]["actors"].__setitem__(0, "r2:act/hygrometer/2")),
+     r"entities\.actors\[0\]: 'r2:act/hygrometer/2' expands under "
+     r"https://example\.org/run/"),
     ("undeclared-prefix", put(("entities", "places", 0), "zz:room"),
      r"cannot resolve"),
     ("iri-with-space", put(("entities", "places", 0), "https://example.org/a b"),

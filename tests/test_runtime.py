@@ -47,16 +47,18 @@ from conftest import random_scenario, random_scenario_text
 
 
 def scenario(sensors_json, rules="", duration=4, seed=3,
-             activators="[]", actors='["ex:opd"]'):
+             activators="[]", actors='["ex:opd"]', prefixes=None,
+             places='["ex:room"]'):
+    prefixes = json.dumps({"ex": "https://example.org/rt/", **(prefixes or {})})
     text = f"""{{
-      "prefixes": {{"ex": "https://example.org/rt/"}},
+      "prefixes": {prefixes},
       "start": "2026-02-01T00:00:00Z",
       "tick_seconds": 900,
       "duration": {duration},
       "seed": {seed},
       "entities": {{
         "assets": [{{"iri": "ex:obj", "located_in": "ex:room"}}],
-        "places": ["ex:room"],
+        "places": {places},
         "twin": {{"iri": "ex:twin", "twin_of": "ex:obj"}},
         "software": ["ex:sw"],
         "actors": {actors},
@@ -156,23 +158,25 @@ def test_noisy_wraps_any_inner_generator():
 
 def test_schedule_matches_brute_force():
     rng = random.Random(71)
-    parts = []
+    draws = []
     for i in range(5):
         period = rng.randint(1, 4)
-        phase = rng.randint(0, period - 1)
-        parts.append(f"""{{
-          "iri": "ex:s{i}", "measured_type": "humidity", "unit": "%RH",
-          "software": "ex:sw", "located_in": "ex:room",
-          "period": {period}, "phase": {phase},
-          "generator": {{"kind": "constant", "value": 1}}}}""")
-    sensors = "[" + ",".join(parts) + "]"
-    config = scenario(sensors, duration=12)
+        draws.append((period, rng.randint(0, period - 1)))
+
+    def sensors(names):
+        return json.dumps([
+            {"iri": name, "measured_type": "humidity", "unit": "%RH",
+             "software": "ex:sw", "located_in": "ex:room",
+             "period": period, "phase": phase,
+             "generator": {"kind": "constant", "value": 1}}
+            for name, (period, phase) in zip(names, draws)])
+
+    config = scenario(sensors([f"ex:s{i}" for i in range(5)]), duration=12)
     # CURIE order is the reverse of expanded-IRI order under these prefixes
-    crossed = dataclasses.replace(
-        config, prefixes={**config.prefixes, "a": "https://z.example/",
-                          "b": "https://a.example/"},
-        sensors=tuple(dataclasses.replace(s, iri=f"{'ab'[i % 2]}:{s.iri[3:]}")
-                      for i, s in enumerate(config.sensors)))
+    bases = {"a": "https://z.example/", "b": "https://a.example/"}
+    curies = [f"{'ab'[i % 2]}:s{i}" for i in range(5)]
+    crossed = scenario(sensors(curies), duration=12, prefixes=bases)
+    curie_of = {bases[c[0]] + c[2:]: c for c in curies}
     # another sensor set from a config whose order was already used
     schedule_due(config, 0)
     fewer = dataclasses.replace(config, sensors=config.sensors[3:] + config.sensors[:2])
@@ -182,11 +186,12 @@ def test_schedule_matches_brute_force():
             expected = sorted(
                 (s for s in cfg.sensors
                  if tick >= s.phase and (tick - s.phase) % s.period == 0),
-                key=lambda s: cfg.resolve(s.iri))
+                key=lambda s: s.iri)
             assert [s.iri for s in due] == [s.iri for s in expected]
-            assert due == sorted(due, key=lambda s: cfg.resolve(s.iri))
         if cfg is crossed:
-            assert any([s.iri for s in due] != sorted(s.iri for s in due) for due in dues)
+            assert sorted(curie_of) == [s.iri for s in cfg.sensor_order]
+            assert any([curie_of[s.iri] for s in due] != sorted(curie_of[s.iri] for s in due)
+                       for due in dues)
 
 
 def test_phase_delays_first_sample():
@@ -423,8 +428,9 @@ def test_missing_action_target_aborts_atomically():
 
 
 def test_per_run_work_does_not_grow_with_ticks(monkeypatch):
-    """Resolving IRIs and slugging labels is paid once per run, and the
-    clock is formatted at most once per tick, whatever the run's length."""
+    """Neither building the run nor running it resolves an IRI, as the
+    config holds them expanded; slugging labels is paid once per run, and
+    the clock is formatted at most once per tick, whatever the run's length."""
     from twingraph import namespaces, runtime
 
     sensors = """[
@@ -448,7 +454,6 @@ def test_per_run_work_does_not_grow_with_ticks(monkeypatch):
     def run_counts(duration):
         config = scenario(sensors, rules=rules, duration=duration,
                           activators='[{"iri": "ex:pump", "action": "drain"}]')
-        run = ScenarioRun(config)
         counts.update(resolve_iri=0, slug=0, format_datetime_utc=0)
         with monkeypatch.context() as patch:
             patch.setattr(namespaces, "resolve_iri",
@@ -456,12 +461,13 @@ def test_per_run_work_does_not_grow_with_ticks(monkeypatch):
             patch.setattr(namespaces, "slug", counted("slug", namespaces.slug))
             patch.setattr(runtime, "format_datetime_utc",
                           counted("format_datetime_utc", runtime.format_datetime_utc))
+            run = ScenarioRun(config)
             run.run()
         assert run.summary()["activations"] > duration // 2
         return dict(counts)
 
     short, long = run_counts(20), run_counts(40)
-    assert short["resolve_iri"] == long["resolve_iri"]
+    assert short["resolve_iri"] == long["resolve_iri"] == 0
     assert short["slug"] == long["slug"]
     assert short["format_datetime_utc"] <= 20
     assert long["format_datetime_utc"] <= 40
@@ -474,6 +480,36 @@ def test_until_truncates_run():
     assert run.summary()["measurements"] == 2
     full = run_scenario(config, until=99)
     assert full.summary()["ticks"] == 4
+
+
+def test_negative_until_is_refused_before_the_first_tick():
+    run = ScenarioRun(scenario(BASIC_SENSOR, duration=4))
+    with pytest.raises(ValueError, match="until must not be negative"):
+        run.run(-1)
+    assert run.records == [] and run.ticks_run == 0
+    assert len(run.graph.statements) == run.static_statements
+
+
+def test_stored_iris_are_never_read_as_curies():
+    """Under a prefix named urn, urn:isbn:1 read as a CURIE would become
+    https://example.org/u/isbn:1; the run uses the config's IRIs as they are."""
+    from twingraph import emit, parse
+    sensor = """[{"iri": "ex:s1", "measured_type": "humidity", "unit": "%RH",
+      "software": "ex:sw", "located_in": "<urn:isbn:1>",
+      "generator": {"kind": "list", "values": [40, 75]}}]"""
+    config = scenario(sensor, duration=2, prefixes={"urn": "https://example.org/u/"},
+                      places='["ex:room", "<urn:isbn:1>"]', actors='["<urn:x:opd>"]',
+                      rules='RULE r WHEN TYPE = "humidity" AND VALUE > 70 '
+                            'THEN ALERT <urn:x:opd> VIA "email"')
+    run = run_scenario(config)
+    g = run.graph
+    assert g.nodes["urn:isbn:1"] == {"E53"}
+    assert g.objects_of(Iri(config.sensors[0].iri), "P55") == [Iri("urn:isbn:1")]
+    assert [r.fields["actor"] for r in run.records if r.kind == "alert"] == ["urn:x:opd"]
+    assert not [iri for iri in g.nodes if iri.startswith("https://example.org/u/")]
+    parsed, diagnostics = parse(emit(g), g.registry)
+    assert not diagnostics
+    assert parsed.content_equal(g)
 
 
 def test_seq_is_globally_increasing_and_log_renders():
