@@ -214,6 +214,8 @@ def build_scenario(data) -> ScenarioConfig:
         if name == ns.RUN_PREFIX and iri != ns.RUN_IRI:
             raise ConfigError(f"scenario: prefix {ns.RUN_PREFIX!r} is reserved "
                               "for runtime-minted IRIs")
+        if name != ns.RUN_PREFIX and iri.startswith(ns.RUN_IRI):
+            raise ConfigError(f"scenario: prefix {name!r} maps under {ns.RUN_IRI}, kept for 'run'")
 
     def expand(text, where):
         if not isinstance(text, str):

@@ -9,6 +9,9 @@ end-of-text group. The loop owns the "unexpected character" fallback and the
 EOF token. Some group matches any character and every group but the end
 consumes one at least, so a scan always moves forward and terminates.
 
+Lookahead also reports a parser's diagnostics. Its reject reports an error
+and raises Rejected, which ends a statement or a rule; the parser resyncs.
+
 Positions are offsets into the text, as in Go's go/token. Lines turns one
 into a 1-based line:col (a line ends at LF, so CRLF works; a lone CR is a
 blank). It builds its table of line starts on first use, and only
@@ -20,7 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from .errors import ParseDiagnostic, SEVERITY_ERROR
 
@@ -65,11 +68,22 @@ def master(alternatives: str) -> re.Pattern:
                       + r"|(?P<unexpected>.)|(?P<end>\Z))", re.VERBOSE)
 
 
-class Lookahead:
-    """A parser's one token of lookahead (current) over a scan."""
+class Rejected(Exception):
+    """Ends a statement or a rule at its first error. took is the token the
+    parser resyncs from, or None to resync from the next one."""
 
-    def __init__(self, tokens: Iterator[Token]):
+    def __init__(self, took: Token | None = None):
+        super().__init__(took)
+        self.took = took
+
+
+class Lookahead:
+    """A parser's one token of lookahead (current) over a scan, and its diagnostics."""
+
+    def __init__(self, tokens: Iterator[Token], lines: Lines):
         self.tokens = tokens
+        self.lines = lines
+        self.diagnostics: list[ParseDiagnostic] = []
         self.current = next(tokens)
 
     def take(self) -> Token:  # the scan moves on unless it is at EOF
@@ -77,6 +91,13 @@ class Lookahead:
         if token.kind != EOF:
             self.current = next(self.tokens)
         return token
+
+    def error(self, token: Token, message: str, severity: str = SEVERITY_ERROR) -> None:
+        self.diagnostics.append(self.lines.diagnostic(token.pos, message, severity))
+
+    def reject(self, token: Token, message: str, took: Token | None = None) -> NoReturn:
+        self.error(token, message)
+        raise Rejected(took)
 
 
 def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"],

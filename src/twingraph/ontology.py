@@ -24,6 +24,7 @@ from .errors import (
     CycleDetectedError,
     DuplicateIdError,
     InvalidDefinitionError,
+    RegistryError,
     UnknownClassError,
     UnknownParentError,
     UnknownPropertyError,
@@ -272,15 +273,12 @@ def load_extension(registry: Registry, text: str):
 
     # Bucket triples by subject, keeping declaration order and positions.
     subjects: dict[str, dict] = {}
-    order: list[str] = []
     for triple in raw.triples:
-        subject_iri = triple.subject
-        entry = subjects.get(subject_iri)
+        entry = subjects.get(triple.subject)
         if entry is None:
             entry = {"pos": triple.subject_pos, "label": None, "note": None,
                      "parents": [], "domain": None, "range": None}
-            subjects[subject_iri] = entry
-            order.append(subject_iri)
+            subjects[triple.subject] = entry
         if not triple.predicate.startswith(ns.REG_IRI):
             fail(triple.predicate_pos, "extension statements must use the reg: vocabulary")
             continue
@@ -319,13 +317,9 @@ def load_extension(registry: Registry, text: str):
         fail(pos, f"extension subject or reference outside the ontology namespaces: {iri}")
         return None, None
 
-    def ref_id(value, pos):
-        return split_symbol(value, pos)[0]
-
     # Register classes first, deferring forward references within the file.
     pending = []
-    for subject_iri in order:
-        entry = subjects[subject_iri]
+    for subject_iri, entry in subjects.items():
         symbol, namespace = split_symbol(subject_iri, entry["pos"])
         if symbol is None:
             continue
@@ -350,7 +344,7 @@ def load_extension(registry: Registry, text: str):
         remaining = []
         for item in classes:
             symbol, namespace, entry, _ = item
-            parent_ids = [ref_id(v, pos) for v, pos in entry["parents"]]
+            parent_ids = [split_symbol(v, pos)[0] for v, pos in entry["parents"]]
             if has_errors(diagnostics):
                 return None, diagnostics
             if all(p in reg.classes for p in parent_ids):
@@ -358,7 +352,7 @@ def load_extension(registry: Registry, text: str):
                     reg = reg.register_class(OntologyClassDef(
                         symbol, entry["label"] or symbol, namespace,
                         tuple(parent_ids), entry["note"] or ""))
-                except Exception as exc:
+                except RegistryError as exc:
                     fail(entry["pos"], str(exc))
                     return None, diagnostics
                 progress = True
@@ -374,18 +368,18 @@ def load_extension(registry: Registry, text: str):
             continue
         domain_value, domain_pos = entry["domain"]
         range_value, range_pos = entry["range"]
-        domain_id = ref_id(domain_value, domain_pos)
+        domain_id = split_symbol(domain_value, domain_pos)[0]
         if isinstance(range_value, str) and range_value in LITERAL_KINDS:
             range_id = range_value
         else:
-            range_id = ref_id(range_value, range_pos)
+            range_id = split_symbol(range_value, range_pos)[0]
         if has_errors(diagnostics):
             return None, diagnostics
         try:
             reg = reg.register_property(PropertyDef(
                 symbol, entry["label"] or symbol, namespace,
                 domain_id, range_id, entry["note"] or ""))
-        except Exception as exc:
+        except RegistryError as exc:
             fail(entry["pos"], str(exc))
 
     if has_errors(diagnostics):

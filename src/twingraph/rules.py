@@ -16,15 +16,15 @@ expands each one to the absolute IRI that the runtime then uses as it is.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from decimal import Decimal
 from enum import Enum
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import namespaces as ns
 from .canon import parse_decimal
 from .errors import ParseDiagnostic, has_errors
-from .lexer import EOF, Lines, Lookahead, Token, master, scan, tokenize
+from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan, tokenize
 
 COMPARATORS = ("<", "<=", ">", ">=", "=", "!=")
 
@@ -152,20 +152,7 @@ def _tokenize(text: str):
     return tokenize(text, _TOKENS, _token)
 
 
-class _Rejected(Exception):
-    """Ends a rule at its first error; the parser goes on at the next RULE."""
-
-
 class _RuleParser(Lookahead):
-    def __init__(self, tokens: Iterator[Token], lines: Lines):
-        super().__init__(tokens)
-        self.lines = lines
-        self.diagnostics: list[ParseDiagnostic] = []
-
-    def reject(self, token: Token, message: str) -> NoReturn:
-        self.diagnostics.append(self.lines.diagnostic(token.pos, message))
-        raise _Rejected
-
     def expect_word(self, keyword: str) -> None:
         token = self.take()
         if token.kind != WORD or token.text != keyword:
@@ -184,7 +171,7 @@ class _RuleParser(Lookahead):
         while self.current.kind != EOF:
             try:
                 rules.append(self.rule(seen))
-            except _Rejected:
+            except Rejected:  # the parser goes on at the next RULE
                 self.sync_to_rule()
         return rules
 

@@ -34,6 +34,7 @@ from .config import (
 )
 from .errors import (
     ActionTargetMissingError,
+    ConfigError,
     NotAMeasurementError,
     NotAnActivationEventError,
     ScenarioError,
@@ -198,44 +199,54 @@ class ScenarioRun:
         # type nodes by label.
         self._event_nodes: dict[str, Iri] = {}
         self._type_nodes: dict[str, Iri] = {}
+        self._iris: dict[str, Iri] = {}  # one Iri per declared entity, by IRI text
         self._build_static()
         self.static_statements = len(self.graph.statements)
         self._sensors = {
-            spec.iri: _SensorState(Iri(spec.iri), ns.local_name(spec.iri),
+            spec.iri: _SensorState(self._iris[spec.iri], ns.local_name(spec.iri),
                                    mix64(config.seed ^ fnv1a64(spec.iri)))
             for spec in config.sensors}
-        self.decider_iri = Iri(config.decider.iri)
+        self.decider_iri = self._iris[config.decider.iri]
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
-        """Add the scenario's entities, whose absolute IRIs are not resolved."""
+        """Add the scenario's entities, one Iri per IRI text. A config built by
+        hand may hold text the graph text cannot carry, so that is refused."""
         g = self.graph
         config = self.config
+
+        def iri(text: str) -> Iri:
+            if text not in self._iris:
+                if not ns.is_absolute_iri(text) or any(c in text for c in ns.IRI_FORBIDDEN):
+                    raise ConfigError(f"{text!r} is not an absolute IRI the graph text can carry")
+                self._iris[text] = Iri(text)
+            return self._iris[text]
+
         for place in config.places:
-            g.add_entity(Iri(place), "E53")
+            g.add_entity(iri(place), "E53")
         for asset in config.assets:
-            g.add_entity(Iri(asset.iri), "HC3")
+            g.add_entity(iri(asset.iri), "HC3")
         for asset in config.assets:
             if asset.located_in is not None:
-                g.add_statement(Iri(asset.iri), "P55", Iri(asset.located_in))
+                g.add_statement(iri(asset.iri), "P55", iri(asset.located_in))
         if config.twin is not None:
-            g.add_entity(Iri(config.twin.iri), "HC2")
-            g.add_statement(Iri(config.twin.iri), "HP1", Iri(config.twin.twin_of))
+            g.add_entity(iri(config.twin.iri), "HC2")
+            g.add_statement(iri(config.twin.iri), "HP1", iri(config.twin.twin_of))
         for software in config.software:
-            g.add_entity(Iri(software), "D14")
+            g.add_entity(iri(software), "D14")
         for actor in config.actors:
-            g.add_entity(Iri(actor), "E39")
+            g.add_entity(iri(actor), "E39")
         for activator in config.activators:
-            g.add_entity(Iri(activator.iri), "HC11")
-        g.add_entity(Iri(config.decider.iri), "HC10")
+            g.add_entity(iri(activator.iri), "HC11")
+        g.add_entity(iri(config.decider.iri), "HC10")
         for sensor in config.sensors:
-            iri = Iri(sensor.iri)
-            g.add_entity(iri, "HC9")
+            node = iri(sensor.iri)
+            g.add_entity(node, "HC9")
             if sensor.positioned_on is not None:
-                g.add_statement(iri, "HP15", Iri(sensor.positioned_on))
+                g.add_statement(node, "HP15", iri(sensor.positioned_on))
             else:
-                g.add_statement(iri, "P55", Iri(sensor.located_in))
-            g.add_statement(iri, "HP11", Iri(sensor.software))
+                g.add_statement(node, "P55", iri(sensor.located_in))
+            g.add_statement(node, "HP11", iri(sensor.software))
 
     # --- clock and naming ---
 
@@ -338,8 +349,8 @@ class ScenarioRun:
         """Evaluate rules against the signal; at most one activation event.
 
         Returns it with its (action, target) pairs, one per kind and target
-        in first-fired order (the first ALERT's channel wins). Targets are
-        absolute IRIs, each checked for its node and type before anything is
+        in first-fired order (the first ALERT's channel wins). Each target
+        is a declared entity's Iri, checked for its type before anything is
         written, so a missing one aborts the step with the graph untouched.
         """
         history = self._histories[payload.measured_type]
@@ -367,10 +378,10 @@ class ScenarioRun:
 
         resolved: dict[tuple[ActionKind, str], tuple[Action, Iri]] = {}
         for action in fired_actions:
-            target = Iri(action.target)
-            types = self.graph.nodes.get(target.value)
+            target = self._iris.get(action.target)
             wanted = "HC11" if action.kind is ActionKind.ACTIVATE else "E39"
-            if not types or not self.registry.falls_under(types, wanted):
+            if target is None or not self.registry.falls_under(
+                    self.graph.nodes[target.value], wanted):
                 raise ActionTargetMissingError(
                     f"action target {action.target} is missing or not typed {wanted}")
             resolved.setdefault((action.kind, target.value), (action, target))

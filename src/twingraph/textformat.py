@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from operator import attrgetter
+from typing import NoReturn
 
 from . import namespaces as ns
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     has_errors,
 )
 from .graph import Graph, Iri, Literal, Statement, ViolationReason
-from .lexer import EOF, Lines, Lookahead, Token, master, scan, tokenize
+from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan, tokenize
 from .ontology import LITERAL_KINDS, Registry
 
 FILE_EXTENSION = ".rht.ttl"
@@ -163,23 +164,26 @@ class RawType:
 
 
 class RawDocument:
-    def __init__(self, lines: Lines):
+    def __init__(self, lines: Lines, diagnostics: list[ParseDiagnostic]):
         self.lines = lines  # line:col of the text's offsets
         self.prefixes: dict[str, str] = {}
         self.triples: list[RawTriple] = []
         self.types: list[RawType] = []
-        self.diagnostics: list[ParseDiagnostic] = []
+        self.diagnostics = diagnostics
 
 
 class _Parser(Lookahead):
     def __init__(self, tokens: Iterator[Token], lines: Lines):
-        super().__init__(tokens)
-        self.doc = RawDocument(lines)
+        super().__init__(tokens, lines)
+        self.doc = RawDocument(lines, self.diagnostics)
         self.iris: dict[str, str] = {}  # one string per distinct IRI text
         self.curies: dict[str, str] = {}  # CURIE text -> its IRI from iris
 
-    def error(self, token: Token, message: str, severity=SEVERITY_ERROR) -> None:
-        self.doc.diagnostics.append(self.doc.lines.diagnostic(token.pos, message, severity))
+    def unexpected(self, token: Token, what: str) -> NoReturn:
+        """Reject from a token with no place here; the scan reported a bad one."""
+        if token.kind == BAD:
+            raise Rejected(token)
+        self.reject(token, f"expected {what}, found {token.text!r}", token)
 
     def skip_statement(self, just_took: Token | None = None) -> None:
         # already at a boundary when the offending token was the '.'
@@ -187,9 +191,9 @@ class _Parser(Lookahead):
         while token.kind != EOF and not (token.kind == PUNCT and token.text == "."):
             token = self.take()
 
-    def resolve(self, token: Token) -> str | None:
-        """The interned IRI of an IRIREF or PNAME token, or None after an
-        undeclared-prefix error. curies memoizes CURIEs only (<p:x> is not
+    def resolve(self, token: Token) -> str:
+        """The interned IRI of an IRIREF or PNAME token; an undeclared prefix
+        rejects the statement. curies memoizes CURIEs only (<p:x> is not
         p:x) and is cleared whenever @prefix stores a base."""
         if token.kind == IRIREF:
             return self.iris.setdefault(token.text, token.text)
@@ -197,45 +201,34 @@ class _Parser(Lookahead):
         if iri is None:
             base = self.doc.prefixes.get(token.prefix, ns.DEFAULT_PREFIXES.get(token.prefix))
             if base is None:
-                self.error(token, f"undeclared prefix {token.prefix!r}")
-                return None
+                self.reject(token, f"undeclared prefix {token.prefix!r}")
             iri = base + token.local
             iri = self.curies[token.text] = self.iris.setdefault(iri, iri)
         return iri
 
     def run(self) -> RawDocument:
-        while True:
-            token = self.current
-            if token.kind == EOF:
-                return self.doc
-            if token.kind == AT_PREFIX:
-                self.prefix_directive()
-            elif token.kind in (IRIREF, PNAME):
-                self.triple()
-            else:
-                self.take()
-                if token.kind != BAD:
-                    self.error(token, f"expected a subject, found {token.text!r}")
-                self.skip_statement(token)
+        while self.current.kind != EOF:
+            try:
+                if self.current.kind == AT_PREFIX:
+                    self.prefix_directive()
+                else:
+                    self.triple()
+            except Rejected as rejected:
+                self.skip_statement(rejected.took)
+        return self.doc
 
     def prefix_directive(self) -> None:
         self.take()
         name_token = self.take()
         if name_token.kind != PNAME or name_token.local:
-            self.error(name_token, "expected a prefix name ending in ':'")
-            self.skip_statement()
-            return
+            self.reject(name_token, "expected a prefix name ending in ':'")
         if not ns.PREFIX_NAME_RE.match(name_token.prefix):
-            self.error(name_token, f"invalid prefix name {name_token.prefix!r}")
-            self.skip_statement()
-            return
+            self.reject(name_token, f"invalid prefix name {name_token.prefix!r}")
         iri_token = self.take()
         if iri_token.kind != IRIREF:
-            self.error(iri_token, "expected an IRI reference in '@prefix'")
-            self.skip_statement()
-            return
+            self.reject(iri_token, "expected an IRI reference in '@prefix'")
         dot = self.take()
-        if dot.kind != PUNCT or dot.text != ".":
+        if dot.kind != PUNCT or dot.text != ".":  # reported, but the prefix stands
             self.error(dot, "expected '.' after '@prefix' declaration")
             self.skip_statement()
         if name_token.prefix in self.doc.prefixes:
@@ -245,28 +238,19 @@ class _Parser(Lookahead):
 
     def triple(self) -> None:
         subject_token = self.take()
+        if subject_token.kind not in (IRIREF, PNAME):
+            self.unexpected(subject_token, "a subject")
         subject = self.resolve(subject_token)
-        if subject is None:
-            self.skip_statement()
-            return
         while True:
             pred_token = self.take()
             if pred_token.kind == WORD_A:
                 predicate = None
             elif pred_token.kind in (PNAME, IRIREF):
                 predicate = self.resolve(pred_token)
-                if predicate is None:
-                    self.skip_statement()
-                    return
             else:
-                if pred_token.kind != BAD:
-                    self.error(pred_token,
-                               f"expected a predicate, found {pred_token.text!r}")
-                self.skip_statement(pred_token)
-                return
+                self.unexpected(pred_token, "a predicate")
             while True:
-                if not self.object_entry(subject, subject_token.pos, predicate, pred_token.pos):
-                    return
+                self.object_entry(subject, subject_token.pos, predicate, pred_token.pos)
                 sep = self.take()
                 if sep.kind == PUNCT and sep.text == ",":
                     continue
@@ -274,56 +258,36 @@ class _Parser(Lookahead):
                     break
                 if sep.kind == PUNCT and sep.text == ".":
                     return
-                self.error(sep, f"expected ',', ';' or '.', found {sep.text!r}")
-                self.skip_statement(sep)
-                return
+                self.reject(sep, f"expected ',', ';' or '.', found {sep.text!r}", sep)
 
-    def object_entry(self, subject, subject_pos, predicate, predicate_pos) -> bool:
+    def object_entry(self, subject, subject_pos, predicate, predicate_pos) -> None:
         token = self.take()
         if token.kind in (PNAME, IRIREF):
             obj = self.resolve(token)
-            if obj is None:
-                self.skip_statement()
-                return False
         elif token.kind == NUMBER:
             obj = RawLiteral(token.text, "decimal")
         elif token.kind == STRING:
             obj = self.string_literal(token)
-            if obj is None:
-                return False
         else:
-            if token.kind != BAD:
-                self.error(token, f"expected an object, found {token.text!r}")
-            self.skip_statement(token)
-            return False
+            self.unexpected(token, "an object")
         if predicate is None:
             if isinstance(obj, RawLiteral):
-                self.error(token, "'a' takes a class reference, not a literal")
-                self.skip_statement()
-                return False
+                self.reject(token, "'a' takes a class reference, not a literal")
             self.doc.types.append(RawType(subject, subject_pos, obj, token.pos))
         else:
             self.doc.triples.append(RawTriple(
                 subject, subject_pos, predicate, predicate_pos, obj, token.pos))
-        return True
 
-    def string_literal(self, token: Token) -> RawLiteral | None:
+    def string_literal(self, token: Token) -> RawLiteral:
         if self.current.kind != DTSEP:
             return RawLiteral(token.text, "string")
         self.take()
         dt_token = self.take()
         if dt_token.kind not in (PNAME, IRIREF):
-            self.error(dt_token, "expected a datatype after '^^'")
-            self.skip_statement()
-            return None
+            self.reject(dt_token, "expected a datatype after '^^'")
         dt_iri = self.resolve(dt_token)
-        if dt_iri is None:
-            self.skip_statement()
-            return None
         if not dt_iri.startswith(ns.XSD_IRI) or dt_iri[len(ns.XSD_IRI):] not in LITERAL_KINDS:
-            self.error(dt_token, f"unsupported datatype <{dt_iri}>")
-            self.skip_statement()
-            return None
+            self.reject(dt_token, f"unsupported datatype <{dt_iri}>")
         return RawLiteral(token.text, dt_iri[len(ns.XSD_IRI):])
 
 

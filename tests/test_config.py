@@ -206,10 +206,15 @@ REJECTIONS = [
      put(("entities", "places", 0), "<https://example.org/run/m/hygrometer/0>"),
      r"entities\.places\[0\]: .* reserved for runtime-minted IRIs"),
     ("actor-in-run-namespace-by-alias",
-     lambda doc: (doc["prefixes"].__setitem__("r2", "https://example.org/run/"),
-                  doc["entities"]["actors"].__setitem__(0, "r2:act/hygrometer/2")),
-     r"entities\.actors\[0\]: 'r2:act/hygrometer/2' expands under "
+     lambda doc: (doc["prefixes"].__setitem__("run", "https://example.org/run/"),
+                  doc["entities"]["actors"].__setitem__(0, "run:act/hygrometer/2")),
+     r"entities\.actors\[0\]: 'run:act/hygrometer/2' expands under "
      r"https://example\.org/run/"),
+    # an alias, used or not, would let emit write the runtime's individuals under it
+    ("run-namespace-alias", put(("prefixes", "r2"), "https://example.org/run/"),
+     r"scenario: prefix 'r2' maps under https://example\.org/run/"),
+    ("run-namespace-alias-below", put(("prefixes", "r3"), "https://example.org/run/act/"),
+     r"scenario: prefix 'r3' maps under https://example\.org/run/"),
     ("undeclared-prefix", put(("entities", "places", 0), "zz:room"),
      r"cannot resolve"),
     ("iri-with-space", put(("entities", "places", 0), "https://example.org/a b"),

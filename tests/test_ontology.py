@@ -273,6 +273,11 @@ def test_falls_under_matches_pairwise_subclass_tests(data):
     ("@prefix reg: <https://example.org/ns/registry#> .\n"
      "@prefix hdto: <https://example.org/ns/hdto#> .\n"
      "hdto:HC50 reg:subClassOf hdto:HC77 .\n", "unresolved parents"),
+    # a cycle inside one file never resolves, whichever class comes first
+    ("@prefix reg: <https://example.org/ns/registry#> .\n"
+     "@prefix hdto: <https://example.org/ns/hdto#> .\n"
+     "hdto:HC50 reg:subClassOf hdto:HC51 .\n"
+     "hdto:HC51 reg:subClassOf hdto:HC50 .\n", "class HC51 has unresolved parents"),
     ("@prefix reg: <https://example.org/ns/registry#> .\n"
      "@prefix hdto: <https://example.org/ns/hdto#> .\n"
      "hdto:HC50 reg:flavour \"sweet\" .\n", "unknown extension verb"),

@@ -30,6 +30,7 @@ from twingraph.config import (
 )
 from twingraph.errors import (
     ActionTargetMissingError,
+    ConfigError,
     NotAMeasurementError,
     NotAnActivationEventError,
     SensorNotInGraphError,
@@ -425,6 +426,28 @@ def test_missing_action_target_aborts_atomically():
     assert not [i for i in g.instances_of("HC14")]
     kinds = [r.kind for r in failure.records]
     assert "decision" in kinds and "activation" not in kinds
+
+
+@pytest.mark.parametrize("text", ["ex:hand", "https://example.org/a b"])
+def test_config_iri_the_graph_text_cannot_carry_is_refused(text):
+    # a config built by hand skips build_scenario's checks; the graph written
+    # from it would not parse back
+    config = load_scenario("examples/pisano/scenario.json")
+    sensors = tuple(dataclasses.replace(s, iri=text) if s.iri.endswith("/hygrometer") else s
+                    for s in config.sensors)
+    with pytest.raises(ConfigError, match=f"{text!r} is not an absolute IRI"):
+        ScenarioRun(dataclasses.replace(config, sensors=sensors))
+
+
+def test_activation_targets_share_one_iri_each():
+    config = scenario(BASIC_SENSOR, duration=4,
+                      activators='[{"iri": "ex:pump", "action": "drain"}]',
+                      rules='RULE r WHEN TYPE = "humidity" AND VALUE > 70 MODE EVERY '
+                            'THEN ACTIVATE ex:pump, ALERT ex:opd VIA "email"')
+    run = run_scenario(config)
+    targets = [s.object for s in run.graph.statements if s.property in ("HP13", "HP14")]
+    assert run.summary()["activations"] == 2 and len(targets) == 4
+    assert len({id(t) for t in targets}) == len({t.value for t in targets}) == 2
 
 
 def test_per_run_work_does_not_grow_with_ticks(monkeypatch):

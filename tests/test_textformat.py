@@ -112,6 +112,43 @@ def test_recovery_continues_after_bad_triple():
     assert any(t.subject == EX + "b" for t in raw.types)
 
 
+# A statement's first error resyncs at the next '.'. At the subject,
+# predicate, separator and object sites the search starts at the offending
+# token; at the prefix name, prefix IRI and datatype it starts after it, so an
+# offending '.' there swallows the statement that follows. A bad token, which
+# the scan reports, gets no second diagnostic at the subject, predicate and
+# object, but does at the separator and in '@prefix'.
+@pytest.mark.parametrize("body,diagnostics,subjects", [
+    ("@prefix . ex:s ex:p ex:o .\nex:t ex:p ex:o .\n",
+     [(2, 9, "expected a prefix name ending in ':'")], ["t"]),
+    ("@prefix $ .\nex:t ex:p ex:o .\n",
+     [(2, 9, "unexpected character '$'"), (2, 9, "expected a prefix name ending in ':'")],
+     ["t"]),
+    ("@prefix q: . ex:s ex:p ex:o .\nex:t ex:p ex:o .\n",
+     [(2, 12, "expected an IRI reference in '@prefix'")], ["t"]),
+    ('ex:s ex:p "x"^^ . ex:t ex:p ex:o .\nex:u ex:p ex:o .\n',
+     [(2, 17, "expected a datatype after '^^'")], ["u"]),
+    (". ex:t ex:p ex:o .\n", [(2, 1, "expected a subject, found '.'")], ["t"]),
+    ("ex:s . ex:t ex:p ex:o .\n", [(2, 6, "expected a predicate, found '.'")], ["t"]),
+    ("ex:s ex:p . ex:t ex:p ex:o .\n", [(2, 11, "expected an object, found '.'")], ["t"]),
+    ("ex:s ex:p ex:o $ ex:t ex:p ex:o .\nex:u ex:p ex:o .\n",
+     [(2, 16, "unexpected character '$'"), (2, 16, "expected ',', ';' or '.', found '$'")],
+     ["s", "u"]),
+    ("$ ex:p ex:o .\nex:t ex:p ex:o .\n", [(2, 1, "unexpected character '$'")], ["t"]),
+    ("ex:s $ ex:o .\nex:t ex:p ex:o .\n", [(2, 6, "unexpected character '$'")], ["t"]),
+    ("ex:s ex:p $ .\nex:t ex:p ex:o .\n", [(2, 11, "unexpected character '$'")], ["t"]),
+    # a missing '.' is reported and resynced past, but the prefix is declared
+    ("@prefix q: <https://e/> q:s q:p q:o .\nq:t q:p q:o .\n",
+     [(2, 25, "expected '.' after '@prefix' declaration")], ["t"]),
+], ids=["prefix-name-dot", "prefix-name-bad", "prefix-iri-dot", "datatype-dot",
+        "subject-dot", "predicate-dot", "object-dot", "separator-bad", "subject-bad",
+        "predicate-bad", "object-bad", "prefix-without-dot"])
+def test_resync_rules(body, diagnostics, subjects):
+    raw = parse_raw("@prefix ex: <https://e/> .\n" + body)
+    assert [(d.line, d.col, d.message) for d in raw.diagnostics] == diagnostics
+    assert [t.subject for t in raw.triples] == ["https://e/" + s for s in subjects]
+
+
 # --- semantic checking during parse ---
 
 def test_unknown_class_rejected():
