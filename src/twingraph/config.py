@@ -25,6 +25,7 @@ from .rules import ActionKind, Rule, parse_rules
 
 MAX_SEED = 2 ** 64 - 1
 _LATEST = parse_datetime_utc("9999-12-31T23:59:59Z")  # a scenario clock ends by then
+_TYPE_NAMES = {str: "a string", dict: "an object", list: "an array"}  # _require's type words
 
 
 # --- generators ---
@@ -86,7 +87,6 @@ class SensorSpec:
     period: int = 1
     phase: int = 0
     observed_event: str = ""  # label for the shared observed-event node
-    condition_state: str | None = None
 
 
 class DeciderSpec(NamedTuple):
@@ -140,12 +140,8 @@ def _require(data: dict, key: str, kind, where: str):
     value = data[key]
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ConfigError(f"{where}: field {key!r} must be an integer")
-    if kind is str and not isinstance(value, str):
-        raise ConfigError(f"{where}: field {key!r} must be a string")
-    if kind is dict and not isinstance(value, dict):
-        raise ConfigError(f"{where}: field {key!r} must be an object")
-    if kind is list and not isinstance(value, list):
-        raise ConfigError(f"{where}: field {key!r} must be an array")
+    if kind in _TYPE_NAMES and not isinstance(value, kind):
+        raise ConfigError(f"{where}: field {key!r} must be {_TYPE_NAMES[kind]}")
     return value
 
 
@@ -153,6 +149,13 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+
+
+def _object(item, allowed: set[str], where: str) -> dict:
+    if not isinstance(item, dict):
+        raise ConfigError(f"{where}: must be an object")
+    _reject_unknown(item, allowed, where)
+    return item
 
 
 def _decimal(value, where: str, key: str) -> Decimal:
@@ -285,9 +288,7 @@ def build_scenario(data) -> ScenarioConfig:
     assets = []
     for i, item in enumerate(section("assets")):
         where = f"entities.assets[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: must be an object")
-        _reject_unknown(item, {"iri", "located_in"}, where)
+        _object(item, {"iri", "located_in"}, where)
         iri = expand(_require(item, "iri", str, where), where)
         located_in = item.get("located_in")
         if located_in is not None:
@@ -299,10 +300,7 @@ def build_scenario(data) -> ScenarioConfig:
     twin = None
     if entities.get("twin") is not None:
         where = "entities.twin"
-        item = entities["twin"]
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: must be an object")
-        _reject_unknown(item, {"iri", "twin_of"}, where)
+        item = _object(entities["twin"], {"iri", "twin_of"}, where)
         iri = _require(item, "iri", str, where)
         twin_of = _require(item, "twin_of", str, where)
         twin = TwinSpec(expand(iri, where),
@@ -312,9 +310,7 @@ def build_scenario(data) -> ScenarioConfig:
     activator_set = set()
     for i, item in enumerate(section("activators")):
         where = f"entities.activators[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: must be an object")
-        _reject_unknown(item, {"iri", "action"}, where)
+        _object(item, {"iri", "action"}, where)
         iri = _require(item, "iri", str, where)
         expanded = expand(iri, where)
         if expanded in activator_set:
@@ -326,11 +322,9 @@ def build_scenario(data) -> ScenarioConfig:
     seen_locals: dict[str, tuple[str, str]] = {}  # local name -> (IRI text, expanded)
     for i, item in enumerate(_require(data, "sensors", list, "scenario")):
         where = f"sensors[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: must be an object")
-        _reject_unknown(item, {"iri", "measured_type", "unit", "software", "generator",
-                               "positioned_on", "located_in", "period", "phase",
-                               "observed_event", "condition_state"}, where)
+        _object(item, {"iri", "measured_type", "unit", "software", "generator",
+                       "positioned_on", "located_in", "period", "phase",
+                       "observed_event", "condition_state"}, where)
         iri = _require(item, "iri", str, where)
         expanded = expand(iri, where)
         local = ns.local_name(expanded)
@@ -365,7 +359,7 @@ def build_scenario(data) -> ScenarioConfig:
         if not isinstance(phase, int) or isinstance(phase, bool) \
                 or not 0 <= phase < period:
             raise ConfigError(f"{where}: phase must be an integer in [0, period)")
-        condition_state = item.get("condition_state")
+        condition_state = item.get("condition_state")  # checked, but nothing reads it
         if condition_state is not None and not isinstance(condition_state, str):
             raise ConfigError(f"{where}: condition_state must be a string")
         observed_event = item.get("observed_event", measured_type)
@@ -375,7 +369,7 @@ def build_scenario(data) -> ScenarioConfig:
                                where + ".generator")
         sensors.append(SensorSpec(expanded, measured_type, unit, sw, generator,
                                   positioned_on, located_in, period, phase,
-                                  observed_event, condition_state))
+                                  observed_event))
 
     decider_data = _require(data, "decider", dict, "scenario")
     _reject_unknown(decider_data, {"iri", "rules"}, "decider")

@@ -198,7 +198,7 @@ class Graph:
 
     def _violation(self, statement: Statement) -> tuple[ViolationReason, str] | None:
         """The first rule the statement breaks, or None. In order: property,
-        subject and object exist; a literal parses as its datatype; no IRI on
+        subject and object exist; a literal is its datatype's canonical form; no IRI on
         a literal range; domain; class range (no literal there); datatype. A
         node typed outside the registry raises UnknownClassError."""
         pdef = self.registry.properties.get(statement.property)
@@ -217,9 +217,12 @@ class Graph:
                         f"{statement.property} expects a {pdef.range} literal, got an IRI")
         else:
             try:
-                _canonical_lexical(obj.datatype, obj.value)
+                canonical = _canonical_lexical(obj.datatype, obj.value)
             except ValueError as exc:
                 return ViolationReason.DATATYPE_VIOLATION, str(exc)
+            if canonical != obj.value:  # emit writes it as is; it would not read back equal
+                return (ViolationReason.DATATYPE_VIOLATION,
+                        f"{obj.value!r} is not canonical; the {obj.datatype} form is {canonical!r}")
         if not self.registry.falls_under(subject_types, pdef.domain):
             return (ViolationReason.DOMAIN_VIOLATION,
                     f"subject of {statement.property} must fall under {pdef.domain}; "

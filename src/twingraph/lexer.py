@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import namedtuple
 from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from .errors import ParseDiagnostic, SEVERITY_ERROR
@@ -36,9 +35,6 @@ class Token(NamedTuple):
     pos: int  # offset of the token's first character
     prefix: str = ""  # prefix and local name of a graph-text PNAME
     local: str = ""
-
-
-Placed = namedtuple("Placed", "kind text line col prefix local")  # for tokenize
 
 
 class Lines:
@@ -129,10 +125,3 @@ def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"]
             if token is not None:
                 yield token
 
-
-def tokenize(text: str, pattern: re.Pattern, build: Callable[..., "Token | None"],
-             bad: str | None = None) -> tuple[list[Placed], list[ParseDiagnostic]]:
-    """A whole scan, each token placed at its line:col, and its diagnostics."""
-    lines, diagnostics = Lines(text), []
-    return [Placed(t.kind, t.text, *lines(t.pos), t.prefix, t.local)
-            for t in scan(lines, pattern, build, diagnostics, bad)], diagnostics

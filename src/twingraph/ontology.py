@@ -160,67 +160,59 @@ class Registry:
             raise UnknownClassError(f"unknown class {class_id}")
 
 
-def _c(cid, label, namespace, parents, note=""):
-    return OntologyClassDef(cid, label, namespace, tuple(parents), note)
+_SEED_CLASSES = tuple(OntologyClassDef(*row) for row in (
+    ("E1", "CRM Entity", ns.CRM, (), "Root of the class hierarchy."),
+    ("E3", "Condition State", ns.CRM, ("E1",), "State an item is in over a period."),
+    ("E5", "Event", ns.CRM, ("E1",), "Something that happens."),
+    ("E39", "Actor", ns.CRM, ("E1",), "Person or group able to act."),
+    ("E53", "Place", ns.CRM, ("E1",), "Extent in space."),
+    ("E55", "Type", ns.CRM, ("E1",), "Category used to classify items."),
+    ("D8", "Digital Device", ns.CRMDIG, ("E1",), "Machine that processes or produces data."),
+    ("D9", "Data Object", ns.CRMDIG, ("E1",), "Self-contained chunk of digital data."),
+    ("D14", "Software", ns.CRMDIG, ("D9",), "Executable digital object."),
+    ("S21", "Measurement", ns.CRMSCI, ("E5",), "Observation that yields quantities."),
+    ("PE1", "Service", ns.CRMPE, ("E1",), "Provision of value through an activity."),
+    ("HC1", "Heritage Entity", ns.HDTO, ("E1",), "Item of cultural heritage interest."),
+    ("HC2", "Digital Twin", ns.HDTO, ("E1",), "Digital counterpart of a heritage entity."),
+    ("HC3", "Tangible Aspect", ns.HDTO, ("HC1",), "Physical side of a heritage entity."),
+    ("HC4", "Intangible Aspect", ns.HDTO, ("HC1",), "Non-material side of a heritage entity."),
+    ("HC6", "Digital Heritage Document", ns.HDTO, ("E1",), "Document about a heritage entity."),
+    ("HC7", "Digital Visual Object", ns.HDTO, ("E1",), "Visual digital representation."),
+    ("HC8", "3D Model", ns.HDTO, ("HC7",), "Three-dimensional digital representation."),
+    ("HC9", "Sensor", ns.RHDTO, ("D8",), "Device measuring a quantity on or near an asset."),
+    ("HC10", "Decider", ns.RHDTO, ("PE1",), "Service that evaluates signals against rules."),
+    ("HC11", "Activator", ns.RHDTO, ("D8",), "Device that performs a physical action on demand."),
+    ("HC12", "Signal", ns.RHDTO, ("D9",), "Data object a measurement emits toward a decider."),
+    ("HC13", "Sensor Measurement", ns.RHDTO, ("S21",), "Single sampling act of a sensor."),
+    ("HC14", "Activation Event", ns.RHDTO, ("E5",), "Event in which a decider triggers actions."),
+))
 
-
-def _p(pid, label, namespace, domain, range_, note=""):
-    return PropertyDef(pid, label, namespace, domain, range_, note)
-
-
-_SEED_CLASSES = (
-    _c("E1", "CRM Entity", ns.CRM, (), "Root of the class hierarchy."),
-    _c("E3", "Condition State", ns.CRM, ("E1",), "State an item is in over a period."),
-    _c("E5", "Event", ns.CRM, ("E1",), "Something that happens."),
-    _c("E39", "Actor", ns.CRM, ("E1",), "Person or group able to act."),
-    _c("E53", "Place", ns.CRM, ("E1",), "Extent in space."),
-    _c("E55", "Type", ns.CRM, ("E1",), "Category used to classify items."),
-    _c("D8", "Digital Device", ns.CRMDIG, ("E1",), "Machine that processes or produces data."),
-    _c("D9", "Data Object", ns.CRMDIG, ("E1",), "Self-contained chunk of digital data."),
-    _c("D14", "Software", ns.CRMDIG, ("D9",), "Executable digital object."),
-    _c("S21", "Measurement", ns.CRMSCI, ("E5",), "Observation that yields quantities."),
-    _c("PE1", "Service", ns.CRMPE, ("E1",), "Provision of value through an activity."),
-    _c("HC1", "Heritage Entity", ns.HDTO, ("E1",), "Item of cultural heritage interest."),
-    _c("HC2", "Digital Twin", ns.HDTO, ("E1",), "Digital counterpart of a heritage entity."),
-    _c("HC3", "Tangible Aspect", ns.HDTO, ("HC1",), "Physical side of a heritage entity."),
-    _c("HC4", "Intangible Aspect", ns.HDTO, ("HC1",), "Non-material side of a heritage entity."),
-    _c("HC6", "Digital Heritage Document", ns.HDTO, ("E1",), "Document about a heritage entity."),
-    _c("HC7", "Digital Visual Object", ns.HDTO, ("E1",), "Visual digital representation."),
-    _c("HC8", "3D Model", ns.HDTO, ("HC7",), "Three-dimensional digital representation."),
-    _c("HC9", "Sensor", ns.RHDTO, ("D8",), "Device measuring a quantity on or near an asset."),
-    _c("HC10", "Decider", ns.RHDTO, ("PE1",), "Service that evaluates signals against rules."),
-    _c("HC11", "Activator", ns.RHDTO, ("D8",), "Device that performs a physical action on demand."),
-    _c("HC12", "Signal", ns.RHDTO, ("D9",), "Data object a measurement emits toward a decider."),
-    _c("HC13", "Sensor Measurement", ns.RHDTO, ("S21",), "Single sampling act of a sensor."),
-    _c("HC14", "Activation Event", ns.RHDTO, ("E5",), "Event in which a decider triggers actions."),
-)
-
-_SEED_PROPERTIES = (
-    _p("HP1", "is digital twin of", ns.HDTO, "HC2", "HC1",
-       "Links a digital twin to the heritage entity it mirrors."),
-    _p("HP11", "is operated by", ns.RHDTO, "HC9", "D14",
-       "Software that operates a sensor."),
-    _p("HP12", "was transmitted to", ns.RHDTO, "HC12", "HC10",
-       "Decider a signal was delivered to."),
-    _p("HP13", "activated", ns.RHDTO, "HC14", "HC11",
-       "Activator engaged by an activation event."),
-    _p("HP14", "alerted", ns.RHDTO, "HC14", "E39",
-       "Actor notified by an activation event."),
-    _p("HP15", "is positioned on", ns.RHDTO, "HC9", "HC3",
-       "Tangible aspect a sensor sits on."),
-    _p("P55", "has current location", ns.CRM, "E1", "E53",
-       "Place where an item currently is."),
-    _p("L12", "happened on device", ns.CRMDIG, "S21", "D8",
-       "Device on which a measurement event ran."),
-    _p("L17", "measured thing of type", ns.CRMDIG, "HC13", "E55",
-       "Kind of quantity a measurement sampled."),
-    _p("L20", "has created", ns.CRMDIG, "S21", "D9",
-       "Data object a measurement produced."),
-    _p("O13", "triggered", ns.CRMSCI, "HC10", "HC14",
-       "Activation event a decider set off."),
-    _p("O24", "measured", ns.CRMSCI, "S21", "E5",
-       "Observed phenomenon a measurement belongs to."),
-)
+_SEED_PROPERTIES = tuple(PropertyDef(*row) for row in (
+    ("HP1", "is digital twin of", ns.HDTO, "HC2", "HC1",
+     "Links a digital twin to the heritage entity it mirrors."),
+    ("HP11", "is operated by", ns.RHDTO, "HC9", "D14",
+     "Software that operates a sensor."),
+    ("HP12", "was transmitted to", ns.RHDTO, "HC12", "HC10",
+     "Decider a signal was delivered to."),
+    ("HP13", "activated", ns.RHDTO, "HC14", "HC11",
+     "Activator engaged by an activation event."),
+    ("HP14", "alerted", ns.RHDTO, "HC14", "E39",
+     "Actor notified by an activation event."),
+    ("HP15", "is positioned on", ns.RHDTO, "HC9", "HC3",
+     "Tangible aspect a sensor sits on."),
+    ("P55", "has current location", ns.CRM, "E1", "E53",
+     "Place where an item currently is."),
+    ("L12", "happened on device", ns.CRMDIG, "S21", "D8",
+     "Device on which a measurement event ran."),
+    ("L17", "measured thing of type", ns.CRMDIG, "HC13", "E55",
+     "Kind of quantity a measurement sampled."),
+    ("L20", "has created", ns.CRMDIG, "S21", "D9",
+     "Data object a measurement produced."),
+    ("O13", "triggered", ns.CRMSCI, "HC10", "HC14",
+     "Activation event a decider set off."),
+    ("O24", "measured", ns.CRMSCI, "S21", "E5",
+     "Observed phenomenon a measurement belongs to."),
+))
 
 
 def load_seed() -> Registry:
@@ -338,29 +330,35 @@ def load_extension(registry: Registry, text: str):
     reg = registry
     classes = [item for item in pending if not item[3]]
     propdefs = [item for item in pending if item[3]]
-    progress = True
-    while classes and progress:
-        progress = False
-        remaining = []
-        for item in classes:
-            symbol, namespace, entry, _ = item
-            parent_ids = [split_symbol(v, pos)[0] for v, pos in entry["parents"]]
-            if has_errors(diagnostics):
-                return None, diagnostics
-            if all(p in reg.classes for p in parent_ids):
-                try:
-                    reg = reg.register_class(OntologyClassDef(
-                        symbol, entry["label"] or symbol, namespace,
-                        tuple(parent_ids), entry["note"] or ""))
-                except RegistryError as exc:
-                    fail(entry["pos"], str(exc))
-                    return None, diagnostics
-                progress = True
-            else:
-                remaining.append(item)
-        classes = remaining
+    # One pass in file order: a class waits on its parents not yet registered
+    # and is registered when the last of them is, so no order costs a rescan.
+    waiting: dict[str, list] = {}  # parent id -> the classes waiting on it
+    blocked = []  # per class: (its parents not yet registered, position, definition)
     for symbol, namespace, entry, _ in classes:
-        fail(entry["pos"], f"class {symbol} has unresolved parents")
+        parent_ids = tuple(split_symbol(v, pos)[0] for v, pos in entry["parents"])
+        if has_errors(diagnostics):
+            return None, diagnostics
+        missing = set(parent_ids).difference(reg.classes)
+        item = (missing, entry["pos"], OntologyClassDef(
+            symbol, entry["label"] or symbol, namespace, parent_ids, entry["note"] or ""))
+        blocked.append(item)
+        for parent in missing:
+            waiting.setdefault(parent, []).append(item)
+        ready = [] if missing else [item]
+        while ready:
+            _, pos, cdef = ready.pop()
+            try:
+                reg = reg.register_class(cdef)
+            except RegistryError as exc:
+                fail(pos, str(exc))
+                return None, diagnostics
+            for child in waiting.pop(cdef.id, ()):
+                child[0].discard(cdef.id)
+                if not child[0]:
+                    ready.append(child)
+    for missing, pos, cdef in blocked:
+        if missing:
+            fail(pos, f"class {cdef.id} has unresolved parents")
 
     for symbol, namespace, entry, _ in propdefs:
         if entry["domain"] is None or entry["range"] is None:

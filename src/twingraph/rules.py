@@ -16,6 +16,7 @@ expands each one to the absolute IRI that the runtime then uses as it is.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from decimal import Decimal
 from enum import Enum
@@ -24,9 +25,11 @@ from typing import NamedTuple
 from . import namespaces as ns
 from .canon import parse_decimal
 from .errors import ParseDiagnostic, has_errors
-from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan, tokenize
+from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
 
-COMPARATORS = ("<", "<=", ">", ">=", "=", "!=")
+_OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
+COMPARATORS = tuple(_OPERATORS)
 
 _KEYWORDS = {"RULE", "WHEN", "TYPE", "AND", "VALUE", "FOR", "SAMPLES",
              "MODE", "ON_RISE", "EVERY", "THEN", "ACTIVATE", "ALERT", "VIA"}
@@ -67,19 +70,10 @@ class Decision(NamedTuple):
 # --- evaluation ---
 
 def compare(value: Decimal, comparator: str, threshold: Decimal) -> bool:
-    if comparator == "<":
-        return value < threshold
-    if comparator == "<=":
-        return value <= threshold
-    if comparator == ">":
-        return value > threshold
-    if comparator == ">=":
-        return value >= threshold
-    if comparator == "=":
-        return value == threshold
-    if comparator == "!=":
-        return value != threshold
-    raise ValueError(f"unknown comparator {comparator!r}")
+    test = _OPERATORS.get(comparator)
+    if test is None:
+        raise ValueError(f"unknown comparator {comparator!r}")
+    return test(value, threshold)
 
 
 def evaluate_rule(rule: Rule, window: Sequence[Decimal]) -> Decision:
@@ -146,10 +140,6 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
         return None  # a comment
     diagnostics.append(lines.diagnostic(pos, message))
     return None
-
-
-def _tokenize(text: str):
-    return tokenize(text, _TOKENS, _token)
 
 
 class _RuleParser(Lookahead):

@@ -15,7 +15,7 @@ graph emissions and event logs.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import timedelta
 from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
@@ -55,8 +55,6 @@ DECISION = "decision"
 ACTIVATION = "activation"
 ACTUATION = "actuation"
 ALERT = "alert"
-
-EVENT_KINDS = (MEASUREMENT, SIGNAL, TRANSMISSION, DECISION, ACTIVATION, ACTUATION, ALERT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,10 +193,8 @@ class ScenarioRun:
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
         self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
         self._activator_actions = {a.iri: a.action for a in config.activators}
-        # Run-constant lookups, each filled on first use: observed-event and
-        # type nodes by label.
-        self._event_nodes: dict[str, Iri] = {}
-        self._type_nodes: dict[str, Iri] = {}
+        # Observed-event and type nodes by (kind, label), each added on first use.
+        self._label_nodes: dict[tuple[str, str], Iri] = {}
         self._iris: dict[str, Iri] = {}  # one Iri per declared entity, by IRI text
         self._build_static()
         self.static_statements = len(self.graph.statements)
@@ -261,6 +257,15 @@ class ScenarioRun:
     def _fresh(self, kind: str, sensor_local: str, index: int | str) -> Iri:
         return Iri(f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}")
 
+    def _label_node(self, kind: str, label: str, class_id: str) -> Iri:
+        # labels with one slug share a node; add_entity merges the repeat
+        node = self._label_nodes.get((kind, label))
+        if node is None:
+            node = Iri(f"{ns.RUN_IRI}{kind}/{ns.slug(label)}")
+            self.graph.add_entity(node, class_id)
+            self._label_nodes[kind, label] = node
+        return node
+
     def _record(self, tick: int, kind: str, fields: dict) -> EventRecord:
         record = EventRecord(tick, self._seq, kind, fields)
         self._seq += 1
@@ -285,22 +290,8 @@ class ScenarioRun:
         g = self.graph
         g.add_entity(measurement, "HC13")
         g.add_statement(measurement, "L12", state.iri)
-
-        # labels with one slug share a node; add_entity merges the repeat
-        event_node = self._event_nodes.get(spec.observed_event)
-        if event_node is None:
-            event_node = Iri(ns.RUN_IRI + "event/" + ns.slug(spec.observed_event))
-            g.add_entity(event_node, "E5")
-            self._event_nodes[spec.observed_event] = event_node
-        g.add_statement(measurement, "O24", event_node)
-
-        type_node = self._type_nodes.get(spec.measured_type)
-        if type_node is None:
-            type_node = Iri(ns.RUN_IRI + "type/" + ns.slug(spec.measured_type))
-            g.add_entity(type_node, "E55")
-            self._type_nodes[spec.measured_type] = type_node
-        g.add_statement(measurement, "L17", type_node)
-
+        g.add_statement(measurement, "O24", self._label_node("event", spec.observed_event, "E5"))
+        g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
         self._record(tick, MEASUREMENT, {
             "measurement": measurement.value,
             "measuredType": spec.measured_type,
@@ -443,9 +434,7 @@ class ScenarioRun:
                     raise StepFailure(exc, self.graph, self.records, tick) from exc
 
     def summary(self) -> dict[str, int]:
-        counts = {kind: 0 for kind in EVENT_KINDS}
-        for record in self.records:
-            counts[record.kind] += 1
+        counts = Counter(record.kind for record in self.records)
         return {
             "ticks": self.ticks_run,
             "measurements": counts[MEASUREMENT],

@@ -46,7 +46,7 @@ from .errors import (
     has_errors,
 )
 from .graph import Graph, Iri, Literal, Statement, ViolationReason
-from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan, tokenize
+from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
 from .ontology import LITERAL_KINDS, Registry
 
 FILE_EXTENSION = ".rht.ttl"
@@ -131,10 +131,6 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
             return _new(Token, (AT_PREFIX, text, pos, "", ""))
         return _bad(lines, diagnostics, f"unknown directive {text}", text, pos)
     return None  # rest: a comment
-
-
-def _tokenize(text: str):
-    return tokenize(text, _TOKENS, _token, BAD)
 
 
 # --- raw layer ---

@@ -57,7 +57,7 @@ def test_valid_document_and_defaults():
     assert sensor.iri == "https://example.org/cfg/s"
     assert sensor.period == 1 and sensor.phase == 0
     assert sensor.observed_event == "humidity"  # falls back to measured_type
-    assert sensor.condition_state is None
+    assert not hasattr(sensor, "condition_state")  # the key is checked, not stored
     assert config.decider.rules[0].id == "r"
     assert [a.target for a in config.decider.rules[0].actions] == [
         "https://example.org/cfg/fan", "https://example.org/cfg/curator"]
@@ -185,6 +185,18 @@ REJECTIONS = [
      r"entities\.assets: must be an array"),
     ("activators-not-array", put(("entities", "activators"), -1),
      r"entities\.activators: must be an array"),
+    ("asset-not-object", put(("entities", "assets", 0), "ex:obj"),
+     r"entities\.assets\[0\]: must be an object"),
+    ("asset-extra-field", put(("entities", "assets", 0, "x"), 1),
+     r"entities\.assets\[0\]: unknown field\(s\) \['x'\]"),
+    ("twin-not-object", put(("entities", "twin"), "ex:twin"),
+     r"entities\.twin: must be an object"),
+    ("twin-extra-field", put(("entities", "twin", "x"), 1),
+     r"entities\.twin: unknown field\(s\) \['x'\]"),
+    ("activator-not-object", put(("entities", "activators", 0), ["ex:fan"]),
+     r"entities\.activators\[0\]: must be an object"),
+    ("activator-extra-field", put(("entities", "activators", 0, "x"), 1),
+     r"entities\.activators\[0\]: unknown field\(s\) \['x'\]"),
     ("asset-place-missing", put(("entities", "assets", 0, "located_in"), "ex:void"),
      r"not a declared place"),
     ("twin-asset-missing", put(("entities", "twin", "twin_of"), "ex:void"),
@@ -228,6 +240,11 @@ REJECTIONS = [
      lambda doc: (doc["sensors"][0].pop("located_in"),
                   doc["sensors"][0].__setitem__("positioned_on", "ex:void")),
      r"not a declared asset"),
+    ("sensor-not-object", put(("sensors", 0), "ex:s"), r"sensors\[0\]: must be an object"),
+    ("sensor-extra-field", put(("sensors", 0, "x"), 1),
+     r"sensors\[0\]: unknown field\(s\) \['x'\]"),
+    ("non-string-condition-state", put(("sensors", 0, "condition_state"), 1),
+     r"sensors\[0\]: condition_state must be a string"),
     ("zero-period", put(("sensors", 0, "period"), 0), r"at least 1"),
     ("phase-at-period", put(("sensors", 0, "phase"), 1), r"\[0, period\)"),
     ("negative-phase", put(("sensors", 0, "phase"), -1), r"\[0, period\)"),

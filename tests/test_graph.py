@@ -98,9 +98,12 @@ def test_literal_statements(seed_registry):
     with pytest.raises(StatementViolationError) as err:
         g.add_statement("ex:asset", "P80", Literal("string", "wet"))
     assert err.value.reason is ViolationReason.DATATYPE_VIOLATION
-    # a lexical form that does not parse as its datatype is refused on insert
+    # a lexical form that does not parse as its datatype, or is not its
+    # canonical form, is refused on insert
     for property_id, bad in (("P80", Literal("decimal", "abc")),
-                             ("P81", Literal("dateTime", "junk"))):
+                             ("P81", Literal("dateTime", "junk")),
+                             ("P80", Literal("decimal", "1.50")),
+                             ("P81", Literal("dateTime", "2026-01-01T00:00:00+00:00"))):
         with pytest.raises(StatementViolationError) as err:
             g.add_statement("ex:asset", property_id, bad)
         assert err.value.reason is ViolationReason.DATATYPE_VIOLATION
@@ -393,9 +396,11 @@ VALIDATE_CASES = [
      ["DATATYPE_VIOLATION"]),
     ("bad-lexical-domain-broken", _iri("place"), "P80", Literal("decimal", "abc"),
      ["DATATYPE_VIOLATION"]),
-    # the lexical re-check rejects only forms that do not parse
+    # a form that parses but is not canonical would emit text that reads back unequal
     ("parseable-noncanonical-lexical", _iri("asset"), "P80",
-     Literal("decimal", "4.50"), []),
+     Literal("decimal", "4.50"), ["DATATYPE_VIOLATION"]),
+    ("noncanonical-lexical-domain-broken", _iri("place"), "P80",
+     Literal("decimal", "4.50"), ["DATATYPE_VIOLATION"]),
     ("unknown-class-subject", _iri("odd"), "P55", _iri("place"), ["UNKNOWN_SUBJECT"]),
     ("unknown-class-object", _iri("asset"), "P55", _iri("odd"), ["UNKNOWN_SUBJECT"]),
     ("unknown-class-subject-bad-literal", _iri("odd"), "P80",

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import twingraph
 from twingraph import ParseDiagnostic, load_seed, parse_rules, rules, textformat
 from twingraph.errors import has_errors
+from twingraph.lexer import Lines, scan
 from twingraph.ontology import load_extension
 from twingraph.textformat import parse, parse_raw
 
@@ -191,6 +193,17 @@ RULES_TABLE = [
       (2, 4, 'unterminated string')]),
 ]
 
+Placed = namedtuple("Placed", "kind text line col prefix local")
+
+
+def _tokenize(grammar, text):
+    # a whole scan, each token placed at its line:col, and its diagnostics
+    lines, diagnostics = Lines(text), []
+    bad = getattr(grammar, "BAD", None)  # rules drop an unexpected character
+    tokens = scan(lines, grammar._TOKENS, grammar._token, diagnostics, bad)
+    return [Placed(t.kind, t.text, *lines(t.pos), t.prefix, t.local) for t in tokens], diagnostics
+
+
 def _flatten(tokens):
     return [(t.kind, t.text, t.line, t.col) + ((t.prefix, t.local) if t.kind == "pname" else ())
             for t in tokens]
@@ -198,14 +211,14 @@ def _flatten(tokens):
 
 @pytest.mark.parametrize("text,tokens,diagnostics", GRAPH_TABLE)
 def test_graph_tokens_match_table(text, tokens, diagnostics):
-    got_tokens, got_diagnostics = textformat._tokenize(text)
+    got_tokens, got_diagnostics = _tokenize(textformat, text)
     assert _flatten(got_tokens) == tokens
     assert [(d.line, d.col, d.message) for d in got_diagnostics] == diagnostics
 
 
 @pytest.mark.parametrize("text,tokens,diagnostics", RULES_TABLE)
 def test_rule_tokens_match_table(text, tokens, diagnostics):
-    got_tokens, got_diagnostics = rules._tokenize(text)
+    got_tokens, got_diagnostics = _tokenize(rules, text)
     assert _flatten(got_tokens) == tokens
     assert [(d.line, d.col, d.message) for d in got_diagnostics] == diagnostics
 
@@ -313,12 +326,12 @@ def _offset(text, line, col):
 def test_token_positions_point_at_their_source(grammar, text):
     # a token's line:col is where its text starts: no blank is there, and
     # scanning from there gives the same token first
-    *tokens, eof = grammar._tokenize(text)[0]
+    *tokens, eof = _tokenize(grammar, text)[0]
     last = -1
     for token in tokens:
         at = _offset(text, token.line, token.col)
         assert at > last and text[at] not in " \t\r\n"
-        again = grammar._tokenize(text[at:])[0][0]
+        again = _tokenize(grammar, text[at:])[0][0]
         assert again._replace(line=token.line, col=token.col) == token
         assert (again.line, again.col) == (1, 1)
         last = at

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twingraph import namespaces
 from twingraph import (
     Graph,
     OntologyClassDef,
@@ -218,6 +219,40 @@ def test_extension_loads_with_forward_reference(seed_registry):
     assert grown.check_applicability("HP41", {"HC40"}, set())
     # base registry untouched
     assert "HC40" not in seed_registry.classes
+
+
+def _child_first_chain(n):
+    """n classes, each declared before its parent: HC<1000+n-1> under the
+    one below it, down to HC1000 under the seed's HC1."""
+    lines = ["@prefix reg: <https://example.org/ns/registry#> .",
+             "@prefix hdto: <https://example.org/ns/hdto#> ."]
+    for i in range(n - 1, -1, -1):
+        parent = f"HC{999 + i}" if i else "HC1"
+        lines.append(f"hdto:HC{1000 + i} reg:subClassOf hdto:{parent} .")
+    return "\n".join(lines) + "\n"
+
+
+def test_extension_chain_declared_child_first(seed_registry, monkeypatch):
+    """A chain longer than the default recursion limit loads, and each
+    class's IRIs are looked up a fixed number of times, however long the
+    chain: no class waits on a rescan of the others."""
+    class Counted(dict):
+        calls = 0
+
+        def items(self):
+            Counted.calls += 1
+            return super().items()
+
+    monkeypatch.setattr(namespaces, "NAMESPACE_IRI", Counted(namespaces.NAMESPACE_IRI))
+    lookups = {}
+    for n in (550, 1100):
+        Counted.calls = 0
+        grown, diagnostics = load_extension(seed_registry, _child_first_chain(n))
+        assert grown is not None and diagnostics == []
+        assert grown.classes[f"HC{1000 + n - 1}"].parents == (f"HC{998 + n}",)
+        assert grown.is_subclass_of(f"HC{1000 + n - 1}", "HC1")
+        lookups[n] = Counted.calls
+    assert lookups[1100] == 2 * lookups[550]
 
 
 # --- cached class membership ---

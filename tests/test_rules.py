@@ -93,6 +93,13 @@ def test_compare_is_exact_decimal():
     assert sorted(COMPARATORS) == ["!=", "<", "<=", "=", ">", ">="]
 
 
+def test_unknown_comparator_raises():
+    # parse_rules never builds one; a hand-built rule can
+    rule = Rule("r", "humidity", "=>", Decimal("70"))
+    with pytest.raises(ValueError, match="unknown comparator '=>'"):
+        evaluate_rule(rule, [Decimal("71")])
+
+
 def _rule(comparator=">", threshold="70", sustain=1, mode=TriggerMode.ON_RISE):
     return Rule(id="r", measured_type="humidity", comparator=comparator,
                 threshold=Decimal(threshold), sustain=sustain, mode=mode,

@@ -292,8 +292,7 @@ def test_sample_rejects_unknown_sensor():
     ghost = SensorSpec(iri="ex:ghost", measured_type="humidity", unit="%RH",
                        software="ex:sw", generator=ConstantGen(Decimal(1)),
                        positioned_on=None, located_in="ex:room",
-                       period=1, phase=0, observed_event="humidity",
-                       condition_state=None)
+                       period=1, phase=0, observed_event="humidity")
     with pytest.raises(SensorNotInGraphError):
         run.sample(ghost, 0)
 
