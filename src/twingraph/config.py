@@ -164,9 +164,7 @@ def _decimal(value, where: str, key: str) -> Decimal:
     return Decimal(value)
 
 
-def _generator(data, where: str) -> Generator:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: generator must be an object")
+def _generator(data: dict, where: str) -> Generator:
     kind = _require(data, "kind", str, where)
     if kind == "constant":
         _reject_unknown(data, {"kind", "value"}, where)

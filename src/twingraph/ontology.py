@@ -330,35 +330,29 @@ def load_extension(registry: Registry, text: str):
     reg = registry
     classes = [item for item in pending if not item[3]]
     propdefs = [item for item in pending if item[3]]
-    # One pass in file order: a class waits on its parents not yet registered
-    # and is registered when the last of them is, so no order costs a rescan.
-    waiting: dict[str, list] = {}  # parent id -> the classes waiting on it
-    blocked = []  # per class: (its parents not yet registered, position, definition)
-    for symbol, namespace, entry, _ in classes:
-        parent_ids = tuple(split_symbol(v, pos)[0] for v, pos in entry["parents"])
-        if has_errors(diagnostics):
-            return None, diagnostics
-        missing = set(parent_ids).difference(reg.classes)
-        item = (missing, entry["pos"], OntologyClassDef(
-            symbol, entry["label"] or symbol, namespace, parent_ids, entry["note"] or ""))
-        blocked.append(item)
-        for parent in missing:
-            waiting.setdefault(parent, []).append(item)
-        ready = [] if missing else [item]
-        while ready:
-            _, pos, cdef = ready.pop()
-            try:
-                reg = reg.register_class(cdef)
-            except RegistryError as exc:
-                fail(pos, str(exc))
+    progress = True
+    while classes and progress:
+        progress = False
+        remaining = []
+        for item in classes:
+            symbol, namespace, entry, _ = item
+            parent_ids = [split_symbol(v, pos)[0] for v, pos in entry["parents"]]
+            if has_errors(diagnostics):
                 return None, diagnostics
-            for child in waiting.pop(cdef.id, ()):
-                child[0].discard(cdef.id)
-                if not child[0]:
-                    ready.append(child)
-    for missing, pos, cdef in blocked:
-        if missing:
-            fail(pos, f"class {cdef.id} has unresolved parents")
+            if all(p in reg.classes for p in parent_ids):
+                try:
+                    reg = reg.register_class(OntologyClassDef(
+                        symbol, entry["label"] or symbol, namespace,
+                        tuple(parent_ids), entry["note"] or ""))
+                except RegistryError as exc:
+                    fail(entry["pos"], str(exc))
+                    return None, diagnostics
+                progress = True
+            else:
+                remaining.append(item)
+        classes = remaining
+    for symbol, namespace, entry, _ in classes:
+        fail(entry["pos"], f"class {symbol} has unresolved parents")
 
     for symbol, namespace, entry, _ in propdefs:
         if entry["domain"] is None or entry["range"] is None:

