@@ -87,18 +87,6 @@ class ConfigError(ScenarioError):
     pass
 
 
-class SensorNotInGraphError(ScenarioError):
-    pass
-
-
-class NotAMeasurementError(ScenarioError):
-    pass
-
-
-class NotAnActivationEventError(ScenarioError):
-    pass
-
-
 class ActionTargetMissingError(ScenarioError):
     pass
 

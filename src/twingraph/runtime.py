@@ -4,7 +4,9 @@ Time advances in integer ticks. Each tick, every due sensor (in expanded IRI
 order) samples its generator, wraps the value in a signal, transmits the
 signal to the decider, and the decider evaluates its rules. A firing rule
 set yields at most one activation event per signal evaluation, whose actions
-are then executed as actuation and alert records (actuations first).
+are then executed as actuation and alert records (actuations first). Steps
+only log records: ScenarioRun.fold writes the statements each one implies,
+so the run graph is the static graph plus the fold of the log, in log order.
 
 Everything is deterministic: fresh IRIs are minted from the sensor name and
 sample index, timestamps are start + tick * tick_seconds, and noise comes
@@ -35,10 +37,7 @@ from .config import (
 from .errors import (
     ActionTargetMissingError,
     ConfigError,
-    NotAMeasurementError,
-    NotAnActivationEventError,
     ScenarioError,
-    SensorNotInGraphError,
     TwingraphError,
 )
 from .graph import Graph, Iri
@@ -164,10 +163,10 @@ def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
 # --- the run ---
 
 class _SensorState:
-    def __init__(self, iri: Iri, local: str, stream_seed: int):
-        self.iri = iri
-        self.local = local  # the local name run IRIs are minted from
-        self.stream_seed = stream_seed
+    def __init__(self, spec: SensorSpec, run_seed: int):
+        self.spec = spec
+        self.local = ns.local_name(spec.iri)  # the local name run IRIs are minted from
+        self.stream_seed = mix64(run_seed ^ fnv1a64(spec.iri))
         self.next_index = 0
 
 
@@ -196,13 +195,10 @@ class ScenarioRun:
         # Observed-event and type nodes by (kind, label), each added on first use.
         self._label_nodes: dict[tuple[str, str], Iri] = {}
         self._iris: dict[str, Iri] = {}  # one Iri per declared entity, by IRI text
+        self._minted = Iri(ns.RUN_IRI)  # the node the latest fold minted
         self._build_static()
         self.static_statements = len(self.graph.statements)
-        self._sensors = {
-            spec.iri: _SensorState(self._iris[spec.iri], ns.local_name(spec.iri),
-                                   mix64(config.seed ^ fnv1a64(spec.iri)))
-            for spec in config.sensors}
-        self.decider_iri = self._iris[config.decider.iri]
+        self._sensors = {spec.iri: _SensorState(spec, config.seed) for spec in config.sensors}
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
@@ -257,6 +253,14 @@ class ScenarioRun:
     def _fresh(self, kind: str, sensor_local: str, index: int | str) -> Iri:
         return Iri(f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}")
 
+    def _node(self, text: str) -> Iri:
+        # a declared entity's one Iri, else one Iri per minted node: a record names
+        # its own minted node and, looked up first, the one the record before it minted
+        node = self._iris.get(text) or self._minted
+        if node.value != text:
+            node = self._minted = Iri(text)
+        return node
+
     def _label_node(self, kind: str, label: str, class_id: str) -> Iri:
         # labels with one slug share a node; add_entity merges the repeat
         node = self._label_nodes.get((kind, label))
@@ -266,19 +270,45 @@ class ScenarioRun:
             self._label_nodes[kind, label] = node
         return node
 
-    def _record(self, tick: int, kind: str, fields: dict) -> EventRecord:
+    def _record(self, tick: int, kind: str, fields: dict) -> None:
+        # folded before it is logged: a record the graph refuses takes no seq
         record = EventRecord(tick, self._seq, kind, fields)
+        self.fold(record)
         self._seq += 1
         self.records.append(record)
-        return record
+
+    def fold(self, record: EventRecord) -> None:
+        """Write the statements one record implies (docs/FORMAT.md), each
+        through the graph's checked insert."""
+        g = self.graph
+        fields = record.fields
+        kind = record.kind
+        if kind == MEASUREMENT:
+            measurement = g.add_entity(self._node(fields["measurement"]), "HC13")
+            g.add_statement(measurement, "L12", self._node(fields["sensor"]))
+            spec = self._sensors[fields["sensor"]].spec
+            g.add_statement(measurement, "O24", self._label_node("event", spec.observed_event, "E5"))
+            g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
+        elif kind == SIGNAL:
+            measurement = self._node(fields["measurement"])
+            g.add_statement(measurement, "L20", g.add_entity(self._node(fields["signal"]), "HC12"))
+        elif kind == TRANSMISSION:
+            g.add_statement(self._node(fields["signal"]), "HP12", self._node(fields["decider"]))
+        elif kind == ACTIVATION:
+            activation = g.add_entity(self._node(fields["activation"]), "HC14")
+            g.add_statement(self._node(fields["decider"]), "O13", activation)
+        elif kind == ACTUATION:
+            g.add_statement(self._node(fields["activation"]), "HP13", self._node(fields["activator"]))
+        elif kind == ALERT:
+            g.add_statement(self._node(fields["activation"]), "HP14", self._node(fields["actor"]))
 
     # --- pipeline steps ---
 
     def sample(self, spec: SensorSpec, tick: int):
-        """Run one sampling act: HC13 node plus L12, O24, L17 statements."""
+        """Run one sampling act and log its measurement."""
         state = self._sensors.get(spec.iri)
-        if state is None or state.iri.value not in self.graph.nodes:
-            raise SensorNotInGraphError(f"sensor {spec.iri} is not in the graph")
+        if state is None:  # a spec outside the config; its measurement's fold refuses it
+            state = self._sensors[spec.iri] = _SensorState(spec, self.config.seed)
         index = state.next_index
         state.next_index += 1
         try:
@@ -287,15 +317,10 @@ class ScenarioRun:
             raise ScenarioError(f"sensor {spec.iri} sample {index}: generator value "
                                 f"out of range ({type(exc).__name__})") from exc
         measurement = self._fresh("m", state.local, index)
-        g = self.graph
-        g.add_entity(measurement, "HC13")
-        g.add_statement(measurement, "L12", state.iri)
-        g.add_statement(measurement, "O24", self._label_node("event", spec.observed_event, "E5"))
-        g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
         self._record(tick, MEASUREMENT, {
             "measurement": measurement.value,
             "measuredType": spec.measured_type,
-            "sensor": state.iri.value,
+            "sensor": spec.iri,
             "timestamp": self.timestamp(tick),
             "unit": spec.unit,
             "value": value,
@@ -304,17 +329,11 @@ class ScenarioRun:
 
     def make_signal(self, measurement: Iri, spec: SensorSpec, index: int,
                     value: Decimal, tick: int):
-        """Wrap a measurement's value in a fresh HC12 signal (L20 link)."""
-        types = self.graph.nodes.get(measurement.value)
-        if not types or not self.registry.falls_under(types, "HC13"):
-            raise NotAMeasurementError(f"{measurement} is not a measurement node")
-        state = self._sensors[spec.iri]
-        signal = self._fresh("sig", state.local, index)
-        self.graph.add_entity(signal, "HC12")
-        self.graph.add_statement(measurement, "L20", signal)
+        """Wrap a measurement's value in a fresh signal and log it."""
+        signal = self._fresh("sig", self._sensors[spec.iri].local, index)
         payload = SignalPayload(
             signal_id=signal.value,
-            sensor_id=state.iri.value,
+            sensor_id=spec.iri,
             timestamp=self.timestamp(tick),
             value=value,
             unit=spec.unit,
@@ -328,10 +347,9 @@ class ScenarioRun:
         return signal, payload
 
     def transmit(self, signal: Iri, tick: int) -> None:
-        """Deliver a signal to the decider (HP12; duplicates collapse)."""
-        self.graph.add_statement(signal, "HP12", self.decider_iri)
+        """Deliver a signal to the decider and log it."""
         self._record(tick, TRANSMISSION, {
-            "decider": self.decider_iri.value,
+            "decider": self.config.decider.iri,
             "signal": signal.value,
         })
 
@@ -357,7 +375,7 @@ class ScenarioRun:
                 fired_actions.extend(decision.actions)
 
         self._record(tick, DECISION, {
-            "decider": self.decider_iri.value,
+            "decider": self.config.decider.iri,
             "fired": bool(fired_rules),
             "firedRules": fired_rules,
             "measuredType": payload.measured_type,
@@ -379,14 +397,9 @@ class ScenarioRun:
 
         activation = self._fresh("act", ns.local_name(payload.sensor_id),
                                  payload.signal_id.rsplit("/", 1)[1])
-        self.graph.add_entity(activation, "HC14")
-        self.graph.add_statement(self.decider_iri, "O13", activation)
-        for action, target in resolved.values():
-            link = "HP13" if action.kind is ActionKind.ACTIVATE else "HP14"
-            self.graph.add_statement(activation, link, target)
         self._record(tick, ACTIVATION, {
             "activation": activation.value,
-            "decider": self.decider_iri.value,
+            "decider": self.config.decider.iri,
             "firedRules": fired_rules,
             "signal": payload.signal_id,
         })
@@ -394,10 +407,8 @@ class ScenarioRun:
 
     def execute_activation(self, activation: Iri,
                            actions: list[tuple[Action, Iri]], tick: int) -> None:
-        """Emit actuation, then alert records, for decide's actions; no side effects."""
-        types = self.graph.nodes.get(activation.value)
-        if not types or not self.registry.falls_under(types, "HC14"):
-            raise NotAnActivationEventError(f"{activation} is not an activation event")
+        """Log actuation, then alert records, for decide's actions; their fold
+        links the activation to each target (HP13, HP14)."""
         for action, target in actions:
             if action.kind is ActionKind.ACTIVATE:
                 self._record(tick, ACTUATION, {

@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10: no tomllib in the standard library
 from twingraph import (StepFailure, emit, load_scenario, parse_scenario, render_log,
                        run_scenario)
 from twingraph.cli import _write_outputs, main
-from twingraph.errors import SensorNotInGraphError
+from twingraph.errors import ScenarioError
 
 GOLDEN_GRAPH = "examples/pisano/golden.rht.ttl"
 GOLDEN_LOG = "examples/pisano/golden.log.jsonl"
@@ -170,7 +170,7 @@ def test_run_aborted_step_writes_partial_outputs(tmp_path, capsys, monkeypatch):
             pass
 
         def run(self, until=None):
-            raise StepFailure(SensorNotInGraphError("sensor ex:x is not in the graph"),
+            raise StepFailure(ScenarioError("sensor ex:x is not in the graph"),
                               finished.graph, finished.records, tick=1)
 
     monkeypatch.setattr("twingraph.cli.ScenarioRun", Doomed)

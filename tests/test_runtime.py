@@ -31,10 +31,11 @@ from twingraph.config import (
 from twingraph.errors import (
     ActionTargetMissingError,
     ConfigError,
-    NotAMeasurementError,
-    NotAnActivationEventError,
-    SensorNotInGraphError,
+    StatementViolationError,
+    UnknownObjectError,
 )
+from twingraph.graph import ViolationReason
+from twingraph.rules import Action, ActionKind
 from twingraph.runtime import (
     ScenarioRun,
     fnv1a64,
@@ -293,24 +294,34 @@ def test_sample_rejects_unknown_sensor():
                        software="ex:sw", generator=ConstantGen(Decimal(1)),
                        positioned_on=None, located_in="ex:room",
                        period=1, phase=0, observed_event="humidity")
-    with pytest.raises(SensorNotInGraphError):
+    # the measurement's fold links it to a sensor node the graph lacks
+    with pytest.raises(UnknownObjectError, match="ex:ghost"):
         run.sample(ghost, 0)
+    assert run.records == []
 
 
 def test_make_signal_rejects_non_measurement():
     config = scenario(BASIC_SENSOR, duration=1)
     run = ScenarioRun(config)
     spec = config.sensors[0]
-    with pytest.raises(NotAMeasurementError):
+    # L20 must start at a measurement; ex:obj is an asset
+    with pytest.raises(StatementViolationError) as err:
         run.make_signal(Iri("https://example.org/rt/obj"), spec, 0,
                         Decimal(1), 0)
+    assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
+    assert run.records == []
 
 
 def test_execute_activation_rejects_other_nodes():
     config = scenario(BASIC_SENSOR, duration=1)
     run = ScenarioRun(config)
-    with pytest.raises(NotAnActivationEventError):
-        run.execute_activation(Iri("https://example.org/rt/obj"), (), 0)
+    opd = Iri("https://example.org/rt/opd")
+    # HP14 must start at an activation event; ex:obj is an asset
+    with pytest.raises(StatementViolationError) as err:
+        run.execute_activation(Iri("https://example.org/rt/obj"),
+                               [(Action(ActionKind.ALERT, opd.value, "email"), opd)], 0)
+    assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
+    assert run.records == []
 
 
 def test_signal_payload_bytes():
