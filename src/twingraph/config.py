@@ -13,9 +13,7 @@ thresholds never pass through binary floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
 from typing import NamedTuple
 
 from . import namespaces as ns
@@ -75,8 +73,7 @@ class ActivatorSpec(NamedTuple):
     action: str
 
 
-@dataclass(frozen=True)
-class SensorSpec:
+class SensorSpec(NamedTuple):
     iri: str
     measured_type: str
     unit: str
@@ -94,8 +91,7 @@ class DeciderSpec(NamedTuple):
     rules: tuple[Rule, ...]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     prefixes: dict[str, str]
     start: str
     tick_seconds: int
@@ -109,12 +105,6 @@ class ScenarioConfig:
     activators: tuple[ActivatorSpec, ...]
     sensors: tuple[SensorSpec, ...]
     decider: DeciderSpec
-
-    @cached_property
-    def sensor_order(self) -> tuple[SensorSpec, ...]:
-        """The sensors sorted by IRI, the order they sample in within a tick.
-        Sorted once per config: its sensors are fixed."""
-        return tuple(sorted(self.sensors, key=lambda s: s.iri))
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -18,7 +18,6 @@ time, or share it after writes stop and one ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import NamedTuple
@@ -36,8 +35,7 @@ from .errors import (
 from .ontology import LITERAL_KINDS, Registry
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Iri:
+class Iri(NamedTuple):
     """An absolute IRI; equality and order follow the expanded text."""
 
     value: str
@@ -46,8 +44,7 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """A typed literal in canonical lexical form. Build via Literal.of."""
 
     datatype: str
@@ -91,8 +88,7 @@ def _canonical_lexical(datatype: str, value) -> str:
     raise ValueError(f"unknown literal datatype {datatype!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Statement:
+class Statement(NamedTuple):
     subject: Iri
     property: str
     object: "Iri | Literal"
@@ -314,9 +310,10 @@ class Graph:
         current = resolved
         for properties, direction in _CHAIN_STEPS[skip:]:
             adjacent = into if direction == "in" else out
-            hit = next((s for s in adjacent.get(current.value, ())
-                        if s.property in properties), None)
-            if hit is None:
+            for hit in adjacent.get(current.value, ()):
+                if hit.property in properties:
+                    break
+            else:
                 break
             if cause is not None and "HP12" in properties:
                 hit = next((s for s in out.get(cause, ())

@@ -7,16 +7,15 @@ drawn from CIDOC CRM and its digital, scientific, service, and twin
 extensions, including the reactive layer (sensors, signals, deciders,
 activation events).
 
-Registries are immutable after construction: mutating operations return a
-new registry and never touch the receiver. Each class's ancestor set (the
-class and everything above it) is computed once, when the class is
-registered, from its parents' sets; subclass questions are set lookups.
+Registering returns a new registry and never changes the receiver's classes
+or properties. Each class's ancestor set (the class and everything above
+it) is computed once, when the class is registered, from its parents' sets;
+subclass questions are set lookups.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import namespaces as ns
@@ -53,16 +52,16 @@ class PropertyDef(NamedTuple):
     scope_note: str = ""
 
 
-@dataclass(frozen=True)
 class Registry:
-    classes: dict[str, OntologyClassDef] = field(default_factory=dict)
-    properties: dict[str, PropertyDef] = field(default_factory=dict)
-    # class id -> that class and all its ancestors; derived from `classes`
-    _ancestors: dict[str, frozenset[str]] = field(
-        default_factory=dict, compare=False, repr=False)
-    # class id -> that class and all its descendants, filled on first use
-    _descendants: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("classes", "properties", "_ancestors", "_descendants")
+
+    def __init__(self, classes=None, properties=None, _ancestors=None):
+        self.classes: dict[str, OntologyClassDef] = classes or {}
+        self.properties: dict[str, PropertyDef] = properties or {}
+        # class id -> that class and all its ancestors; derived from `classes`
+        self._ancestors: dict[str, frozenset[str]] = _ancestors or {}
+        # class id -> that class and all its descendants, filled on first use
+        self._descendants: dict[str, frozenset[str]] = {}
 
     # --- mutation (returns a new registry) ---
 

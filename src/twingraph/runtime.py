@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from datetime import timedelta
 from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
+from typing import NamedTuple
 
 from . import namespaces as ns
 from .canon import dumps_canonical, format_datetime_utc, parse_datetime_utc
@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     ScenarioError,
     TwingraphError,
+    UnknownObjectError,
 )
 from .graph import Graph, Iri
 from .ontology import Registry, load_seed
@@ -56,8 +57,7 @@ ACTUATION = "actuation"
 ALERT = "alert"
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One log line; records order totally by (tick, seq)."""
 
     tick: int
@@ -154,10 +154,10 @@ def generator_value(generator: Generator, index: int, stream_seed: int) -> Decim
 
 def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
     """Sensors due at a tick: (tick - phase) mod period = 0 and tick >= phase,
-    in expanded-IRI order. The order is the config's sensor_order, sorted
-    once per config; each tick only filters it."""
-    return [s for s in config.sensor_order
-            if tick >= s.phase and (tick - s.phase) % s.period == 0]
+    sorted by expanded IRI each call, so no order can go stale."""
+    return sorted((s for s in config.sensors
+                   if tick >= s.phase and (tick - s.phase) % s.period == 0),
+                  key=lambda s: s.iri)
 
 
 # --- the run ---
@@ -284,9 +284,12 @@ class ScenarioRun:
         fields = record.fields
         kind = record.kind
         if kind == MEASUREMENT:
+            state = self._sensors.get(fields["sensor"])
+            if state is None:  # checked first, so a refused record writes nothing
+                raise UnknownObjectError(f"unknown sensor {fields['sensor']}")
+            spec = state.spec
             measurement = g.add_entity(self._node(fields["measurement"]), "HC13")
             g.add_statement(measurement, "L12", self._node(fields["sensor"]))
-            spec = self._sensors[fields["sensor"]].spec
             g.add_statement(measurement, "O24", self._label_node("event", spec.observed_event, "E5"))
             g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
         elif kind == SIGNAL:
@@ -305,10 +308,10 @@ class ScenarioRun:
     # --- pipeline steps ---
 
     def sample(self, spec: SensorSpec, tick: int):
-        """Run one sampling act and log its measurement."""
+        """Run one sampling act of a config sensor and log its measurement."""
         state = self._sensors.get(spec.iri)
-        if state is None:  # a spec outside the config; its measurement's fold refuses it
-            state = self._sensors[spec.iri] = _SensorState(spec, self.config.seed)
+        if state is None:
+            raise UnknownObjectError(f"unknown sensor {spec.iri}")
         index = state.next_index
         state.next_index += 1
         try:

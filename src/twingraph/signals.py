@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .canon import dumps_canonical
 
 
-@dataclass(frozen=True, slots=True)
-class SignalPayload:
+class SignalPayload(NamedTuple):
     """What a signal carries from a measurement toward a decider."""
 
     signal_id: str

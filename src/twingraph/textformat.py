@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from operator import attrgetter
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import namespaces as ns
 from .errors import (
@@ -135,14 +134,12 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
 
 # --- raw layer ---
 
-@dataclass(slots=True)
-class RawLiteral:
+class RawLiteral(NamedTuple):
     value: str
     datatype: str
 
 
-@dataclass(slots=True)
-class RawTriple:  # each *_pos is an offset into the text; see RawDocument.lines
+class RawTriple(NamedTuple):  # each *_pos is an offset into the text; see RawDocument.lines
     subject: str
     subject_pos: int
     predicate: str
@@ -151,8 +148,7 @@ class RawTriple:  # each *_pos is an offset into the text; see RawDocument.lines
     object_pos: int
 
 
-@dataclass(slots=True)
-class RawType:
+class RawType(NamedTuple):
     subject: str
     subject_pos: int
     class_iri: str
@@ -290,8 +286,8 @@ class _Parser(Lookahead):
 def parse_raw(text: str) -> RawDocument:
     """Syntax-only parse: prefixes, type assertions, and raw triples. Scan
     diagnostics come before syntax diagnostics, each kind in text order.
-    The records are slotted, not frozen (a frozen __init__ costs twice as
-    much), and hold IRIs expanded and interned, each CURIE text once."""
+    The records are NamedTuples and hold IRIs expanded and interned, each
+    CURIE text once."""
     lines, scanned = Lines(text), []
     doc = _Parser(scan(lines, _TOKENS, _token, scanned, BAD), lines).run()
     doc.diagnostics[:0] = scanned

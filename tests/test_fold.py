@@ -6,7 +6,6 @@ run's graph, for finished runs, shortened runs and aborted runs alike; and
 no other code in runtime.py may write to the graph."""
 
 import ast
-import dataclasses
 import json
 import random
 
@@ -72,8 +71,8 @@ def test_run_aborted_by_missing_action_target_replays():
     rules, diagnostics = parse_rules(
         'RULE r WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:nosuch')
     assert not diagnostics
-    broken = dataclasses.replace(
-        config, decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
+    broken = config._replace(
+        decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
     with pytest.raises(StepFailure) as err:
         ScenarioRun(broken).run()
     assert isinstance(err.value.cause, ActionTargetMissingError)

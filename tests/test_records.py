@@ -1,14 +1,16 @@
-"""Record types: which classes are dataclasses, and how the others behave.
+"""Record types: every value record is a NamedTuple, and how they behave.
 
-Value records built once per config, rule, registry entry or finding are
-NamedTuples, which cost a fraction of a dataclass to define at import. The
-records built or read once per statement or log record stay slotted
-dataclasses, whose field reads are faster; SensorSpec and ScenarioConfig
-keep dataclasses.replace and a cached property; Registry stays frozen.
+A NamedTuple costs a fraction of a dataclass to define at import, and
+_replace is the one copy idiom. No class in the package is a dataclass, and
+importing the command line loads neither dataclasses nor the inspect module
+it pulls in. Registry is a plain class, so it is not a record here.
 """
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -17,6 +19,8 @@ import pytest
 from twingraph import (
     Graph,
     Iri,
+    Literal,
+    ScenarioRun,
     Statement,
     build_scenario,
     evaluate_rule,
@@ -27,24 +31,20 @@ from twingraph import (
     seed_class_table,
     seed_property_table,
 )
+from twingraph.textformat import parse_raw
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ROOT / "src" / "twingraph"
 NOISY = ROOT / "examples" / "pisano" / "scenario-noisy.json"
 EX = "https://example.org/r/"
 
-KEPT_DATACLASSES = {
-    "Iri", "Literal", "Statement", "EventRecord", "SignalPayload",  # hot
-    "RawLiteral", "RawTriple", "RawType",  # hot, in graph reading
-    "SensorSpec", "ScenarioConfig",  # dataclasses.replace, cached_property
-    "Registry",  # frozen
-}
-
 NAMED_TUPLES = {
     "ParseDiagnostic", "Action", "Rule", "Decision",
     "ConstantGen", "RampGen", "SineGen", "ListGen", "NoisyGen",
     "AssetSpec", "TwinSpec", "ActivatorSpec", "DeciderSpec",
     "OntologyClassDef", "PropertyDef", "Violation", "ValidationReport",
+    "Iri", "Literal", "Statement", "EventRecord", "SignalPayload",
+    "RawLiteral", "RawTriple", "RawType", "SensorSpec", "ScenarioConfig",
 }
 
 
@@ -56,16 +56,35 @@ def _is_dataclass_decorator(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id == "dataclass"
 
 
-def test_only_the_kept_classes_are_dataclasses():
+def test_no_class_is_a_dataclass_and_no_module_imports_dataclasses():
     sources = sorted(SOURCES.glob("*.py"))
     assert sources
-    decorated = []
+    found = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef) and any(
                     _is_dataclass_decorator(d) for d in node.decorator_list):
-                decorated.append(node.name)
-    assert sorted(decorated) == sorted(KEPT_DATACLASSES)
+                found.append(f"{path.name}: class {node.name}")
+            elif isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "dataclasses" for a in node.names):
+                found.append(f"{path.name}: import dataclasses")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(f"{path.name}: from dataclasses import")
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter; `site` may preload modules, so only what the
+    # import adds counts
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import twingraph.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(SOURCES.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _records() -> list:
@@ -93,11 +112,20 @@ def _records() -> list:
 
     _, diagnostics = parse('ex:a ex:p "oops .\n', load_seed())
 
+    run = ScenarioRun(config)
+    spec = config.sensors[0]
+    measurement, index, value = run.sample(spec, 0)
+    _, payload = run.make_signal(measurement, spec, index, value, 0)
+    raw = parse_raw(f'@prefix ex: <{EX}> .\nex:a a ex:C ; ex:p "x" .\n')
+
     return [diagnostics[0], rule.actions[0], rule, decision,
             *generators, noisy.inner, noisy,
             config.assets[0], config.twin, config.activators[0], config.decider,
             seed_class_table()[0], seed_property_table()[0],
-            report.violations[0], report]
+            report.violations[0], report,
+            graph.resolve("ex:place"), Literal.of("decimal", "1.50"),
+            report.violations[0].statement, run.records[0], payload,
+            raw.triples[0].object, raw.triples[0], raw.types[0], spec, config]
 
 
 RECORDS = _records()

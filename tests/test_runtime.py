@@ -1,6 +1,5 @@
 """Reactive runtime: scheduling, generators, step semantics, logging."""
 
-import dataclasses
 import json
 import random
 import statistics
@@ -181,7 +180,7 @@ def test_schedule_matches_brute_force():
     curie_of = {bases[c[0]] + c[2:]: c for c in curies}
     # another sensor set from a config whose order was already used
     schedule_due(config, 0)
-    fewer = dataclasses.replace(config, sensors=config.sensors[3:] + config.sensors[:2])
+    fewer = config._replace(sensors=config.sensors[3:] + config.sensors[:2])
     for cfg in (config, crossed, fewer):
         dues = [schedule_due(cfg, tick) for tick in range(12)]
         for tick, due in enumerate(dues):
@@ -191,7 +190,6 @@ def test_schedule_matches_brute_force():
                 key=lambda s: s.iri)
             assert [s.iri for s in due] == [s.iri for s in expected]
         if cfg is crossed:
-            assert sorted(curie_of) == [s.iri for s in cfg.sensor_order]
             assert any([curie_of[s.iri] for s in due] != sorted(curie_of[s.iri] for s in due)
                        for due in dues)
 
@@ -294,10 +292,37 @@ def test_sample_rejects_unknown_sensor():
                        software="ex:sw", generator=ConstantGen(Decimal(1)),
                        positioned_on=None, located_in="ex:room",
                        period=1, phase=0, observed_event="humidity")
-    # the measurement's fold links it to a sensor node the graph lacks
     with pytest.raises(UnknownObjectError, match="ex:ghost"):
         run.sample(ghost, 0)
     assert run.records == []
+    assert run.graph.content_equal(ScenarioRun(config).graph)
+
+
+NOISY = "examples/pisano/scenario-noisy.json"
+DEHUMIDIFIER = "https://example.org/pisano/dehumidifier"  # an activator, not a sensor
+
+
+def test_sample_of_an_activator_is_refused_and_writes_nothing():
+    config = load_scenario(NOISY)
+    assert DEHUMIDIFIER in {a.iri for a in config.activators}
+    run = ScenarioRun(config)
+    with pytest.raises(UnknownObjectError, match=f"unknown sensor {DEHUMIDIFIER}"):
+        run.sample(config.sensors[0]._replace(iri=DEHUMIDIFIER), 0)
+    assert run.records == []
+    assert run.graph.content_equal(ScenarioRun(config).graph)
+
+
+def test_fold_of_an_activator_measurement_is_refused_and_writes_nothing():
+    config = load_scenario(NOISY)
+    record = run_scenario(config, until=1).records[0]
+    assert record.kind == "measurement"
+    fields = dict(record.fields, sensor=DEHUMIDIFIER,
+                  measurement="https://example.org/run/m/dehumidifier/0")
+    run = ScenarioRun(config)
+    with pytest.raises(UnknownObjectError, match=f"unknown sensor {DEHUMIDIFIER}"):
+        run.fold(record._replace(fields=fields))
+    assert run.records == []
+    assert run.graph.content_equal(ScenarioRun(config).graph)
 
 
 def test_make_signal_rejects_non_measurement():
@@ -423,9 +448,8 @@ def test_missing_action_target_aborts_atomically():
     rules, diagnostics = parse_rules(
         'RULE r WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:nosuch')
     assert not diagnostics
-    import dataclasses
-    broken = dataclasses.replace(
-        config, decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
+    broken = config._replace(
+        decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
     with pytest.raises(StepFailure) as err:
         run_scenario(broken)
     failure = err.value
@@ -443,10 +467,10 @@ def test_config_iri_the_graph_text_cannot_carry_is_refused(text):
     # a config built by hand skips build_scenario's checks; the graph written
     # from it would not parse back
     config = load_scenario("examples/pisano/scenario.json")
-    sensors = tuple(dataclasses.replace(s, iri=text) if s.iri.endswith("/hygrometer") else s
+    sensors = tuple(s._replace(iri=text) if s.iri.endswith("/hygrometer") else s
                     for s in config.sensors)
     with pytest.raises(ConfigError, match=f"{text!r} is not an absolute IRI"):
-        ScenarioRun(dataclasses.replace(config, sensors=sensors))
+        ScenarioRun(config._replace(sensors=sensors))
 
 
 def test_activation_targets_share_one_iri_each():
