@@ -3,11 +3,12 @@
 The scan is a generator that the parsers pull from, each keeping one token
 of lookahead (Lookahead), so no token list is built. A grammar supplies
 named groups, compiled by master(), and a function that turns one match into
-a token. Each match starts with the blanks and line ends before its token,
-so one loop step makes one token, and trailing blanks go with an empty
-end-of-text group. The loop owns the "unexpected character" fallback and the
-EOF token. Some group matches any character and every group but the end
-consumes one at least, so a scan always moves forward and terminates.
+a token (kind, text, pos); a plain group, named after its kind, takes no call.
+Each match starts with the blanks and line ends before its token, so one
+loop step makes one token, and trailing blanks go with an empty end-of-text
+group. The loop owns the "unexpected character" fallback and the EOF token.
+Some group matches any character and every group but the end consumes one
+at least, so a scan always moves forward and terminates.
 
 Lookahead also reports a parser's diagnostics. Its reject reports an error
 and raises Rejected, which ends a statement or a rule; the parser resyncs.
@@ -33,8 +34,6 @@ class Token(NamedTuple):
     kind: str
     text: str
     pos: int  # offset of the token's first character
-    prefix: str = ""  # prefix and local name of a graph-text PNAME
-    local: str = ""
 
 
 class Lines:
@@ -97,19 +96,23 @@ class Lookahead:
 
 
 def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"],
-         diagnostics: list[ParseDiagnostic], bad: str | None = None) -> Iterator[Token]:
+         diagnostics: list[ParseDiagnostic], bad: str | None = None,
+         plain: frozenset[str] = frozenset()) -> Iterator[Token]:
     """Yield the tokens of lines.text, ending with an EOF token, and append
     its diagnostics to the given list as the scan reaches them.
 
-    build(kind, match, lines, diagnostics) returns the token for a match of
-    the grammar group `kind` (the match's tail, after its blanks), or None,
+    A match of a group named in `plain` is the token (kind, its text, its
+    start). build(kind, match, lines, diagnostics) returns the token for any
+    other grammar group `kind` (the match's tail, after its blanks), or None,
     and appends any diagnostics. An unexpected character is an error; it is
     kept as a token of kind `bad` when one is given, and dropped otherwise.
     """
     rest = None  # the last comment's match, for EOF
     for m in pattern.finditer(lines.text):
         kind = m.lastgroup
-        if kind == "unexpected":
+        if kind in plain:  # a tuple, as the NamedTuple's own __new__ costs more
+            yield tuple.__new__(Token, (kind, m.group(kind), m.start(kind)))
+        elif kind == "unexpected":
             pos, char = m.start(kind), m.group(kind)
             diagnostics.append(lines.diagnostic(pos, f"unexpected character {char!r}"))
             if bad is not None:

@@ -121,6 +121,7 @@ _TOKENS = master(rf"""
   | (?P<bang>!)
   | (?P<rest>\#[^\n]*|"[^"\n]*)  # a comment, or an unterminated string
 """)
+_PLAIN = frozenset((CMP, TARGET, NUMBER, COMMA))  # groups named after their kinds
 
 
 def _token(kind, m, lines, diagnostics) -> Token | None:
@@ -130,8 +131,6 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
         return Token(WORD if m.group("curie") is None else TARGET, text, pos)
     if kind == "string":
         return Token(STRING, text[1:-1], pos)
-    if kind in (CMP, TARGET, NUMBER, COMMA):  # groups named after their kinds
-        return Token(kind, text, pos)
     if kind == "bang":
         message = "stray '!'"
     elif text[0] == '"':
@@ -244,7 +243,7 @@ class _RuleParser(Lookahead):
 def parse_rules(text: str) -> tuple[list[Rule] | None, list[ParseDiagnostic]]:
     """Parse a rule block. Returns (rules, diagnostics); rules is None on error."""
     lines, diagnostics = Lines(text), []  # the scan's, then the parser's
-    parser = _RuleParser(scan(lines, _TOKENS, _token, diagnostics), lines)
+    parser = _RuleParser(scan(lines, _TOKENS, _token, diagnostics, plain=_PLAIN), lines)
     rules = parser.run()
     diagnostics += parser.diagnostics
     if has_errors(diagnostics):

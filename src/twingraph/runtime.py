@@ -333,7 +333,10 @@ class ScenarioRun:
     def make_signal(self, measurement: Iri, spec: SensorSpec, index: int,
                     value: Decimal, tick: int):
         """Wrap a measurement's value in a fresh signal and log it."""
-        signal = self._fresh("sig", self._sensors[spec.iri].local, index)
+        state = self._sensors.get(spec.iri)
+        if state is None:
+            raise UnknownObjectError(f"unknown sensor {spec.iri}")
+        signal = self._fresh("sig", state.local, index)
         payload = SignalPayload(
             signal_id=signal.value,
             sensor_id=spec.iri,

@@ -67,7 +67,8 @@ PUNCT = "punct"
 BAD = "bad"
 
 _TOKENS = master(rf"""
-    (?P<word>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*)(?::(?P<local>{ns.LOCAL_NAME})|://{ns.LOCAL_NAME})?)
+    (?P<pname>[A-Za-z][A-Za-z0-9_-]*:{ns.LOCAL_NAME})
+  | (?P<a>a)(?![A-Za-z0-9_-]|:(?!////))  # no ':' that starts a PNAME or a word
   | (?P<punct>[;,.])
   | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
   | (?P<string>"(?P<body>(?:[^"\\\n\r]+|\\[\s\S]?)*)(?P<closed>")?)  # '\' takes any next char
@@ -75,9 +76,11 @@ _TOKENS = master(rf"""
   | (?P<caret>\^\^?)
   | (?P<directive>@[A-Za-z]*)
   | (?P<rest>\#[^\n]*)
+  | (?P<word>[A-Za-z][A-Za-z0-9_-]*(?:://{ns.LOCAL_NAME})?)  # no PNAME and not 'a': bad
 """)
+_PLAIN = frozenset((PNAME, WORD_A, PUNCT, NUMBER))  # groups named after their kinds
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
-_new = tuple.__new__  # a Token at half the cost of the namedtuple's Python-level __new__
+_new = tuple.__new__  # a record at half the cost of the NamedTuple's Python-level __new__
 
 
 def _bad(lines, diagnostics, message, text, pos) -> Token:
@@ -89,14 +92,7 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
     text = m.group(kind)
     pos = m.end() - len(text)
     if kind == "word":
-        prefix, local = m.group("prefix", "local")
-        if local is not None:
-            return _new(Token, (PNAME, text, pos, prefix, local))
-        if text == "a":
-            return _new(Token, (WORD_A, text, pos, "", ""))
         return _bad(lines, diagnostics, f"unexpected word {text!r}", text, pos)
-    if kind == PUNCT or kind == NUMBER:  # groups named after their kinds
-        return _new(Token, (kind, text, pos, "", ""))
     if kind == "string":
         value = m.group("body")
         if "\\" in value:
@@ -111,7 +107,7 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
             value = _ESCAPE_RE.sub(unescape, value)
         if m.group("closed") is None:
             return _bad(lines, diagnostics, "unterminated string literal", value, pos)
-        return _new(Token, (STRING, value, pos, "", ""))
+        return _new(Token, (STRING, value, pos))
     if kind == "iri":
         if text[-1] != ">":
             return _bad(lines, diagnostics, "unterminated IRI reference", text, pos)
@@ -120,14 +116,14 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
             return _bad(lines, diagnostics, f"invalid character in IRI {text!r}", iri, pos)
         if not ns.is_absolute_iri(iri):
             return _bad(lines, diagnostics, f"relative IRIs are not allowed: {text}", iri, pos)
-        return _new(Token, (IRIREF, iri, pos, "", ""))
+        return _new(Token, (IRIREF, iri, pos))
     if kind == "caret":
         if text == DTSEP:
-            return _new(Token, (DTSEP, text, pos, "", ""))
+            return _new(Token, (DTSEP, text, pos))
         return _bad(lines, diagnostics, "stray '^'", text, pos)
     if kind == "directive":
         if text == AT_PREFIX:
-            return _new(Token, (AT_PREFIX, text, pos, "", ""))
+            return _new(Token, (AT_PREFIX, text, pos))
         return _bad(lines, diagnostics, f"unknown directive {text}", text, pos)
     return None  # rest: a comment
 
@@ -186,15 +182,17 @@ class _Parser(Lookahead):
     def resolve(self, token: Token) -> str:
         """The interned IRI of an IRIREF or PNAME token; an undeclared prefix
         rejects the statement. curies memoizes CURIEs only (<p:x> is not
-        p:x) and is cleared whenever @prefix stores a base."""
+        p:x), so each distinct CURIE text is split at its ':' once; it is
+        cleared whenever @prefix stores a base."""
         if token.kind == IRIREF:
             return self.iris.setdefault(token.text, token.text)
         iri = self.curies.get(token.text)
         if iri is None:
-            base = self.doc.prefixes.get(token.prefix, ns.DEFAULT_PREFIXES.get(token.prefix))
+            prefix, _, local = token.text.partition(":")
+            base = self.doc.prefixes.get(prefix, ns.DEFAULT_PREFIXES.get(prefix))
             if base is None:
-                self.reject(token, f"undeclared prefix {token.prefix!r}")
-            iri = base + token.local
+                self.reject(token, f"undeclared prefix {prefix!r}")
+            iri = base + local
             iri = self.curies[token.text] = self.iris.setdefault(iri, iri)
         return iri
 
@@ -212,10 +210,9 @@ class _Parser(Lookahead):
     def prefix_directive(self) -> None:
         self.take()
         name_token = self.take()
-        if name_token.kind != PNAME or name_token.local:
+        name, _, local = name_token.text.partition(":")  # a PNAME name fits PREFIX_NAME_RE
+        if name_token.kind != PNAME or local:
             self.reject(name_token, "expected a prefix name ending in ':'")
-        if not ns.PREFIX_NAME_RE.match(name_token.prefix):
-            self.reject(name_token, f"invalid prefix name {name_token.prefix!r}")
         iri_token = self.take()
         if iri_token.kind != IRIREF:
             self.reject(iri_token, "expected an IRI reference in '@prefix'")
@@ -223,9 +220,9 @@ class _Parser(Lookahead):
         if dot.kind != PUNCT or dot.text != ".":  # reported, but the prefix stands
             self.error(dot, "expected '.' after '@prefix' declaration")
             self.skip_statement()
-        if name_token.prefix in self.doc.prefixes:
-            self.error(name_token, f"prefix {name_token.prefix!r} redeclared", SEVERITY_WARNING)
-        self.doc.prefixes[name_token.prefix] = iri_token.text
+        if name in self.doc.prefixes:
+            self.error(name_token, f"prefix {name!r} redeclared", SEVERITY_WARNING)
+        self.doc.prefixes[name] = iri_token.text
         self.curies.clear()
 
     def triple(self) -> None:
@@ -265,10 +262,10 @@ class _Parser(Lookahead):
         if predicate is None:
             if isinstance(obj, RawLiteral):
                 self.reject(token, "'a' takes a class reference, not a literal")
-            self.doc.types.append(RawType(subject, subject_pos, obj, token.pos))
+            self.doc.types.append(_new(RawType, (subject, subject_pos, obj, token.pos)))
         else:
-            self.doc.triples.append(RawTriple(
-                subject, subject_pos, predicate, predicate_pos, obj, token.pos))
+            self.doc.triples.append(_new(RawTriple, (
+                subject, subject_pos, predicate, predicate_pos, obj, token.pos)))
 
     def string_literal(self, token: Token) -> RawLiteral:
         if self.current.kind != DTSEP:
@@ -287,9 +284,9 @@ def parse_raw(text: str) -> RawDocument:
     """Syntax-only parse: prefixes, type assertions, and raw triples. Scan
     diagnostics come before syntax diagnostics, each kind in text order.
     The records are NamedTuples and hold IRIs expanded and interned, each
-    CURIE text once."""
+    distinct CURIE text split and expanded once."""
     lines, scanned = Lines(text), []
-    doc = _Parser(scan(lines, _TOKENS, _token, scanned, BAD), lines).run()
+    doc = _Parser(scan(lines, _TOKENS, _token, scanned, BAD, _PLAIN), lines).run()
     doc.diagnostics[:0] = scanned
     return doc
 
@@ -343,7 +340,7 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
         else:
             obj = iri(triple.object)
         try:
-            graph.insert(Statement(iri(triple.subject), property_id, obj))
+            graph.insert(_new(Statement, (iri(triple.subject), property_id, obj)))
         except UnknownSubjectError as exc:
             fail(triple.subject_pos, f"UnknownSubject: {exc}")
         except UnknownObjectError as exc:

@@ -5,7 +5,9 @@ these replaced; the scan must reproduce them exactly. One graph row differs:
 those tokenizers let a bare CR inside <...> through to the graph builder,
 which then raised; it is now an IRI diagnostic like a space. The
 `invalid character in IRI` messages quote the IRI as a Python repr, so a CR
-in it prints as `\\r` and cannot move a terminal's cursor.
+in it prints as `\\r` and cannot move a terminal's cursor. The boundary rows
+(`a`, PNAME and bad word) were recorded from the scan that read all three as
+one `word` group, before each got a group of its own.
 """
 
 import json
@@ -125,6 +127,30 @@ GRAPH_TABLE = [
      [('string', 'abc', 1, 1), ('pname', 'ex:z', 2, 7, 'ex', 'z'), ('eof', '', 2, 11)],
      [(1, 3, 'unknown escape sequence at column 4'),
       (2, 2, 'unknown escape sequence at column 3')]),
+    # boundary rows: where 'a', a PNAME and a bad word part
+    ('a', [('a', 'a', 1, 1), ('eof', '', 1, 2)], []),
+    ('a;', [('a', 'a', 1, 1), ('punct', ';', 1, 2), ('eof', '', 1, 3)], []),
+    ('a.', [('a', 'a', 1, 1), ('punct', '.', 1, 2), ('eof', '', 1, 3)], []),
+    ('ab', [('bad', 'ab', 1, 1), ('eof', '', 1, 3)], [(1, 1, "unexpected word 'ab'")]),
+    ('a-b', [('bad', 'a-b', 1, 1), ('eof', '', 1, 4)], [(1, 1, "unexpected word 'a-b'")]),
+    ('a:b', [('pname', 'a:b', 1, 1, 'a', 'b'), ('eof', '', 1, 4)], []),
+    ('a:', [('pname', 'a:', 1, 1, 'a', ''), ('eof', '', 1, 3)], []),
+    ('a:/x', [('pname', 'a:/x', 1, 1, 'a', '/x'), ('eof', '', 1, 5)], []),
+    ('a://x', [('bad', 'a://x', 1, 1), ('eof', '', 1, 6)], [(1, 1, "unexpected word 'a://x'")]),
+    ('a:///x', [('bad', 'a:///x', 1, 1), ('eof', '', 1, 7)], [(1, 1, "unexpected word 'a:///x'")]),
+    ('a:////x',  # no PNAME (its local name cannot start '//') and no word: 'a' stands
+     [('a', 'a', 1, 1), ('bad', ':', 1, 2), ('bad', '/', 1, 3), ('bad', '/', 1, 4),
+      ('bad', '/', 1, 5), ('bad', '/', 1, 6), ('bad', 'x', 1, 7), ('eof', '', 1, 8)],
+     [(1, 2, "unexpected character ':'"), (1, 3, "unexpected character '/'"),
+      (1, 4, "unexpected character '/'"), (1, 5, "unexpected character '/'"),
+      (1, 6, "unexpected character '/'"), (1, 7, "unexpected word 'x'")]),
+    ('A', [('bad', 'A', 1, 1), ('eof', '', 1, 2)], [(1, 1, "unexpected word 'A'")]),
+    ('ex:a.b.',
+     [('pname', 'ex:a.b', 1, 1, 'ex', 'a.b'), ('punct', '.', 1, 7), ('eof', '', 1, 8)],
+     []),
+    ('http://x',
+     [('bad', 'http://x', 1, 1), ('eof', '', 1, 9)],
+     [(1, 1, "unexpected word 'http://x'")]),
 ]
 
 RULES_TABLE = [
@@ -197,11 +223,13 @@ Placed = namedtuple("Placed", "kind text line col prefix local")
 
 
 def _tokenize(grammar, text):
-    # a whole scan, each token placed at its line:col, and its diagnostics
+    # a whole scan, each token placed at its line:col, and its diagnostics; a
+    # PNAME's prefix and local name are split from its text as _Parser.resolve does
     lines, diagnostics = Lines(text), []
     bad = getattr(grammar, "BAD", None)  # rules drop an unexpected character
-    tokens = scan(lines, grammar._TOKENS, grammar._token, diagnostics, bad)
-    return [Placed(t.kind, t.text, *lines(t.pos), t.prefix, t.local) for t in tokens], diagnostics
+    tokens = scan(lines, grammar._TOKENS, grammar._token, diagnostics, bad, grammar._PLAIN)
+    return [Placed(t.kind, t.text, *lines(t.pos), *t.text.partition(":")[::2])
+            for t in tokens], diagnostics
 
 
 def _flatten(tokens):

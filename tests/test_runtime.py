@@ -325,6 +325,18 @@ def test_fold_of_an_activator_measurement_is_refused_and_writes_nothing():
     assert run.graph.content_equal(ScenarioRun(config).graph)
 
 
+def test_make_signal_of_an_activator_is_refused_and_writes_nothing():
+    config = load_scenario(NOISY)
+    run, before = ScenarioRun(config), ScenarioRun(config)
+    measurement, index, value = run.sample(config.sensors[0], 0)
+    before.sample(config.sensors[0], 0)
+    spec = config.sensors[0]._replace(iri=DEHUMIDIFIER)
+    with pytest.raises(UnknownObjectError, match=f"unknown sensor {DEHUMIDIFIER}"):
+        run.make_signal(measurement, spec, index, value, 0)
+    assert run.records == before.records
+    assert run.graph.content_equal(before.graph)
+
+
 def test_make_signal_rejects_non_measurement():
     config = scenario(BASIC_SENSOR, duration=1)
     run = ScenarioRun(config)
