@@ -6,7 +6,9 @@ known nodes, the property must be registered, a literal must parse as its
 datatype, and the node types must satisfy the property's domain and range.
 A graph built through this API can therefore never hold an ill-typed
 statement; validate() re-checks by the same rule for statements inserted by
-other means.
+other means. A graph keeps the (property, subject types, object types)
+signature of each IRI statement that passed its domain and class-range
+checks and skips them for the next; failures and plain sets are never kept.
 
 The statements are one append-only ordered set, a dict keyed by statement:
 duplicates collapse and insertion order is kept for queries and provenance
@@ -143,6 +145,7 @@ class Graph:
         # Each node's classes, one shared frozenset per distinct combination.
         self.nodes: dict[str, frozenset[str]] = {}
         self._type_sets: dict[frozenset[str], frozenset[str]] = {}
+        self._passed: set[tuple] = set()  # signatures that passed; see the module docstring
         # Append-only ordered set: the keys, in insertion order.
         self.statements: dict[Statement, None] = {}
         self._out: dict[str, list[Statement]] = {}
@@ -204,10 +207,15 @@ class Graph:
         if not subject_types:
             return ViolationReason.UNKNOWN_SUBJECT, f"unknown subject {statement.subject}"
         obj = statement.object
+        signature = None
         if isinstance(obj, Iri):
             object_types = self.nodes.get(obj.value)
             if not object_types:
                 return ViolationReason.UNKNOWN_OBJECT, f"unknown object {obj}"
+            if type(subject_types) is type(object_types) is frozenset:  # a plain set: no hash
+                signature = (statement.property, subject_types, object_types)
+                if signature in self._passed:
+                    return None
             if pdef.range in LITERAL_KINDS:
                 return (ViolationReason.RANGE_VIOLATION,
                         f"{statement.property} expects a {pdef.range} literal, got an IRI")
@@ -234,6 +242,8 @@ class Graph:
         elif obj.datatype != pdef.range:
             return (ViolationReason.DATATYPE_VIOLATION,
                     f"{statement.property} expects a {pdef.range} literal, got {obj.datatype}")
+        if signature is not None:
+            self._passed.add(signature)
         return None
 
     # --- validation ---

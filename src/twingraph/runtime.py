@@ -57,6 +57,11 @@ ACTUATION = "actuation"
 ALERT = "alert"
 
 
+# kind -> (end field, property, node field, class): fold types the new node, links the end
+_MINTS = {SIGNAL: ("measurement", "L20", "signal", "HC12"),
+          ACTIVATION: ("decider", "O13", "activation", "HC14")}
+
+
 class EventRecord(NamedTuple):
     """One log line; records order totally by (tick, seq)."""
 
@@ -292,14 +297,22 @@ class ScenarioRun:
             g.add_statement(measurement, "L12", self._node(fields["sensor"]))
             g.add_statement(measurement, "O24", self._label_node("event", spec.observed_event, "E5"))
             g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
-        elif kind == SIGNAL:
-            measurement = self._node(fields["measurement"])
-            g.add_statement(measurement, "L20", g.add_entity(self._node(fields["signal"]), "HC12"))
+        elif kind in _MINTS:
+            end_field, property_id, field, class_id = _MINTS[kind]
+            end = self._node(fields[end_field])  # first: a measurement record minted its Iri
+            node = self._node(fields[field])
+            before = g.nodes.get(node.value)
+            g.add_entity(node, class_id)
+            try:
+                g.add_statement(end, property_id, node)
+            except TwingraphError:  # its types go back: a refused record writes nothing
+                if before is None:
+                    del g.nodes[node.value]
+                else:
+                    g.nodes[node.value] = before
+                raise
         elif kind == TRANSMISSION:
             g.add_statement(self._node(fields["signal"]), "HP12", self._node(fields["decider"]))
-        elif kind == ACTIVATION:
-            activation = g.add_entity(self._node(fields["activation"]), "HC14")
-            g.add_statement(self._node(fields["decider"]), "O13", activation)
         elif kind == ACTUATION:
             g.add_statement(self._node(fields["activation"]), "HP13", self._node(fields["activator"]))
         elif kind == ALERT:

@@ -359,7 +359,8 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
 # --- canonical emission ---
 
 def emit(graph: Graph) -> str:
-    """Canonical text for a graph; a byte-level fixed point under parse."""
+    """Canonical text for a graph; a byte-level fixed point under parse.
+    Each IRI, type set and property is rendered once per call."""
     rendering = dict(ns.DEFAULT_PREFIXES)
     rendering.update(graph.prefixes)
     # Longest declared IRI wins; name breaks ties. Precomputed and sorted so
@@ -398,15 +399,22 @@ def emit(graph: Graph) -> str:
     for statement in graph.statements:
         by_subject.setdefault(statement.subject.value, []).append(statement)
 
+    @cache  # each type set's 'a' list; frozenset() of an interned set is that set
+    def type_list(types: frozenset[str]) -> str:
+        return ", ".join(sorted(render_iri(graph.registry.class_iri(t)) for t in types))
+
+    @cache  # and each property's '    prefix:Pxx ' head
+    def head(property_id: str) -> str:
+        return f"    {render_iri(graph.registry.property_iri(property_id))} "
+
     blocks = [""]  # slot 0: the header, set last as it names the prefixes used
     for subject in sorted(graph.nodes):
-        types = sorted(render_iri(graph.registry.class_iri(t))
-                       for t in graph.nodes[subject])
-        lines = [f"\n{render_iri(subject)} a {', '.join(types)}"]
-        statements = sorted(by_subject.pop(subject, ()), key=statement_sort_key)
+        lines = [f"\n{render_iri(subject)} a {type_list(frozenset(graph.nodes[subject]))}"]
+        statements = by_subject.pop(subject, ())
+        if len(statements) > 1:
+            statements.sort(key=statement_sort_key)
         for property_id, group in groupby(statements, key=attrgetter("property")):
-            lines.append(f"    {render_iri(graph.registry.property_iri(property_id))} "
-                         f"{', '.join(render_object(s.object) for s in group)}")
+            lines.append(head(property_id) + ", ".join([render_object(s.object) for s in group]))
         blocks.append(" ;\n".join(lines) + " .\n")
 
     declared = {name: rendering[name] for name in set(graph.prefixes) | used}

@@ -7,6 +7,7 @@ wrong (30-digit decimals, years before 1000, non-ASCII digits).
 
 import json
 import re
+from collections import OrderedDict
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -69,6 +70,15 @@ DUMPS_TABLE = [
     ([_Count(3), _Amount("1.50"), True, _Text("")], '[3,1.5,true,""]'),
     ((1, [(_Text("a"), ()), ["b", (Decimal("2.0"), [None])]], ({"t": (1,)},)),
      '[1,[["a",[]],["b",[2,[null]]]],[{"t":[1]}]]'),
+    # dict values through the exact-type encoder table, and subclasses and
+    # an OrderedDict through its isinstance fallback
+    ({"b": True, "a": False, "c": None}, '{"a":false,"b":true,"c":null}'),
+    ({"n": _Count(2)}, '{"n":2}'),
+    ({"x": _Amount("1.50")}, '{"x":1.5}'),
+    (OrderedDict([("z", 1), ("a", [True, None])]), '{"a":[true,null],"z":1}'),
+    ({"t": (1, "a", (Decimal("2.0"),))}, '{"t":[1,"a",[2]]}'),
+    ({"o": OrderedDict(b=_Count(0), a=_Amount("-0"))}, '{"o":{"a":0,"b":0}}'),
+    ([True, _Count(-7), {"k": (None,)}], '[true,-7,{"k":[null]}]'),
 ]
 
 

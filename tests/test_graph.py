@@ -425,3 +425,104 @@ def test_validate_reason_table(seed_registry, case, subject, property_id, obj, e
     report = g.validate()
     assert [v.reason.name for v in report.violations] == expected
     assert report.ok == (not expected)
+
+
+# --- verdicts per type signature: validate and insert against a plain reference ---
+
+def _signature_registry():
+    """A small tree under E1, so that about one statement in four passes:
+    E900 > E901 > E902, E900 > E903, and E904 on its own."""
+    from twingraph import OntologyClassDef, PropertyDef
+    registry = load_seed()
+    for cid, parent in (("E900", "E1"), ("E901", "E900"), ("E902", "E901"),
+                        ("E903", "E900"), ("E904", "E1")):
+        registry = registry.register_class(OntologyClassDef(cid, cid, "CRM", (parent,)))
+    for pid, domain, range_ in (("P900", "E900", "E900"), ("P901", "E901", "E903"),
+                                ("P902", "E1", "E904"), ("P903", "E902", "E901"),
+                                ("P904", "E903", "decimal")):
+        registry = registry.register_property(PropertyDef(pid, pid, "CRM", domain, range_))
+    return registry
+
+
+# Subclass-typed sets, a merged pair, the root, a set with an unregistered
+# class and one that also holds a class that matches; each node is placed
+# interned, or as a plain set.
+_TYPE_SETS = [{"E900"}, {"E901"}, {"E902"}, {"E903"}, {"E904"}, {"E902", "E904"}, {"E1"},
+              {"E999"}, {"E999", "E903"}]
+_PROPERTIES = ["P900", "P901", "P902", "P903", "P904", "P999"]
+_ERRORS = {
+    ViolationReason.UNKNOWN_PROPERTY: UnknownPropertyError,
+    ViolationReason.UNKNOWN_SUBJECT: UnknownSubjectError,
+    ViolationReason.UNKNOWN_OBJECT: UnknownObjectError,
+}
+
+
+def _reference_verdict(g, statement):
+    """The rule an IRI statement breaks, by Registry.falls_under per
+    statement and no memo; an unregistered class makes it raise."""
+    pdef = g.registry.properties.get(statement.property)
+    if pdef is None:
+        return ViolationReason.UNKNOWN_PROPERTY, f"unknown property {statement.property}"
+    subject_types = g.nodes.get(statement.subject.value)
+    if not subject_types:
+        return ViolationReason.UNKNOWN_SUBJECT, f"unknown subject {statement.subject}"
+    object_types = g.nodes.get(statement.object.value)
+    if not object_types:
+        return ViolationReason.UNKNOWN_OBJECT, f"unknown object {statement.object}"
+    if pdef.range == "decimal":
+        return (ViolationReason.RANGE_VIOLATION,
+                f"{statement.property} expects a decimal literal, got an IRI")
+    if not g.registry.falls_under(subject_types, pdef.domain):
+        return (ViolationReason.DOMAIN_VIOLATION,
+                f"subject of {statement.property} must fall under {pdef.domain}; "
+                f"found {sorted(subject_types)}")
+    if not g.registry.falls_under(object_types, pdef.range):
+        return (ViolationReason.RANGE_VIOLATION,
+                f"object of {statement.property} must fall under {pdef.range}; "
+                f"found {sorted(object_types)}")
+    return None
+
+
+def _typed_graph(registry, nodes):
+    g = Graph(registry)
+    for i, (types, plain) in enumerate(nodes):
+        iri = f"{_V}n{i}"
+        if plain:
+            g.nodes[iri] = set(types)
+        elif "E999" in types:  # add_entity refuses it: placed as a frozenset
+            g.nodes[iri] = frozenset(types)
+        else:
+            g.add_entity(Iri(iri), types)
+    return g
+
+
+_SIGNATURE_REGISTRY = _signature_registry()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signature_verdicts_match_a_per_statement_reference(data):
+    nodes = data.draw(st.lists(st.tuples(st.sampled_from(_TYPE_SETS), st.booleans()),
+                               min_size=2, max_size=8))
+    ends = st.integers(0, len(nodes)).map(lambda i: _iri(f"n{i}"))  # n{len}: unknown
+    statements = data.draw(st.lists(
+        st.builds(Statement, ends, st.sampled_from(_PROPERTIES), ends),
+        min_size=10, max_size=40))
+    reference, g, inserted = (_typed_graph(_SIGNATURE_REGISTRY, nodes) for _ in range(3))
+    expected = {}
+    for statement in statements:
+        try:
+            found = _reference_verdict(reference, statement)
+            error = found and _ERRORS.get(found[0], StatementViolationError)
+        except UnknownClassError as exc:
+            found, error = (ViolationReason.UNKNOWN_SUBJECT, str(exc)), UnknownClassError
+        if found is not None:
+            expected.setdefault(statement, (*found, statement))
+        g.statements[statement] = None  # unchecked
+        if error is None:
+            inserted.insert(statement)
+        else:
+            with pytest.raises(error):
+                inserted.insert(statement)
+    for _ in range(2):  # the second pass meets the signatures the first kept
+        assert [tuple(v) for v in g.validate().violations] == list(expected.values())

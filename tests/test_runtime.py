@@ -32,6 +32,7 @@ from twingraph.errors import (
     ConfigError,
     StatementViolationError,
     UnknownObjectError,
+    UnknownSubjectError,
 )
 from twingraph.graph import ViolationReason
 from twingraph.rules import Action, ActionKind
@@ -321,6 +322,50 @@ def test_fold_of_an_activator_measurement_is_refused_and_writes_nothing():
     run = ScenarioRun(config)
     with pytest.raises(UnknownObjectError, match=f"unknown sensor {DEHUMIDIFIER}"):
         run.fold(record._replace(fields=fields))
+    assert run.records == []
+    assert run.graph.content_equal(ScenarioRun(config).graph)
+
+
+def _first(records, kind):
+    return next(record for record in records if record.kind == kind)
+
+
+def test_fold_of_a_signal_before_its_measurement_is_refused_and_writes_nothing():
+    config = load_scenario(NOISY)
+    record = _first(run_scenario(config, until=1).records, "signal")
+    run = ScenarioRun(config)
+    with pytest.raises(UnknownSubjectError) as err:
+        run.fold(record)
+    assert str(err.value) == "unknown subject https://example.org/run/m/accelerometer/0"
+    assert run.records == []
+    assert run.graph.content_equal(ScenarioRun(config).graph)
+
+
+def test_fold_of_an_activation_by_an_undeclared_decider_is_refused_and_writes_nothing():
+    config = load_scenario(NOISY)
+    done = run_scenario(config, until=2)
+    record = _first(done.records, "activation")
+    ghost = "https://example.org/pisano/ghost"
+    run, before = ScenarioRun(config), ScenarioRun(config)
+    for earlier in done.records[:record.seq]:
+        run.fold(earlier)
+        before.fold(earlier)
+    with pytest.raises(UnknownSubjectError) as err:
+        run.fold(record._replace(fields=dict(record.fields, decider=ghost)))
+    assert str(err.value) == f"unknown subject {ghost}"
+    assert run.records == []
+    assert run.graph.content_equal(before.graph)
+    assert record.fields["activation"] not in run.graph.nodes
+
+
+def test_fold_of_a_signal_from_an_asset_is_refused_and_writes_nothing():
+    config = load_scenario(NOISY)
+    record = _first(run_scenario(config, until=1).records, "signal")
+    asset = config.assets[0].iri
+    run = ScenarioRun(config)
+    with pytest.raises(StatementViolationError) as err:
+        run.fold(record._replace(fields=dict(record.fields, measurement=asset)))
+    assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
     assert run.records == []
     assert run.graph.content_equal(ScenarioRun(config).graph)
 

@@ -1,11 +1,14 @@
-"""The read path scales linearly: a complexity gate that timer noise cannot move.
+"""Read and run paths scale linearly: a complexity gate that timer noise cannot move.
 
-One parse and one validate of bench/gen.py's graph-read document are traced
-with sys.settrace at 50, 100 and 200 ticks, and their trace events (call,
-line and return of every Python frame) are counted. The counts depend only
-on the input, so doubling the ticks may at most multiply them by 2.2, the
-ratio ROADMAP.md sets for every layer. A per-token rescan, a quadratic
-index or a lookup that grows with the document shows as a ratio near 4.
+Each layer is traced with sys.settrace at three sizes, each double the one
+before, and its trace events (call, line and return of every Python frame)
+are counted: one parse and one validate of bench/gen.py's graph-read
+document at 50, 100 and 200 ticks, and one ScenarioRun.run, emit and
+render_log of its run-alert scenario at 25, 50 and 100 ticks. The counts
+depend only on the input, so doubling the ticks may at most multiply them by
+2.2, the ratio ROADMAP.md sets for every layer. A per-token rescan, a
+quadratic index or a lookup that grows with the document shows as a ratio
+near 4. Work inside one C call, such as a sorted() per subject, is not seen.
 
 bench/gen.py is the one tests/test_run_digests.py executes from its source,
 so nothing is imported from or written under bench/."""
@@ -16,9 +19,10 @@ from functools import partial
 import pytest
 
 from test_run_digests import GEN
-from twingraph import parse
+from twingraph import ScenarioRun, emit, parse, parse_scenario, render_log
 
 TICKS = (50, 100, 200)
+RUN_TICKS = (25, 50, 100)
 MAX_RATIO = 2.2
 
 
@@ -56,19 +60,56 @@ def documents(seed_registry):
     return {ticks: GEN.run_shaped_graph(world, ticks).text for ticks in TICKS}
 
 
-@pytest.mark.parametrize("layer", ["parse", "validate"])
-def test_read_path_events_grow_linearly_with_ticks(layer, documents, seed_registry):
+def _assert_linear(layer, calls):
+    """calls yields (ticks, call) at doubling sizes; each call may make at
+    most MAX_RATIO times the trace events of the one before."""
     previous = None
-    for ticks in TICKS:
-        if layer == "parse":
-            call = partial(parse, documents[ticks], seed_registry)
-        else:
-            graph, diagnostics = parse(documents[ticks], seed_registry)
-            assert graph is not None, diagnostics[:3]
-            call = graph.validate
+    for ticks, call in calls:
         limit = MAX_RATIO * previous if previous else float("inf")
         events = _trace_events(call, limit)
         assert events is not None, (
             f"{layer} at {ticks} ticks passed {MAX_RATIO}x the trace events "
             f"of {ticks // 2} ticks ({previous})")
         previous = events
+
+
+@pytest.mark.parametrize("layer", ["parse", "validate"])
+def test_read_path_events_grow_linearly_with_ticks(layer, documents, seed_registry):
+    def calls():
+        for ticks in TICKS:
+            if layer == "parse":
+                yield ticks, partial(parse, documents[ticks], seed_registry)
+            else:
+                graph, diagnostics = parse(documents[ticks], seed_registry)
+                assert graph is not None, diagnostics[:3]
+                yield ticks, graph.validate
+
+    _assert_linear(layer, calls())
+
+
+@pytest.fixture(scope="module")
+def scenarios(seed_registry):
+    world = GEN.make_world(1)
+    warm = ScenarioRun(parse_scenario(GEN.scenario_text(world, 5, quiet=False)), seed_registry)
+    warm.run()  # fills the registry's and canon's memos before any count
+    render_log(warm.records)
+    return {ticks: parse_scenario(GEN.scenario_text(world, ticks, quiet=False))
+            for ticks in RUN_TICKS}
+
+
+@pytest.mark.parametrize("layer", ["run", "emit", "render_log"])
+def test_run_path_events_grow_linearly_with_ticks(layer, scenarios, seed_registry):
+    def calls():
+        for ticks in RUN_TICKS:
+            run = ScenarioRun(scenarios[ticks], seed_registry)
+            if layer == "run":
+                yield ticks, run.run
+                continue
+            run.run()
+            assert run.summary()["activations"] > 0
+            if layer == "emit":
+                yield ticks, partial(emit, run.graph)
+            else:
+                yield ticks, partial(render_log, run.records)
+
+    _assert_linear(layer, calls())

@@ -254,6 +254,26 @@ def test_block_and_property_ordering(seed_registry):
     assert "\n    rhdto:HP11" in text
 
 
+def test_types_placed_as_a_plain_set_emit_like_interned_ones(seed_registry):
+    # the bytes were recorded before emit rendered each type set once
+    g = Graph(seed_registry, {"ex": EX})
+    g.nodes[EX + "odd"] = {"HC3", "HC6"}  # placed directly, not through add_entity
+    g.add_entity("ex:asset", ["HC6", "HC3"])
+    g.add_entity("ex:place", "E53")
+    g.nodes[EX + "room"] = {"E53"}
+    g.add_statement("ex:odd", "P55", "ex:place")
+    g.add_statement("ex:odd", "P55", "ex:room")
+    g.add_statement("ex:asset", "P55", "ex:room")
+    assert emit(g) == (
+        "@prefix crm: <http://www.cidoc-crm.org/cidoc-crm/> .\n"
+        f"@prefix ex: <{EX}> .\n"
+        "@prefix hdto: <https://example.org/ns/hdto#> .\n"
+        "\nex:asset a hdto:HC3, hdto:HC6 ;\n    crm:P55 ex:room .\n"
+        "\nex:odd a hdto:HC3, hdto:HC6 ;\n    crm:P55 ex:place, ex:room .\n"
+        "\nex:place a crm:E53 .\n"
+        "\nex:room a crm:E53 .\n")
+
+
 def test_objects_sorted_iris_before_literals():
     registry = load_seed().register_property(PropertyDef(
         id="P81", label="note", namespace="CRM", domain="E1", range="string"))
