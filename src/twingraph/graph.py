@@ -4,7 +4,9 @@ A graph holds typed entity nodes and (subject, property, object) statements.
 Every statement is checked eagerly against the registry: both ends must be
 known nodes, the property must be registered, a literal must parse as its
 datatype, and the node types must satisfy the property's domain and range.
-A graph built through this API can therefore never hold an ill-typed
+add_statement resolves text terms against the graph's prefixes, takes an Iri
+subject and object as they are, and passes the Statement to the one checked
+insert, so a graph built through this API can never hold an ill-typed
 statement; validate() re-checks by the same rule for statements inserted by
 other means. A graph keeps the (property, subject types, object types)
 signature of each IRI statement that passed its domain and class-range
@@ -130,6 +132,8 @@ _CHAIN_STEPS = (
 _RUN_ACT, _RUN_SIG = ns.RUN_IRI + "act/", ns.RUN_IRI + "sig/"
 
 
+_new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
+
 # insert raises these for existence; StatementViolationError otherwise.
 _UNKNOWN_ERRORS = {
     ViolationReason.UNKNOWN_PROPERTY: UnknownPropertyError,
@@ -163,7 +167,7 @@ class Graph:
 
     def add_entity(self, iri, class_ids) -> Iri:
         """Create or extend a node; merged types make a new interned frozenset."""
-        node = self.resolve(iri)
+        node = iri if isinstance(iri, Iri) else self.resolve(iri)
         types = [class_ids] if isinstance(class_ids, str) else list(class_ids)
         if not types:
             raise UnknownClassError("a node needs at least one class")
@@ -175,7 +179,10 @@ class Graph:
         return node
 
     def add_statement(self, subject, property_id: str, obj) -> Statement:
-        """Validate and insert one statement; duplicates collapse silently."""
+        """Validate and insert one statement; duplicates collapse silently.
+        An Iri subject and an Iri object are taken as they are, unresolved."""
+        if isinstance(subject, Iri) and isinstance(obj, Iri):
+            return self.insert(_new(Statement, (subject, property_id, obj)))
         return self.insert(self._statement(subject, property_id, obj))
 
     def insert(self, statement: Statement) -> Statement:

@@ -20,6 +20,7 @@ import operator
 from collections.abc import Sequence
 from decimal import Decimal
 from enum import Enum
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from . import namespaces as ns
@@ -30,6 +31,7 @@ from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
 _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
 COMPARATORS = tuple(_OPERATORS)
+_new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
 
 _KEYWORDS = {"RULE", "WHEN", "TYPE", "AND", "VALUE", "FOR", "SAMPLES",
              "MODE", "ON_RISE", "EVERY", "THEN", "ACTIVATE", "ALERT", "VIA"}
@@ -69,37 +71,29 @@ class Decision(NamedTuple):
 
 # --- evaluation ---
 
-def compare(value: Decimal, comparator: str, threshold: Decimal) -> bool:
-    test = _OPERATORS.get(comparator)
-    if test is None:
-        raise ValueError(f"unknown comparator {comparator!r}")
-    return test(value, threshold)
-
-
 def evaluate_rule(rule: Rule, window: Sequence[Decimal]) -> Decision:
     """Evaluate a rule against a value window, newest last.
 
     The window must hold only values of the rule's measured type, and at
     least the last sustain+1 values seen so far (or all of them, if fewer);
-    ON_RISE needs one entry of lookback. An empty window never fires.
+    ON_RISE needs one entry of lookback. An empty window never fires. The
+    comparator is looked up once per call, and an unknown one raises
+    ValueError as soon as there are sustain >= 1 values to compare.
     """
-    n = len(window)
-    if n == 0:
-        return Decision(False, rule.id, ())
-    sustain, comparator, threshold = rule.sustain, rule.comparator, rule.threshold
-
-    def holds(end: int) -> bool:
-        if end + 1 < sustain:
-            return False
-        return all(compare(window[i], comparator, threshold)
-                   for i in range(end - sustain + 1, end + 1))
-
-    now = holds(n - 1)
-    if rule.mode is TriggerMode.EVERY:
-        fired = now
+    n, sustain = len(window), rule.sustain
+    if n == 0 or n < sustain:
+        fired = False
+    elif sustain < 1:  # nothing to compare: the condition holds at every end
+        fired = rule.mode is TriggerMode.EVERY or n == 1
     else:
-        fired = now and not (n >= 2 and holds(n - 2))
-    return Decision(fired, rule.id, rule.actions if fired else ())
+        test = _OPERATORS.get(rule.comparator)
+        if test is None:
+            raise ValueError(f"unknown comparator {rule.comparator!r}")
+        fired = all(map(test, islice(window, n - sustain, None), repeat(rule.threshold)))
+        if fired and rule.mode is not TriggerMode.EVERY and n > sustain:
+            # it held one entry back too unless the value before the last sustain fails
+            fired = not test(window[n - 1 - sustain], rule.threshold)
+    return _new(Decision, (fired, rule.id, rule.actions if fired else ()))
 
 
 # --- parsing ---

@@ -41,10 +41,12 @@ from .errors import (
     TwingraphError,
     UnknownObjectError,
 )
-from .graph import Graph, Iri
+from .graph import Graph, Iri, Statement
 from .ontology import Registry, load_seed
-from .rules import Action, ActionKind, evaluate_rule
+from .rules import Action, ActionKind, Rule, evaluate_rule
 from .signals import SignalPayload
+
+_new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
 
 # --- event records ---
 
@@ -192,9 +194,11 @@ class ScenarioRun:
         # no more than the run can sample, plus one; a type no rule reads keeps none.
         most = len(config.sensors) * config.duration
         sizes = {spec.measured_type: 0 for spec in config.sensors}
+        self._rules: dict[str, list[Rule]] = {}  # each measured type's rules, in rule order
         for rule in config.decider.rules:
             kind = rule.measured_type
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
+            self._rules.setdefault(kind, []).append(rule)
         self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
         self._activator_actions = {a.iri: a.action for a in config.activators}
         # Observed-event and type nodes by (kind, label), each added on first use.
@@ -256,28 +260,28 @@ class ScenarioRun:
         return self._clock[1]
 
     def _fresh(self, kind: str, sensor_local: str, index: int | str) -> Iri:
-        return Iri(f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}")
+        return _new(Iri, (f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}",))
 
     def _node(self, text: str) -> Iri:
         # a declared entity's one Iri, else one Iri per minted node: a record names
         # its own minted node and, looked up first, the one the record before it minted
         node = self._iris.get(text) or self._minted
         if node.value != text:
-            node = self._minted = Iri(text)
+            node = self._minted = _new(Iri, (text,))
         return node
 
     def _label_node(self, kind: str, label: str, class_id: str) -> Iri:
         # labels with one slug share a node; add_entity merges the repeat
         node = self._label_nodes.get((kind, label))
         if node is None:
-            node = Iri(f"{ns.RUN_IRI}{kind}/{ns.slug(label)}")
+            node = _new(Iri, (f"{ns.RUN_IRI}{kind}/{ns.slug(label)}",))
             self.graph.add_entity(node, class_id)
             self._label_nodes[kind, label] = node
         return node
 
     def _record(self, tick: int, kind: str, fields: dict) -> None:
         # folded before it is logged: a record the graph refuses takes no seq
-        record = EventRecord(tick, self._seq, kind, fields)
+        record = _new(EventRecord, (tick, self._seq, kind, fields))
         self.fold(record)
         self._seq += 1
         self.records.append(record)
@@ -350,14 +354,8 @@ class ScenarioRun:
         if state is None:
             raise UnknownObjectError(f"unknown sensor {spec.iri}")
         signal = self._fresh("sig", state.local, index)
-        payload = SignalPayload(
-            signal_id=signal.value,
-            sensor_id=spec.iri,
-            timestamp=self.timestamp(tick),
-            value=value,
-            unit=spec.unit,
-            measured_type=spec.measured_type,
-        )
+        payload = _new(SignalPayload, (signal.value, spec.iri, self.timestamp(tick), value,
+                                       spec.unit, spec.measured_type))
         self._record(tick, SIGNAL, {
             "measurement": measurement.value,
             "payload": payload.canonical(),
@@ -374,20 +372,27 @@ class ScenarioRun:
 
     def decide(self, payload: SignalPayload,
                tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
-        """Evaluate rules against the signal; at most one activation event.
+        """Evaluate the rules of the signal's measured type; at most one activation.
 
-        Returns it with its (action, target) pairs, one per kind and target
-        in first-fired order (the first ALERT's channel wins). Each target
-        is a declared entity's Iri, checked for its type before anything is
-        written, so a missing one aborts the step with the graph untouched.
+        A signal its sensor did not mint and transmit (no `signal HP12
+        decider` in the graph) is refused with UnknownObjectError before
+        anything is written. Returns the activation with its (action, target)
+        pairs, one per kind and target in first-fired order (the first
+        ALERT's channel wins). Each target is a declared entity's Iri, checked
+        for its type before anything is written, so a missing one aborts the
+        step with the graph untouched.
         """
+        state = self._sensors.get(payload.sensor_id)
+        index = payload.signal_id.rpartition("/")[2]
+        signal = self._fresh("sig", state.local, index) if state is not None else None
+        if signal is None or signal.value != payload.signal_id or _new(Statement, (
+                signal, "HP12", self._iris[self.config.decider.iri])) not in self.graph.statements:
+            raise UnknownObjectError(f"signal {payload.signal_id} was never transmitted")
         history = self._histories[payload.measured_type]
         history.append(payload.value)
         fired_rules: list[str] = []
         fired_actions = []
-        for rule in self.config.decider.rules:
-            if rule.measured_type != payload.measured_type:
-                continue
+        for rule in self._rules.get(payload.measured_type, ()):
             decision = evaluate_rule(rule, history)
             if decision.fired:
                 fired_rules.append(rule.id)
@@ -414,8 +419,7 @@ class ScenarioRun:
                     f"action target {action.target} is missing or not typed {wanted}")
             resolved.setdefault((action.kind, target.value), (action, target))
 
-        activation = self._fresh("act", ns.local_name(payload.sensor_id),
-                                 payload.signal_id.rsplit("/", 1)[1])
+        activation = self._fresh("act", state.local, index)
         self._record(tick, ACTIVATION, {
             "activation": activation.value,
             "decider": self.config.decider.iri,

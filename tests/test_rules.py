@@ -1,12 +1,14 @@
 """Rule DSL: parsing, trigger semantics, comparator behaviour."""
 
+import operator
+from collections import deque
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingraph import ActionKind, Rule, TriggerMode, evaluate_rule, parse_rules
-from twingraph.rules import COMPARATORS, compare
+from twingraph.rules import COMPARATORS, Action, Decision
 
 from conftest import oracle_decision, random_rule
 
@@ -86,10 +88,14 @@ def test_recovery_reports_later_rules():
 
 
 def test_compare_is_exact_decimal():
-    assert compare(Decimal("70.0"), "=", Decimal("70"))
-    assert not compare(Decimal("70.000000000001"), "<=", Decimal("70"))
-    assert compare(Decimal("-0"), "=", Decimal("0"))
-    assert compare(Decimal("0.1"), "<", Decimal("0.3"))
+    def compare(value, comparator, threshold):  # a one-value window fires iff it holds
+        return evaluate_rule(Rule("r", "h", comparator, Decimal(threshold)),
+                             [Decimal(value)]).fired
+
+    assert compare("70.0", "=", "70")
+    assert not compare("70.000000000001", "<=", "70")
+    assert compare("-0", "=", "0")
+    assert compare("0.1", "<", "0.3")
     assert sorted(COMPARATORS) == ["!=", "<", "<=", "=", ">", ">="]
 
 
@@ -167,3 +173,61 @@ def test_only_the_last_sustain_plus_one_values_matter(data, window):
     rng = _random.Random(data.draw(st.integers(0, 2**32)))
     rule = random_rule(rng, "r", "humidity")
     assert evaluate_rule(rule, window) == evaluate_rule(rule, window[-(rule.sustain + 1):])
+
+
+# --- evaluate_rule against the closure implementation it replaced ---
+
+_REFERENCE_OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                        ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
+
+
+def _reference_compare(value, comparator, threshold):
+    test = _REFERENCE_OPERATORS.get(comparator)
+    if test is None:
+        raise ValueError(f"unknown comparator {comparator!r}")
+    return test(value, threshold)
+
+
+def reference_evaluate_rule(rule, window):
+    """evaluate_rule as a per-end closure with one compare call per value."""
+    n = len(window)
+    if n == 0:
+        return Decision(False, rule.id, ())
+    sustain, comparator, threshold = rule.sustain, rule.comparator, rule.threshold
+
+    def holds(end):
+        if end + 1 < sustain:
+            return False
+        return all(_reference_compare(window[i], comparator, threshold)
+                   for i in range(end - sustain + 1, end + 1))
+
+    now = holds(n - 1)
+    if rule.mode is TriggerMode.EVERY:
+        fired = now
+    else:
+        fired = now and not (n >= 2 and holds(n - 2))
+    return Decision(fired, rule.id, rule.actions if fired else ())
+
+
+def _outcome(evaluate, rule, window):
+    try:
+        return evaluate(rule, window)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(comparator=st.sampled_from(COMPARATORS + ("=>",)),
+       threshold=st.integers(-3, 3),
+       sustain=st.integers(0, 6),
+       mode=st.sampled_from(TriggerMode),
+       values=st.lists(st.decimals(min_value=-4, max_value=4, places=1), max_size=9),
+       as_deque=st.booleans())
+def test_evaluate_rule_matches_the_closure_reference(comparator, threshold, sustain,
+                                                     mode, values, as_deque):
+    rule = Rule("r", "h", comparator, Decimal(threshold), sustain, mode,
+                (Action(ActionKind.ALERT, "ex:opd", "email"),))
+    window = deque(values) if as_deque else list(values)
+    expected = _outcome(reference_evaluate_rule, rule, window)
+    got = _outcome(evaluate_rule, rule, window)
+    assert got == expected and type(got) is type(expected)

@@ -44,6 +44,7 @@ from twingraph.runtime import (
     mix64,
     splitmix_at,
 )
+from twingraph.signals import SignalPayload
 
 from conftest import random_scenario, random_scenario_text
 
@@ -456,6 +457,24 @@ def test_sample_count_past_any_run_fires_nothing():
                                       'SAMPLES THEN ALERT ex:opd VIA "email"'))
     assert run.summary()["measurements"] == 4
     assert run.summary()["activations"] == 1
+
+
+@pytest.mark.parametrize("sensor,signal", [
+    ("https://example.org/pisano/ghost", "https://example.org/run/sig/ghost/0"),
+    ("https://example.org/pisano/hygrometer", "https://example.org/run/sig/hygrometer/7"),
+], ids=["undeclared-sensor", "made-up-signal-id"])
+def test_decide_refuses_a_signal_never_transmitted_and_writes_nothing(sensor, signal):
+    # the value would fire the Pisano humidity rule, so an accepted payload
+    # would log a decision and an activation whose chain names no signal
+    config = load_scenario("examples/pisano/scenario.json")
+    run, before = run_scenario(config, until=2), run_scenario(config, until=2)
+    payload = SignalPayload(signal, sensor, run.timestamp(2), Decimal("99"), "%RH", "humidity")
+    with pytest.raises(UnknownObjectError) as err:
+        run.decide(payload, 2)
+    assert signal in str(err.value)
+    assert run.records == before.records
+    assert run.graph.content_equal(before.graph)
+    assert run._histories == before._histories
 
 
 def test_activation_names_follow_signal_index():

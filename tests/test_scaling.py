@@ -4,22 +4,38 @@ Each layer is traced with sys.settrace at three sizes, each double the one
 before, and its trace events (call, line and return of every Python frame)
 are counted: one parse and one validate of bench/gen.py's graph-read
 document at 50, 100 and 200 ticks, and one ScenarioRun.run, emit and
-render_log of its run-alert scenario at 25, 50 and 100 ticks. The counts
-depend only on the input, so doubling the ticks may at most multiply them by
-2.2, the ratio ROADMAP.md sets for every layer. A per-token rescan, a
+render_log of its run-alert scenario at 25, 50 and 100 ticks; one
+evaluate_rule at sustain 8, 16 and 32 over a window of sustain+1 values; one
+parse_rules of 25, 50 and 100 rules. The counts depend only on the input, so
+doubling the size may at most multiply them by 2.2, the ratio ROADMAP.md
+sets for every layer. A per-token rescan, a
 quadratic index or a lookup that grows with the document shows as a ratio
 near 4. Work inside one C call, such as a sorted() per subject, is not seen.
 
 bench/gen.py is the one tests/test_run_digests.py executes from its source,
-so nothing is imported from or written under bench/."""
+so nothing is imported from or written under bench/. The same scenario's run
+is also traced once for a NamedTuple's generated __new__, which the run path
+does not call: it builds each record, node and statement in one C call."""
 
 import sys
+from collections import deque
+from decimal import Decimal
 from functools import partial
 
 import pytest
 
 from test_run_digests import GEN
-from twingraph import ScenarioRun, emit, parse, parse_scenario, render_log
+from twingraph import (
+    Rule,
+    ScenarioRun,
+    TriggerMode,
+    emit,
+    evaluate_rule,
+    parse,
+    parse_rules,
+    parse_scenario,
+    render_log,
+)
 
 TICKS = (50, 100, 200)
 RUN_TICKS = (25, 50, 100)
@@ -60,16 +76,16 @@ def documents(seed_registry):
     return {ticks: GEN.run_shaped_graph(world, ticks).text for ticks in TICKS}
 
 
-def _assert_linear(layer, calls):
-    """calls yields (ticks, call) at doubling sizes; each call may make at
+def _assert_linear(layer, calls, unit="ticks"):
+    """calls yields (size, call) at doubling sizes; each call may make at
     most MAX_RATIO times the trace events of the one before."""
     previous = None
-    for ticks, call in calls:
+    for size, call in calls:
         limit = MAX_RATIO * previous if previous else float("inf")
         events = _trace_events(call, limit)
         assert events is not None, (
-            f"{layer} at {ticks} ticks passed {MAX_RATIO}x the trace events "
-            f"of {ticks // 2} ticks ({previous})")
+            f"{layer} at {size} {unit} passed {MAX_RATIO}x the trace events "
+            f"of {size // 2} {unit} ({previous})")
         previous = events
 
 
@@ -113,3 +129,49 @@ def test_run_path_events_grow_linearly_with_ticks(layer, scenarios, seed_registr
                 yield ticks, partial(render_log, run.records)
 
     _assert_linear(layer, calls())
+
+
+def test_run_calls_no_namedtuple_new(scenarios, seed_registry):
+    generated = []
+
+    def trace(frame, event, arg):  # called on each Python call
+        if frame.f_code.co_filename == "<string>":  # a NamedTuple's __new__
+            generated.append(frame.f_back.f_code.co_name)  # its caller
+
+    run = ScenarioRun(scenarios[RUN_TICKS[0]], seed_registry)
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run.run()
+    finally:
+        sys.settrace(outer)
+    assert run.summary()["activations"] > 0
+    assert generated == []
+
+
+def test_evaluate_rule_events_grow_linearly_with_sustain():
+    def calls():
+        for sustain in (8, 16, 32):  # every value holds, so each one is compared
+            rule = Rule("r", "t", ">", Decimal(0), sustain, TriggerMode.ON_RISE)
+            window = deque([Decimal(1)] * (sustain + 1), maxlen=sustain + 1)
+            assert not evaluate_rule(rule, window).fired  # it held one entry back
+            yield sustain, partial(evaluate_rule, rule, window)
+
+    _assert_linear("evaluate_rule", calls(), unit="samples")
+
+
+def _rule_text(count):
+    return "".join(f'RULE r{i} WHEN TYPE = "t{i % 4}" AND VALUE >= {i}.5 FOR 2 SAMPLES '
+                   f'MODE EVERY THEN ACTIVATE ex:a{i}, ALERT <https://e.org/p{i}> VIA "sms"\n'
+                   for i in range(count))
+
+
+def test_parse_rules_events_grow_linearly_with_rules():
+    def calls():
+        for count in (25, 50, 100):
+            text = _rule_text(count)
+            rules, diagnostics = parse_rules(text)
+            assert len(rules) == count and not diagnostics
+            yield count, partial(parse_rules, text)
+
+    _assert_linear("parse_rules", calls(), unit="rules")
