@@ -49,7 +49,6 @@ from .ontology import (
 )
 from .rules import Action, ActionKind, Decision, Rule, TriggerMode, evaluate_rule, parse_rules
 from .runtime import EventRecord, ScenarioRun, StepFailure, render_log, run_scenario, schedule_due
-from .signals import SignalPayload
 from .textformat import FILE_EXTENSION, emit, parse
 
 __version__ = "0.1.0"
@@ -60,7 +59,7 @@ __all__ = [
     "Literal", "LITERAL_KINDS", "NoisyGen",
     "OntologyClassDef", "ParseDiagnostic", "PropertyDef", "RampGen",
     "Registry", "RegistryError", "Rule", "ScenarioConfig", "ScenarioError",
-    "ScenarioRun", "SEED_VERSION", "SensorSpec", "SignalPayload", "SineGen",
+    "ScenarioRun", "SEED_VERSION", "SensorSpec", "SineGen",
     "Statement", "StatementViolationError", "StepFailure", "TriggerMode",
     "TwingraphError", "ValidationReport", "ViolationReason", "build_scenario",
     "emit", "evaluate_rule", "load_extension", "load_scenario", "load_seed",

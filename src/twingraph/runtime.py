@@ -1,12 +1,14 @@
 """Reactive discrete-event runtime over the scenario clock.
 
 Time advances in integer ticks. Each tick, every due sensor (in expanded IRI
-order) samples its generator, wraps the value in a signal, transmits the
-signal to the decider, and the decider evaluates its rules. A firing rule
-set yields at most one activation event per signal evaluation, whose actions
-are then executed as actuation and alert records (actuations first). Steps
-only log records: ScenarioRun.fold writes the statements each one implies,
-so the run graph is the static graph plus the fold of the log, in log order.
+order) samples its generator, wraps the sample in a signal, transmits the
+signal to the decider, and the decider evaluates its rules on that sample,
+once: the run keeps each sensor's latest sample until it is decided, and no
+step takes a value from its caller. A firing rule set yields at most one
+activation event per signal evaluation, whose actions are then executed as
+actuation and alert records (actuations first). Steps only log records:
+ScenarioRun.fold writes the statements each one implies, so the run graph is
+the static graph plus the fold of the log, in log order.
 
 Everything is deterministic: fresh IRIs are minted from the sensor name and
 sample index, timestamps are start + tick * tick_seconds, and noise comes
@@ -44,9 +46,9 @@ from .errors import (
 from .graph import Graph, Iri, Statement
 from .ontology import Registry, load_seed
 from .rules import Action, ActionKind, Rule, evaluate_rule
-from .signals import SignalPayload
 
 _new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
+_SIG = f"{ns.RUN_IRI}sig/"
 
 # --- event records ---
 
@@ -175,6 +177,7 @@ class _SensorState:
         self.local = ns.local_name(spec.iri)  # the local name run IRIs are minted from
         self.stream_seed = mix64(run_seed ^ fnv1a64(spec.iri))
         self.next_index = 0
+        self.sample: tuple[int, Decimal, str] | None = None  # (index, value, timestamp), undecided
 
 
 class ScenarioRun:
@@ -208,6 +211,9 @@ class ScenarioRun:
         self._build_static()
         self.static_statements = len(self.graph.statements)
         self._sensors = {spec.iri: _SensorState(spec, config.seed) for spec in config.sensors}
+        self._locals = {state.local: state for state in self._sensors.values()}  # decide's lookup
+        if len(self._locals) < len(self._sensors):
+            raise ConfigError("two sensors share a local name, from which run IRIs are minted")
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
@@ -259,7 +265,7 @@ class ScenarioRun:
                 self._start + timedelta(seconds=tick * self.config.tick_seconds)))
         return self._clock[1]
 
-    def _fresh(self, kind: str, sensor_local: str, index: int | str) -> Iri:
+    def _fresh(self, kind: str, sensor_local: str, index: int) -> Iri:
         return _new(Iri, (f"{ns.RUN_IRI}{kind}/{sensor_local}/{index}",))
 
     def _node(self, text: str) -> Iri:
@@ -324,8 +330,9 @@ class ScenarioRun:
 
     # --- pipeline steps ---
 
-    def sample(self, spec: SensorSpec, tick: int):
-        """Run one sampling act of a config sensor and log its measurement."""
+    def sample(self, spec: SensorSpec, tick: int) -> None:
+        """Run one sampling act of a config sensor, log its measurement, and
+        keep it as the sensor's latest sample until it is decided."""
         state = self._sensors.get(spec.iri)
         if state is None:
             raise UnknownObjectError(f"unknown sensor {spec.iri}")
@@ -336,32 +343,40 @@ class ScenarioRun:
         except ArithmeticError as exc:
             raise ScenarioError(f"sensor {spec.iri} sample {index}: generator value "
                                 f"out of range ({type(exc).__name__})") from exc
-        measurement = self._fresh("m", state.local, index)
+        timestamp = self.timestamp(tick)
         self._record(tick, MEASUREMENT, {
-            "measurement": measurement.value,
+            "measurement": self._fresh("m", state.local, index).value,
             "measuredType": spec.measured_type,
             "sensor": spec.iri,
-            "timestamp": self.timestamp(tick),
+            "timestamp": timestamp,
             "unit": spec.unit,
             "value": value,
         })
-        return measurement, index, value
+        state.sample = (index, value, timestamp)
 
-    def make_signal(self, measurement: Iri, spec: SensorSpec, index: int,
-                    value: Decimal, tick: int):
-        """Wrap a measurement's value in a fresh signal and log it."""
+    def make_signal(self, spec: SensorSpec, tick: int) -> Iri:
+        """Wrap the sensor's latest sample in a fresh signal and log it; a
+        sensor with no sample waiting is refused."""
         state = self._sensors.get(spec.iri)
         if state is None:
             raise UnknownObjectError(f"unknown sensor {spec.iri}")
+        if state.sample is None:
+            raise UnknownObjectError(f"sensor {spec.iri} has no sample waiting")
+        index, value, timestamp = state.sample
         signal = self._fresh("sig", state.local, index)
-        payload = _new(SignalPayload, (signal.value, spec.iri, self.timestamp(tick), value,
-                                       spec.unit, spec.measured_type))
         self._record(tick, SIGNAL, {
-            "measurement": measurement.value,
-            "payload": payload.canonical(),
+            "measurement": self._fresh("m", state.local, index).value,
+            "payload": dumps_canonical({
+                "measuredType": spec.measured_type,
+                "sensorId": spec.iri,
+                "signalId": signal.value,
+                "timestamp": timestamp,
+                "unit": spec.unit,
+                "value": value,
+            }),
             "signal": signal.value,
         })
-        return signal, payload
+        return signal
 
     def transmit(self, signal: Iri, tick: int) -> None:
         """Deliver a signal to the decider and log it."""
@@ -370,29 +385,36 @@ class ScenarioRun:
             "signal": signal.value,
         })
 
-    def decide(self, payload: SignalPayload,
+    def decide(self, signal: Iri,
                tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
         """Evaluate the rules of the signal's measured type; at most one activation.
 
-        A signal its sensor did not mint and transmit (no `signal HP12
-        decider` in the graph) is refused with UnknownObjectError before
-        anything is written. Returns the activation with its (action, target)
-        pairs, one per kind and target in first-fired order (the first
+        The signal must be minted from its sensor's latest sample, transmitted
+        (`signal HP12 decider` in the graph) and not yet decided; any other is
+        refused with UnknownObjectError before anything is written. The
+        measured type is the sensor's and the value its sample's, and the
+        sample is then spent. Returns the activation with its (action,
+        target) pairs, one per kind and target in first-fired order (the first
         ALERT's channel wins). Each target is a declared entity's Iri, checked
         for its type before anything is written, so a missing one aborts the
         step with the graph untouched.
         """
-        state = self._sensors.get(payload.sensor_id)
-        index = payload.signal_id.rpartition("/")[2]
-        signal = self._fresh("sig", state.local, index) if state is not None else None
-        if signal is None or signal.value != payload.signal_id or _new(Statement, (
-                signal, "HP12", self._iris[self.config.decider.iri])) not in self.graph.statements:
-            raise UnknownObjectError(f"signal {payload.signal_id} was never transmitted")
-        history = self._histories[payload.measured_type]
-        history.append(payload.value)
+        # run:sig/<local>/<index>; a text of any other shape fails the full compare
+        state = self._locals.get(signal.value.rpartition("/")[0].removeprefix(_SIG))
+        sample = state and state.sample
+        if (sample is None or signal != self._fresh("sig", state.local, sample[0])
+                or _new(Statement, (signal, "HP12", self._iris[self.config.decider.iri]))
+                not in self.graph.statements):
+            raise UnknownObjectError(f"signal {signal.value} carries no transmitted sample "
+                                     f"that waits for a decision")
+        state.sample = None
+        index, value, _ = sample
+        measured_type = state.spec.measured_type
+        history = self._histories[measured_type]
+        history.append(value)
         fired_rules: list[str] = []
         fired_actions = []
-        for rule in self._rules.get(payload.measured_type, ()):
+        for rule in self._rules.get(measured_type, ()):
             decision = evaluate_rule(rule, history)
             if decision.fired:
                 fired_rules.append(rule.id)
@@ -402,9 +424,9 @@ class ScenarioRun:
             "decider": self.config.decider.iri,
             "fired": bool(fired_rules),
             "firedRules": fired_rules,
-            "measuredType": payload.measured_type,
-            "signal": payload.signal_id,
-            "value": payload.value,
+            "measuredType": measured_type,
+            "signal": signal.value,
+            "value": value,
         })
         if not fired_rules:
             return None
@@ -424,7 +446,7 @@ class ScenarioRun:
             "activation": activation.value,
             "decider": self.config.decider.iri,
             "firedRules": fired_rules,
-            "signal": payload.signal_id,
+            "signal": signal.value,
         })
         return activation, list(resolved.values())
 
@@ -457,11 +479,10 @@ class ScenarioRun:
         for tick in range(ticks):
             for spec in schedule_due(self.config, tick):
                 try:
-                    measurement, index, value = self.sample(spec, tick)
-                    signal, payload = self.make_signal(measurement, spec, index,
-                                                       value, tick)
+                    self.sample(spec, tick)
+                    signal = self.make_signal(spec, tick)
                     self.transmit(signal, tick)
-                    fired = self.decide(payload, tick)
+                    fired = self.decide(signal, tick)
                     if fired is not None:
                         self.execute_activation(*fired, tick)
                 except TwingraphError as exc:

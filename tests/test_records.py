@@ -43,7 +43,7 @@ NAMED_TUPLES = {
     "ConstantGen", "RampGen", "SineGen", "ListGen", "NoisyGen",
     "AssetSpec", "TwinSpec", "ActivatorSpec", "DeciderSpec",
     "OntologyClassDef", "PropertyDef", "Violation", "ValidationReport",
-    "Iri", "Literal", "Statement", "EventRecord", "SignalPayload",
+    "Iri", "Literal", "Statement", "EventRecord",
     "RawLiteral", "RawTriple", "RawType", "SensorSpec", "ScenarioConfig",
 }
 
@@ -114,8 +114,7 @@ def _records() -> list:
 
     run = ScenarioRun(config)
     spec = config.sensors[0]
-    measurement, index, value = run.sample(spec, 0)
-    _, payload = run.make_signal(measurement, spec, index, value, 0)
+    run.sample(spec, 0)
     raw = parse_raw(f'@prefix ex: <{EX}> .\nex:a a ex:C ; ex:p "x" .\n')
 
     return [diagnostics[0], rule.actions[0], rule, decision,
@@ -124,7 +123,7 @@ def _records() -> list:
             seed_class_table()[0], seed_property_table()[0],
             report.violations[0], report,
             graph.resolve("ex:place"), Literal.of("decimal", "1.50"),
-            report.violations[0].statement, run.records[0], payload,
+            report.violations[0].statement, run.records[0],
             raw.triples[0].object, raw.triples[0], raw.types[0], spec, config]
 
 

@@ -44,7 +44,6 @@ from twingraph.runtime import (
     mix64,
     splitmix_at,
 )
-from twingraph.signals import SignalPayload
 
 from conftest import random_scenario, random_scenario_text
 
@@ -371,28 +370,45 @@ def test_fold_of_a_signal_from_an_asset_is_refused_and_writes_nothing():
     assert run.graph.content_equal(ScenarioRun(config).graph)
 
 
+def _assert_wrote_nothing(run, before):
+    assert run.records == before.records
+    assert run.graph.content_equal(before.graph)
+    assert run._histories == before._histories
+
+
 def test_make_signal_of_an_activator_is_refused_and_writes_nothing():
     config = load_scenario(NOISY)
     run, before = ScenarioRun(config), ScenarioRun(config)
-    measurement, index, value = run.sample(config.sensors[0], 0)
+    run.sample(config.sensors[0], 0)
     before.sample(config.sensors[0], 0)
     spec = config.sensors[0]._replace(iri=DEHUMIDIFIER)
     with pytest.raises(UnknownObjectError, match=f"unknown sensor {DEHUMIDIFIER}"):
-        run.make_signal(measurement, spec, index, value, 0)
-    assert run.records == before.records
-    assert run.graph.content_equal(before.graph)
+        run.make_signal(spec, 0)
+    _assert_wrote_nothing(run, before)
 
 
-def test_make_signal_rejects_non_measurement():
+@pytest.mark.parametrize("step", ["make_signal", "decide"])
+def test_step_without_a_waiting_sample_is_refused_and_writes_nothing(step):
+    # a config sensor that was never sampled has no value to wrap or decide on
     config = scenario(BASIC_SENSOR, duration=1)
-    run = ScenarioRun(config)
-    spec = config.sensors[0]
-    # L20 must start at a measurement; ex:obj is an asset
-    with pytest.raises(StatementViolationError) as err:
-        run.make_signal(Iri("https://example.org/rt/obj"), spec, 0,
-                        Decimal(1), 0)
-    assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
-    assert run.records == []
+    run, before = ScenarioRun(config), ScenarioRun(config)
+    if step == "make_signal":
+        with pytest.raises(UnknownObjectError, match="rt/s1 has no sample waiting"):
+            run.make_signal(config.sensors[0], 0)
+    else:
+        with pytest.raises(UnknownObjectError, match="run/sig/s1/0"):
+            run.decide(Iri("https://example.org/run/sig/s1/0"), 0)
+    _assert_wrote_nothing(run, before)
+
+
+def test_run_refuses_a_config_whose_sensors_share_a_local_name():
+    # decide finds a signal's sensor by the local name its IRIs are minted from
+    config = load_scenario(PISANO)
+    first, second = config.sensors
+    clash = config._replace(sensors=(first, second._replace(
+        iri="https://example.org/elsewhere/accelerometer")))
+    with pytest.raises(ConfigError, match="share a local name"):
+        ScenarioRun(clash)
 
 
 def test_execute_activation_rejects_other_nodes():
@@ -459,22 +475,63 @@ def test_sample_count_past_any_run_fires_nothing():
     assert run.summary()["activations"] == 1
 
 
-@pytest.mark.parametrize("sensor,signal", [
-    ("https://example.org/pisano/ghost", "https://example.org/run/sig/ghost/0"),
-    ("https://example.org/pisano/hygrometer", "https://example.org/run/sig/hygrometer/7"),
-], ids=["undeclared-sensor", "made-up-signal-id"])
-def test_decide_refuses_a_signal_never_transmitted_and_writes_nothing(sensor, signal):
-    # the value would fire the Pisano humidity rule, so an accepted payload
-    # would log a decision and an activation whose chain names no signal
-    config = load_scenario("examples/pisano/scenario.json")
-    run, before = run_scenario(config, until=2), run_scenario(config, until=2)
-    payload = SignalPayload(signal, sensor, run.timestamp(2), Decimal("99"), "%RH", "humidity")
+PISANO = "examples/pisano/scenario.json"
+
+
+def _runs_with_a_waiting_sample(local, transmit=True):
+    """Two equal Pisano runs after until=2, in each of which the sensor named
+    `local` has its sample 2 signalled, transmitted unless told not to, and
+    not yet decided."""
+    config = load_scenario(PISANO)
+    spec = next(s for s in config.sensors if s.iri.endswith("/" + local))
+    runs = run_scenario(config, until=2), run_scenario(config, until=2)
+    for run in runs:
+        run.sample(spec, 2)
+        signal = run.make_signal(spec, 2)
+        if transmit:
+            run.transmit(signal, 2)
+    return runs
+
+
+@pytest.mark.parametrize("signal,transmit", [
+    ("https://example.org/run/sig/ghost/0", True),
+    ("https://example.org/run/sig/hygrometer/7", True),
+    ("https://example.org/run/sig/hygrometer/2", False),
+], ids=["undeclared-sensor", "made-up-signal-id", "signalled-not-transmitted"])
+def test_decide_refuses_a_signal_never_transmitted_and_writes_nothing(signal, transmit):
+    # the hygrometer's sample 2, 75, fires the Pisano humidity rule, so a
+    # decision on it through any other path would log an activation whose
+    # chain names no transmitted signal that carried that sample
+    run, before = _runs_with_a_waiting_sample("hygrometer", transmit)
     with pytest.raises(UnknownObjectError) as err:
-        run.decide(payload, 2)
+        run.decide(Iri(signal), 2)
     assert signal in str(err.value)
-    assert run.records == before.records
-    assert run.graph.content_equal(before.graph)
-    assert run._histories == before._histories
+    _assert_wrote_nothing(run, before)
+
+
+def test_decide_refuses_a_transmitted_signal_that_is_not_the_latest_sample():
+    run, before = _runs_with_a_waiting_sample("accelerometer")
+    old = "https://example.org/run/sig/accelerometer/0"
+    assert old in {r.fields["signal"] for r in run.records if r.kind == "transmission"}
+    with pytest.raises(UnknownObjectError, match=old):
+        run.decide(Iri(old), 2)
+    _assert_wrote_nothing(run, before)
+    run.decide(Iri("https://example.org/run/sig/accelerometer/2"), 2)  # still waiting
+    assert run.records[-1].fields["value"] == Decimal("0.11")
+
+
+def test_decide_refuses_a_signal_it_already_decided_and_writes_nothing():
+    # a second decision would put the one sample 40 in the window twice,
+    # and FOR 2 SAMPLES would fire on it
+    config = scenario(BASIC_SENSOR, duration=1,
+                      rules='RULE r WHEN TYPE = "humidity" AND VALUE > 0 FOR 2 SAMPLES '
+                            'THEN ALERT ex:opd VIA "email"')
+    run, before = run_scenario(config), run_scenario(config)
+    signal = "https://example.org/run/sig/s1/0"
+    assert _first(run.records, "decision").fields["signal"] == signal
+    with pytest.raises(UnknownObjectError, match=signal):
+        run.decide(Iri(signal), 1)
+    _assert_wrote_nothing(run, before)
 
 
 def test_activation_names_follow_signal_index():

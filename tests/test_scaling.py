@@ -3,10 +3,11 @@
 Each layer is traced with sys.settrace at three sizes, each double the one
 before, and its trace events (call, line and return of every Python frame)
 are counted: one parse and one validate of bench/gen.py's graph-read
-document at 50, 100 and 200 ticks, and one ScenarioRun.run, emit and
-render_log of its run-alert scenario at 25, 50 and 100 ticks; one
-evaluate_rule at sustain 8, 16 and 32 over a window of sustain+1 values; one
-parse_rules of 25, 50 and 100 rules. The counts depend only on the input, so
+document at 50, 100 and 200 ticks; one ScenarioRun.run, emit and
+render_log of its run-alert scenario at 25, 50 and 100 ticks, and the
+provenance_chain of every activation of that run; one evaluate_rule at
+sustain 8, 16 and 32 over a window of sustain+1 values; one parse_rules of
+25, 50 and 100 rules. The counts depend only on the input, so
 doubling the size may at most multiply them by 2.2, the ratio ROADMAP.md
 sets for every layer. A per-token rescan, a
 quadratic index or a lookup that grows with the document shows as a ratio
@@ -109,11 +110,19 @@ def scenarios(seed_registry):
     warm = ScenarioRun(parse_scenario(GEN.scenario_text(world, 5, quiet=False)), seed_registry)
     warm.run()  # fills the registry's and canon's memos before any count
     render_log(warm.records)
+    _chains(warm.graph)
     return {ticks: parse_scenario(GEN.scenario_text(world, ticks, quiet=False))
             for ticks in RUN_TICKS}
 
 
-@pytest.mark.parametrize("layer", ["run", "emit", "render_log"])
+def _chains(graph):
+    """The provenance chain of every activation; the first call also builds
+    the graph's read index."""
+    for activation in graph.instances_of("HC14"):
+        graph.provenance_chain(activation)
+
+
+@pytest.mark.parametrize("layer", ["run", "emit", "render_log", "provenance_chain"])
 def test_run_path_events_grow_linearly_with_ticks(layer, scenarios, seed_registry):
     def calls():
         for ticks in RUN_TICKS:
@@ -125,6 +134,8 @@ def test_run_path_events_grow_linearly_with_ticks(layer, scenarios, seed_registr
             assert run.summary()["activations"] > 0
             if layer == "emit":
                 yield ticks, partial(emit, run.graph)
+            elif layer == "provenance_chain":
+                yield ticks, partial(_chains, run.graph)
             else:
                 yield ticks, partial(render_log, run.records)
 
