@@ -7,10 +7,8 @@ drawn from CIDOC CRM and its digital, scientific, service, and twin
 extensions, including the reactive layer (sensors, signals, deciders,
 activation events).
 
-Registering returns a new registry and never changes the receiver's classes
-or properties. Each class's ancestor set (the class and everything above
-it) is computed once, when the class is registered, from its parents' sets;
-subclass questions are set lookups.
+Registering returns a new registry and never changes the receiver. A class
+stores only its parents and comes after them: one pass finds its descendants.
 """
 
 from __future__ import annotations
@@ -53,19 +51,24 @@ class PropertyDef(NamedTuple):
 
 
 class Registry:
-    __slots__ = ("classes", "properties", "_ancestors", "_descendants")
+    __slots__ = ("classes", "properties", "_descendants")
 
-    def __init__(self, classes=None, properties=None, _ancestors=None):
+    def __init__(self, classes=None, properties=None):
         self.classes: dict[str, OntologyClassDef] = classes or {}
         self.properties: dict[str, PropertyDef] = properties or {}
-        # class id -> that class and all its ancestors; derived from `classes`
-        self._ancestors: dict[str, frozenset[str]] = _ancestors or {}
         # class id -> that class and all its descendants, filled on first use
         self._descendants: dict[str, frozenset[str]] = {}
 
     # --- mutation (returns a new registry) ---
 
     def register_class(self, cdef: OntologyClassDef) -> "Registry":
+        return Registry(dict(self.classes), dict(self.properties))._add_class(cdef)
+
+    def register_property(self, pdef: PropertyDef) -> "Registry":
+        return Registry(dict(self.classes), dict(self.properties))._add_property(pdef)
+
+    # in place, so only on a registry no caller holds yet: its memo is empty
+    def _add_class(self, cdef: OntologyClassDef) -> "Registry":
         if cdef.id in self.classes:
             raise DuplicateIdError(f"class {cdef.id} already registered")
         if cdef.namespace not in ns.symbol_namespaces(cdef.id, ns.CLASS_MARKERS):
@@ -76,12 +79,10 @@ class Registry:
                 raise CycleDetectedError(f"class {cdef.id} cannot be its own ancestor")
             if parent not in self.classes:
                 raise UnknownParentError(f"class {cdef.id}: unknown parent {parent}")
-        ancestors = frozenset((cdef.id,)).union(*(self._ancestors[p] for p in cdef.parents))
-        return Registry(classes={**self.classes, cdef.id: cdef},
-                        properties=self.properties,
-                        _ancestors={**self._ancestors, cdef.id: ancestors})
+        self.classes[cdef.id] = cdef
+        return self
 
-    def register_property(self, pdef: PropertyDef) -> "Registry":
+    def _add_property(self, pdef: PropertyDef) -> "Registry":
         if pdef.id in self.properties:
             raise DuplicateIdError(f"property {pdef.id} already registered")
         if pdef.namespace not in ns.symbol_namespaces(pdef.id, ns.PROPERTY_MARKERS):
@@ -91,23 +92,25 @@ class Registry:
             raise UnknownClassError(f"property {pdef.id}: unknown domain {pdef.domain}")
         if pdef.range not in self.classes and pdef.range not in LITERAL_KINDS:
             raise UnknownClassError(f"property {pdef.id}: unknown range {pdef.range}")
-        return Registry(classes=self.classes,
-                        properties={**self.properties, pdef.id: pdef},
-                        _ancestors=self._ancestors)
+        self.properties[pdef.id] = pdef
+        return self
 
     # --- reasoning ---
 
     def is_subclass_of(self, a: str, b: str) -> bool:
         """Reflexive-transitive subclass test."""
         self._require_class(a)
-        self._require_class(b)
-        return b in self._ancestors[a]
+        return a in self.subclass_closure(b)  # which requires b
 
     def subclass_closure(self, c: str) -> frozenset[str]:
         """All registered descendants of c, including c itself."""
         if c not in self._descendants:
             self._require_class(c)
-            self._descendants[c] = frozenset(d for d, up in self._ancestors.items() if c in up)
+            below = {c}
+            for d, cdef in self.classes.items():  # parents first, so one pass
+                if not below.isdisjoint(cdef.parents):
+                    below.add(d)
+            self._descendants[c] = frozenset(below)
         return self._descendants[c]
 
     def falls_under(self, class_ids: AbstractSet[str], class_id: str) -> bool:
@@ -218,9 +221,9 @@ def load_seed() -> Registry:
     """The built-in vocabulary, identical on every call."""
     reg = Registry()
     for cdef in _SEED_CLASSES:
-        reg = reg.register_class(cdef)
+        reg._add_class(cdef)
     for pdef in _SEED_PROPERTIES:
-        reg = reg.register_property(pdef)
+        reg._add_property(pdef)
     return reg
 
 
@@ -250,6 +253,7 @@ def load_extension(registry: Registry, text: str):
     (new registry or None, diagnostics); any error leaves the input
     registry unused.
     """
+    from heapq import heappop, heappush  # only extension files need it
     from . import textformat
     from .errors import has_errors
 
@@ -308,8 +312,7 @@ def load_extension(registry: Registry, text: str):
         fail(pos, f"extension subject or reference outside the ontology namespaces: {iri}")
         return None, None
 
-    # Register classes first, deferring forward references within the file.
-    pending = []
+    classes, propdefs = [], []
     for subject_iri, entry in subjects.items():
         symbol, namespace = split_symbol(subject_iri, entry["pos"])
         if symbol is None:
@@ -321,39 +324,41 @@ def load_extension(registry: Registry, text: str):
         if not is_property and not entry["parents"]:
             fail(entry["pos"], f"{symbol} needs reg:subClassOf or reg:domain and reg:range")
             continue
-        pending.append((symbol, namespace, entry, is_property))
+        (propdefs if is_property else classes).append((symbol, namespace, entry))
 
     if has_errors(diagnostics):
         return None, diagnostics
 
-    reg = registry
-    classes = [item for item in pending if not item[3]]
-    propdefs = [item for item in pending if item[3]]
-    progress = True
-    while classes and progress:
-        progress = False
-        remaining = []
-        for item in classes:
-            symbol, namespace, entry, _ = item
-            parent_ids = [split_symbol(v, pos)[0] for v, pos in entry["parents"]]
+    # Classes first, by Kahn's algorithm (1962) in the (scan, file index) order of a
+    # rescan until nothing changes; a class waits on its first missing parent, then reads on.
+    reg = Registry(dict(registry.classes), dict(registry.properties))
+    waiting: dict[str, list] = {}
+    ready = [(1, i, None) for i in range(len(classes))]  # sorted, so already a heap
+    while ready:
+        scan, i, unchecked = heappop(ready)
+        symbol, namespace, entry = classes[i]
+        if unchecked is None:
+            entry["ids"] = [split_symbol(v, pos)[0] for v, pos in entry["parents"]]
             if has_errors(diagnostics):
                 return None, diagnostics
-            if all(p in reg.classes for p in parent_ids):
-                try:
-                    reg = reg.register_class(OntologyClassDef(
-                        symbol, entry["label"] or symbol, namespace,
-                        tuple(parent_ids), entry["note"] or ""))
-                except RegistryError as exc:
-                    fail(entry["pos"], str(exc))
-                    return None, diagnostics
-                progress = True
-            else:
-                remaining.append(item)
-        classes = remaining
-    for symbol, namespace, entry, _ in classes:
-        fail(entry["pos"], f"class {symbol} has unresolved parents")
+            unchecked = iter(entry["ids"])
+        missing = next((p for p in unchecked if p not in reg.classes), None)
+        if missing is not None:
+            waiting.setdefault(missing, []).append((i, unchecked))
+            continue
+        try:
+            reg._add_class(OntologyClassDef(
+                symbol, entry["label"] or symbol, namespace,
+                tuple(entry["ids"]), entry["note"] or ""))
+        except RegistryError as exc:
+            fail(entry["pos"], str(exc))
+            return None, diagnostics
+        for j, rest in waiting.pop(symbol, ()):  # one declared before i waits a scan
+            heappush(ready, (scan + (j < i), j, rest))
+    for i in sorted(i for waiters in waiting.values() for i, _ in waiters):
+        fail(classes[i][2]["pos"], f"class {classes[i][0]} has unresolved parents")
 
-    for symbol, namespace, entry, _ in propdefs:
+    for symbol, namespace, entry in propdefs:
         if entry["domain"] is None or entry["range"] is None:
             fail(entry["pos"], f"property {symbol} needs both reg:domain and reg:range")
             continue
@@ -367,7 +372,7 @@ def load_extension(registry: Registry, text: str):
         if has_errors(diagnostics):
             return None, diagnostics
         try:
-            reg = reg.register_property(PropertyDef(
+            reg._add_property(PropertyDef(
                 symbol, entry["label"] or symbol, namespace,
                 domain_id, range_id, entry["note"] or ""))
         except RegistryError as exc:

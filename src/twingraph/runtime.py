@@ -356,7 +356,7 @@ class ScenarioRun:
 
     def make_signal(self, spec: SensorSpec, tick: int) -> Iri:
         """Wrap the sensor's latest sample in a fresh signal and log it; a
-        sensor with no sample waiting is refused."""
+        sensor with no sample waiting, or one already signalled, is refused."""
         state = self._sensors.get(spec.iri)
         if state is None:
             raise UnknownObjectError(f"unknown sensor {spec.iri}")
@@ -364,6 +364,8 @@ class ScenarioRun:
             raise UnknownObjectError(f"sensor {spec.iri} has no sample waiting")
         index, value, timestamp = state.sample
         signal = self._fresh("sig", state.local, index)
+        if signal.value in self.graph.nodes:
+            raise UnknownObjectError(f"sensor {spec.iri} sample {index} is already signalled")
         self._record(tick, SIGNAL, {
             "measurement": self._fresh("m", state.local, index).value,
             "payload": dumps_canonical({
@@ -379,11 +381,17 @@ class ScenarioRun:
         return signal
 
     def transmit(self, signal: Iri, tick: int) -> None:
-        """Deliver a signal to the decider and log it."""
+        """Deliver a signal to the decider and log it; a signal is delivered once."""
+        if self._transmitted(signal):
+            raise UnknownObjectError(f"signal {signal.value} is already transmitted")
         self._record(tick, TRANSMISSION, {
             "decider": self.config.decider.iri,
             "signal": signal.value,
         })
+
+    def _transmitted(self, signal: Iri) -> bool:
+        decider = self._iris[self.config.decider.iri]
+        return _new(Statement, (signal, "HP12", decider)) in self.graph.statements
 
     def decide(self, signal: Iri,
                tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
@@ -403,8 +411,7 @@ class ScenarioRun:
         state = self._locals.get(signal.value.rpartition("/")[0].removeprefix(_SIG))
         sample = state and state.sample
         if (sample is None or signal != self._fresh("sig", state.local, sample[0])
-                or _new(Statement, (signal, "HP12", self._iris[self.config.decider.iri]))
-                not in self.graph.statements):
+                or not self._transmitted(signal)):
             raise UnknownObjectError(f"signal {signal.value} carries no transmitted sample "
                                      f"that waits for a decision")
         state.sample = None

@@ -493,6 +493,25 @@ def _runs_with_a_waiting_sample(local, transmit=True):
     return runs
 
 
+@pytest.mark.parametrize("step", ["make_signal", "transmit"])
+def test_repeated_step_is_refused_and_writes_nothing(step):
+    # a second signal or transmission record for one sample would show a log
+    # reader two signals for one measurement
+    run, before = _runs_with_a_waiting_sample("hygrometer")
+    signal = Iri("https://example.org/run/sig/hygrometer/2")
+    if step == "make_signal":
+        spec = next(s for s in run.config.sensors if s.iri.endswith("/hygrometer"))
+        with pytest.raises(UnknownObjectError, match="hygrometer sample 2 is already signalled"):
+            run.make_signal(spec, 2)
+    else:
+        with pytest.raises(UnknownObjectError, match=f"{signal.value} is already transmitted"):
+            run.transmit(signal, 2)
+    _assert_wrote_nothing(run, before)
+    run.decide(signal, 2)  # the sample, 75, still waits for its one decision, and fires
+    assert [r.kind for r in run.records if r.fields.get("signal") == signal.value] == [
+        "signal", "transmission", "decision", "activation"]
+
+
 @pytest.mark.parametrize("signal,transmit", [
     ("https://example.org/run/sig/ghost/0", True),
     ("https://example.org/run/sig/hygrometer/7", True),

@@ -7,18 +7,26 @@ document at 50, 100 and 200 ticks; one ScenarioRun.run, emit and
 render_log of its run-alert scenario at 25, 50 and 100 ticks, and the
 provenance_chain of every activation of that run; one evaluate_rule at
 sustain 8, 16 and 32 over a window of sustain+1 values; one parse_rules of
-25, 50 and 100 rules. The counts depend only on the input, so
-doubling the size may at most multiply them by 2.2, the ratio ROADMAP.md
-sets for every layer. A per-token rescan, a
-quadratic index or a lookup that grows with the document shows as a ratio
-near 4. Work inside one C call, such as a sorted() per subject, is not seen.
+25, 50 and 100 rules; one parse_scenario of 100, 200 and 400 sensors; one
+load_extension of a class chain declared parent first and child first, and
+of a wide two-level tree, at 200, 400 and 800 classes. The counts depend only
+on the input, so doubling the size may at most multiply them by 2.2, the
+ratio ROADMAP.md sets for every layer. A per-token rescan, a quadratic index
+or a lookup that grows with the document shows as a ratio near 4. Work
+inside one C call, such as a sorted() per subject or a dict copy per class,
+is not seen. The parse_scenario and load_extension rows also hold their
+tracemalloc peak to the same ratio, which sees a structure that grows with
+the square of the input even when it is built in C.
 
 bench/gen.py is the one tests/test_run_digests.py executes from its source,
 so nothing is imported from or written under bench/. The same scenario's run
 is also traced once for a NamedTuple's generated __new__, which the run path
 does not call: it builds each record, node and statement in one C call."""
 
+import dataclasses
+import gc
 import sys
+import tracemalloc
 from collections import deque
 from decimal import Decimal
 from functools import partial
@@ -27,11 +35,13 @@ import pytest
 
 from test_run_digests import GEN
 from twingraph import (
+    Registry,
     Rule,
     ScenarioRun,
     TriggerMode,
     emit,
     evaluate_rule,
+    load_extension,
     parse,
     parse_rules,
     parse_scenario,
@@ -77,10 +87,24 @@ def documents(seed_registry):
     return {ticks: GEN.run_shaped_graph(world, ticks).text for ticks in TICKS}
 
 
-def _assert_linear(layer, calls, unit="ticks"):
+def _peak_bytes(call):
+    """The tracemalloc peak of call(), over what was allocated before it.
+    A full collection first empties the interpreter's free lists, whose
+    objects tracemalloc does not see reused, so each call starts alike."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_linear(layer, calls, unit="ticks", memory=False):
     """calls yields (size, call) at doubling sizes; each call may make at
-    most MAX_RATIO times the trace events of the one before."""
-    previous = None
+    most MAX_RATIO times the trace events of the one before and, with
+    memory, reach at most MAX_RATIO times its tracemalloc peak."""
+    previous = previous_peak = None
     for size, call in calls:
         limit = MAX_RATIO * previous if previous else float("inf")
         events = _trace_events(call, limit)
@@ -88,6 +112,12 @@ def _assert_linear(layer, calls, unit="ticks"):
             f"{layer} at {size} {unit} passed {MAX_RATIO}x the trace events "
             f"of {size // 2} {unit} ({previous})")
         previous = events
+        if memory:
+            peak = _peak_bytes(call)
+            assert previous_peak is None or peak <= MAX_RATIO * previous_peak, (
+                f"{layer} at {size} {unit} peaked at {peak} B, over {MAX_RATIO}x "
+                f"the {previous_peak} B of {size // 2} {unit}")
+            previous_peak = peak
 
 
 @pytest.mark.parametrize("layer", ["parse", "validate"])
@@ -186,3 +216,66 @@ def test_parse_rules_events_grow_linearly_with_rules():
             yield count, partial(parse_rules, text)
 
     _assert_linear("parse_rules", calls(), unit="rules")
+
+
+def test_parse_scenario_grows_linearly_with_sensors():
+    world = GEN.make_world(1)
+
+    def calls():
+        for count in (100, 200, 400):
+            sensors = tuple(dataclasses.replace(world.sensors[i % len(world.sensors)],
+                                                name=f"s{i:03d}") for i in range(count))
+            text = GEN.scenario_text(dataclasses.replace(world, sensors=sensors), 10, quiet=False)
+            assert len(parse_scenario(text).sensors) == count
+            yield count, partial(parse_scenario, text)
+
+    _assert_linear("parse_scenario", calls(), unit="sensors", memory=True)
+
+
+_EXTENSION_HEAD = ("@prefix reg: <https://example.org/ns/registry#> .\n"
+                   "@prefix hdto: <https://example.org/ns/hdto#> .\n")
+
+
+def _extension(shape, count):
+    """count classes HC1000...: a chain under the seed's HC1, each class
+    under the one before it, declared parent first or child first; or a
+    tree of one class under HC1 and the rest under it, declared leaves first."""
+    if shape == "tree":
+        links = [(f"HC{1000 + i}", "HC1000") for i in range(count - 1, 0, -1)]
+        links.append(("HC1000", "HC1"))
+    else:
+        links = [(f"HC{1000 + i}", f"HC{999 + i}" if i else "HC1") for i in range(count)]
+        if shape == "child-first":
+            links.reverse()
+    return _EXTENSION_HEAD + "".join(f"hdto:{child} reg:subClassOf hdto:{parent} .\n"
+                                     for child, parent in links)
+
+
+@pytest.mark.parametrize("shape", ["parent-first", "child-first", "tree"])
+def test_load_extension_grows_linearly_with_classes(shape, seed_registry):
+    def calls():
+        for count in (200, 400, 800):
+            text = _extension(shape, count)
+            grown, diagnostics = load_extension(seed_registry, text)
+            assert diagnostics == [] and len(grown.classes) == len(seed_registry.classes) + count
+            yield count, partial(load_extension, seed_registry, text)
+
+    _assert_linear(f"load_extension ({shape})", calls(), unit="classes", memory=True)
+
+
+@pytest.mark.parametrize("shape", ["parent-first", "child-first", "tree"])
+def test_load_extension_builds_one_registry(shape, seed_registry, monkeypatch):
+    # a copy of the registry per class would not show in the rows above: the
+    # dict copies run inside C, and each copy is freed before the next
+    built = []
+    init = Registry.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Registry, "__init__", counted)
+    for count in (1, 2, 200):
+        built.clear()
+        grown, diagnostics = load_extension(seed_registry, _extension(shape, count))
+        assert diagnostics == [] and built == [grown]
