@@ -4,7 +4,8 @@ Every byte that reaches a serialized artifact (graph text, payload, event
 log) funnels through these helpers so equal values always render equally.
 Renderings come from the standard library's own formatters, so they are
 exact whatever the decimal context. Each JSON value is rendered by the encoder
-of its exact type, so a str or int inside a record costs one C call.
+of its exact type, so a str or int inside a record costs one C call. An object
+of fixed keys, as a log line is, fills a %-template that object_layout builds once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import re
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from operator import itemgetter
 
 
 def canonical_decimal(value: Decimal) -> str:
@@ -78,12 +80,6 @@ def format_datetime_utc(moment: datetime) -> str:
 # the C escapers json.dumps itself calls.
 _encode_key = json.encoder.encode_basestring_ascii
 _encode_text = json.encoder.encode_basestring
-# A record's key set is fixed by its kind, so a dict's layout (its keys in
-# sorted order, each with its encoded '"key":' prefix) is built once per key
-# tuple in insertion order, up to 1024 tuples. Only tuples of exact str keys
-# are kept: for those, tuple equality is text equality.
-_layouts: dict[tuple, list[tuple[str, str]]] = {}
-_EXACT_STR = frozenset((str,))
 
 
 def dumps_canonical(value) -> str:
@@ -105,18 +101,11 @@ def _dumps(value) -> str:
 
 
 def _dumps_object(value: dict) -> str:
-    shape = tuple(value)
-    exact = _EXACT_STR.issuperset(map(type, shape))
-    layout = _layouts.get(shape) if exact else None
-    if layout is None:
-        keys = sorted(shape)
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError("canonical JSON keys must be strings")
-        layout = [(key, _encode_key(key) + ":") for key in keys]
-        if exact and len(_layouts) < 1024:
-            _layouts[shape] = layout
-    return "{" + ",".join([prefix + (_ENCODERS.get(type(item := value[key])) or _dumps)(item)
-                           for key, prefix in layout]) + "}"
+    keys = sorted(value)
+    if not all(isinstance(key, str) for key in keys):
+        raise TypeError("canonical JSON keys must be strings")
+    return "{" + ",".join([_encode_key(key) + ":" + dumps_canonical(value[key])
+                           for key in keys]) + "}"
 
 
 def _dumps_array(value) -> str:
@@ -134,3 +123,13 @@ _ENCODERS = {
     list: _dumps_array,
     tuple: _dumps_array,
 }
+
+
+def object_layout(keys: tuple[str, ...]):
+    """A renderer of JSON objects with exactly these keys: given their values in
+    the order of `keys`, it returns dumps_canonical of the dict of them."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    template = "{" + ",".join([_encode_key(keys[i]).replace("%", "%%") + ":%s"
+                               for i in order]) + "}"
+    pick = itemgetter(*order)
+    return lambda *values: template % pick([(_ENCODERS.get(type(v)) or _dumps)(v) for v in values])

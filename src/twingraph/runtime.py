@@ -8,7 +8,8 @@ step takes a value from its caller. A firing rule set yields at most one
 activation event per signal evaluation, whose actions are then executed as
 actuation and alert records (actuations first). Steps only log records:
 ScenarioRun.fold writes the statements each one implies, so the run graph is
-the static graph plus the fold of the log, in log order.
+the static graph plus the fold of the log, in log order. FIELDS names each
+kind's fields once: steps log in its order, fold and every log line read it.
 
 Everything is deterministic: fresh IRIs are minted from the sensor name and
 sample index, timestamps are start + tick * tick_seconds, and noise comes
@@ -25,7 +26,7 @@ from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 from typing import NamedTuple
 
 from . import namespaces as ns
-from .canon import dumps_canonical, format_datetime_utc, parse_datetime_utc
+from .canon import dumps_canonical, format_datetime_utc, object_layout, parse_datetime_utc
 from .config import (
     ConstantGen,
     Generator,
@@ -60,10 +61,25 @@ ACTIVATION = "activation"
 ACTUATION = "actuation"
 ALERT = "alert"
 
+# Each kind's fields in key order (docs/FORMAT.md); every line also has _HEAD.
+FIELDS = {
+    MEASUREMENT: ("measuredType", "measurement", "sensor", "timestamp", "unit", "value"),
+    SIGNAL: ("measurement", "payload", "signal"),
+    TRANSMISSION: ("decider", "signal"),
+    DECISION: ("decider", "fired", "firedRules", "measuredType", "signal", "value"),
+    ACTIVATION: ("activation", "decider", "firedRules", "signal"),
+    ACTUATION: ("action", "activation", "activator"),
+    ALERT: ("activation", "actor", "channel"),
+}
+PAYLOAD_FIELDS = ("measuredType", "sensorId", "signalId", "timestamp", "unit", "value")
+_HEAD = ("kind", "seq", "tick")
+_LINES = {kind: object_layout(_HEAD + row) for kind, row in FIELDS.items()}
+_PAYLOAD = object_layout(PAYLOAD_FIELDS)
 
-# kind -> (end field, property, node field, class): fold types the new node, links the end
-_MINTS = {SIGNAL: ("measurement", "L20", "signal", "HC12"),
-          ACTIVATION: ("decider", "O13", "activation", "HC14")}
+# kind -> fold's (subject, property, object, minted object's class), terms as row positions
+_LINKS = {SIGNAL: (0, "L20", 2, "HC12"), TRANSMISSION: (1, "HP12", 0, None),
+          ACTIVATION: (1, "O13", 0, "HC14"), ACTUATION: (1, "HP13", 2, None),
+          ALERT: (0, "HP14", 1, None)}
 
 
 class EventRecord(NamedTuple):
@@ -75,8 +91,10 @@ class EventRecord(NamedTuple):
     fields: dict
 
     def to_json(self) -> str:
-        return dumps_canonical({"kind": self.kind, "seq": self.seq,
-                                "tick": self.tick, **self.fields})
+        values = (self.kind, self.seq, self.tick, *self.fields.values())
+        if tuple(self.fields) != FIELDS.get(self.kind):  # built by hand: render every key
+            return dumps_canonical({**dict(zip(_HEAD, values)), **self.fields})
+        return _LINES[self.kind](*values)
 
 
 def render_log(records: list[EventRecord]) -> str:
@@ -285,8 +303,9 @@ class ScenarioRun:
             self._label_nodes[kind, label] = node
         return node
 
-    def _record(self, tick: int, kind: str, fields: dict) -> None:
+    def _record(self, tick: int, kind: str, *values) -> None:
         # folded before it is logged: a record the graph refuses takes no seq
+        fields = dict(zip(FIELDS[kind], values, strict=True))
         record = _new(EventRecord, (tick, self._seq, kind, fields))
         self.fold(record)
         self._seq += 1
@@ -299,34 +318,31 @@ class ScenarioRun:
         fields = record.fields
         kind = record.kind
         if kind == MEASUREMENT:
-            state = self._sensors.get(fields["sensor"])
+            _, measurement, sensor = map(fields.__getitem__, FIELDS[MEASUREMENT][:3])
+            state = self._sensors.get(sensor)
             if state is None:  # checked first, so a refused record writes nothing
-                raise UnknownObjectError(f"unknown sensor {fields['sensor']}")
+                raise UnknownObjectError(f"unknown sensor {sensor}")
             spec = state.spec
-            measurement = g.add_entity(self._node(fields["measurement"]), "HC13")
-            g.add_statement(measurement, "L12", self._node(fields["sensor"]))
+            measurement = g.add_entity(self._node(measurement), "HC13")
+            g.add_statement(measurement, "L12", self._node(sensor))
             g.add_statement(measurement, "O24", self._label_node("event", spec.observed_event, "E5"))
             g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
-        elif kind in _MINTS:
-            end_field, property_id, field, class_id = _MINTS[kind]
-            end = self._node(fields[end_field])  # first: a measurement record minted its Iri
-            node = self._node(fields[field])
+        elif kind in _LINKS:
+            at_subject, property_id, at_object, class_id = _LINKS[kind]
+            row = FIELDS[kind]
+            subject = self._node(fields[row[at_subject]])  # first: a measurement minted it
+            node = self._node(fields[row[at_object]])
             before = g.nodes.get(node.value)
-            g.add_entity(node, class_id)
+            if class_id is not None:
+                g.add_entity(node, class_id)
             try:
-                g.add_statement(end, property_id, node)
+                g.add_statement(subject, property_id, node)
             except TwingraphError:  # its types go back: a refused record writes nothing
                 if before is None:
-                    del g.nodes[node.value]
+                    g.nodes.pop(node.value, None)
                 else:
                     g.nodes[node.value] = before
                 raise
-        elif kind == TRANSMISSION:
-            g.add_statement(self._node(fields["signal"]), "HP12", self._node(fields["decider"]))
-        elif kind == ACTUATION:
-            g.add_statement(self._node(fields["activation"]), "HP13", self._node(fields["activator"]))
-        elif kind == ALERT:
-            g.add_statement(self._node(fields["activation"]), "HP14", self._node(fields["actor"]))
 
     # --- pipeline steps ---
 
@@ -344,14 +360,9 @@ class ScenarioRun:
             raise ScenarioError(f"sensor {spec.iri} sample {index}: generator value "
                                 f"out of range ({type(exc).__name__})") from exc
         timestamp = self.timestamp(tick)
-        self._record(tick, MEASUREMENT, {
-            "measurement": self._fresh("m", state.local, index).value,
-            "measuredType": spec.measured_type,
-            "sensor": spec.iri,
-            "timestamp": timestamp,
-            "unit": spec.unit,
-            "value": value,
-        })
+        self._record(tick, MEASUREMENT, spec.measured_type,
+                     self._fresh("m", state.local, index).value, spec.iri, timestamp,
+                     spec.unit, value)
         state.sample = (index, value, timestamp)
 
     def make_signal(self, spec: SensorSpec, tick: int) -> Iri:
@@ -366,28 +377,16 @@ class ScenarioRun:
         signal = self._fresh("sig", state.local, index)
         if signal.value in self.graph.nodes:
             raise UnknownObjectError(f"sensor {spec.iri} sample {index} is already signalled")
-        self._record(tick, SIGNAL, {
-            "measurement": self._fresh("m", state.local, index).value,
-            "payload": dumps_canonical({
-                "measuredType": spec.measured_type,
-                "sensorId": spec.iri,
-                "signalId": signal.value,
-                "timestamp": timestamp,
-                "unit": spec.unit,
-                "value": value,
-            }),
-            "signal": signal.value,
-        })
+        payload = _PAYLOAD(spec.measured_type, spec.iri, signal.value, timestamp, spec.unit, value)
+        self._record(tick, SIGNAL, self._fresh("m", state.local, index).value, payload,
+                     signal.value)
         return signal
 
     def transmit(self, signal: Iri, tick: int) -> None:
         """Deliver a signal to the decider and log it; a signal is delivered once."""
         if self._transmitted(signal):
             raise UnknownObjectError(f"signal {signal.value} is already transmitted")
-        self._record(tick, TRANSMISSION, {
-            "decider": self.config.decider.iri,
-            "signal": signal.value,
-        })
+        self._record(tick, TRANSMISSION, self.config.decider.iri, signal.value)
 
     def _transmitted(self, signal: Iri) -> bool:
         decider = self._iris[self.config.decider.iri]
@@ -427,14 +426,8 @@ class ScenarioRun:
                 fired_rules.append(rule.id)
                 fired_actions.extend(decision.actions)
 
-        self._record(tick, DECISION, {
-            "decider": self.config.decider.iri,
-            "fired": bool(fired_rules),
-            "firedRules": fired_rules,
-            "measuredType": measured_type,
-            "signal": signal.value,
-            "value": value,
-        })
+        self._record(tick, DECISION, self.config.decider.iri, bool(fired_rules), fired_rules,
+                     measured_type, signal.value, value)
         if not fired_rules:
             return None
 
@@ -449,12 +442,8 @@ class ScenarioRun:
             resolved.setdefault((action.kind, target.value), (action, target))
 
         activation = self._fresh("act", state.local, index)
-        self._record(tick, ACTIVATION, {
-            "activation": activation.value,
-            "decider": self.config.decider.iri,
-            "firedRules": fired_rules,
-            "signal": signal.value,
-        })
+        self._record(tick, ACTIVATION, activation.value, self.config.decider.iri, fired_rules,
+                     signal.value)
         return activation, list(resolved.values())
 
     def execute_activation(self, activation: Iri,
@@ -463,18 +452,11 @@ class ScenarioRun:
         links the activation to each target (HP13, HP14)."""
         for action, target in actions:
             if action.kind is ActionKind.ACTIVATE:
-                self._record(tick, ACTUATION, {
-                    "action": self._activator_actions.get(target.value, ""),
-                    "activation": activation.value,
-                    "activator": target.value,
-                })
+                self._record(tick, ACTUATION, self._activator_actions.get(target.value, ""),
+                             activation.value, target.value)
         for action, target in actions:
             if action.kind is ActionKind.ALERT:
-                self._record(tick, ALERT, {
-                    "activation": activation.value,
-                    "actor": target.value,
-                    "channel": action.channel or "",
-                })
+                self._record(tick, ALERT, activation.value, target.value, action.channel or "")
 
     # --- whole runs ---
 
