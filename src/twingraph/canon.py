@@ -126,10 +126,11 @@ _ENCODERS = {
 
 
 def object_layout(keys: tuple[str, ...]):
-    """A renderer of JSON objects with exactly these keys: given their values in
-    the order of `keys`, it returns dumps_canonical of the dict of them."""
+    """A renderer of JSON objects with exactly these keys: given one value per
+    key, in `keys` order, dumps_canonical of their dict; other counts raise ValueError."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     template = "{" + ",".join([_encode_key(keys[i]).replace("%", "%%") + ":%s"
                                for i in order]) + "}"
-    pick = itemgetter(*order)
-    return lambda *values: template % pick([(_ENCODERS.get(type(v)) or _dumps)(v) for v in values])
+    pick, encoder = itemgetter(*order), _ENCODERS.get
+    return lambda *values: template % pick([(encoder(type(v)) or _dumps)(v)
+                                            for _, v in zip(keys, values, strict=True)])

@@ -9,7 +9,7 @@ activation event per signal evaluation, whose actions are then executed as
 actuation and alert records (actuations first). Steps only log records:
 ScenarioRun.fold writes the statements each one implies, so the run graph is
 the static graph plus the fold of the log, in log order. FIELDS names each
-kind's fields once: steps log in its order, fold and every log line read it.
+kind's fields once: a record holds its values in that order, by position.
 
 Everything is deterministic: fresh IRIs are minted from the sensor name and
 sample index, timestamps are start + tick * tick_seconds, and noise comes
@@ -26,7 +26,7 @@ from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 from typing import NamedTuple
 
 from . import namespaces as ns
-from .canon import dumps_canonical, format_datetime_utc, object_layout, parse_datetime_utc
+from .canon import format_datetime_utc, object_layout, parse_datetime_utc
 from .config import (
     ConstantGen,
     Generator,
@@ -83,18 +83,17 @@ _LINKS = {SIGNAL: (0, "L20", 2, "HC12"), TRANSMISSION: (1, "HP12", 0, None),
 
 
 class EventRecord(NamedTuple):
-    """One log line; records order totally by (tick, seq)."""
+    """One log line; records order totally by (tick, seq). `values` is a tuple in
+    FIELDS[kind] order, and `fields` a dict of them built on each read, not a store."""
 
     tick: int
     seq: int
     kind: str
-    fields: dict
+    values: tuple
+    fields = property(lambda self: dict(zip(FIELDS[self.kind], self.values, strict=True)))
 
-    def to_json(self) -> str:
-        values = (self.kind, self.seq, self.tick, *self.fields.values())
-        if tuple(self.fields) != FIELDS.get(self.kind):  # built by hand: render every key
-            return dumps_canonical({**dict(zip(_HEAD, values)), **self.fields})
-        return _LINES[self.kind](*values)
+    def to_json(self) -> str:  # refuses an unknown kind, a wrong count, values not a tuple
+        return _LINES[self.kind](*(self.kind, self.seq, self.tick) + self.values)
 
 
 def render_log(records: list[EventRecord]) -> str:
@@ -304,21 +303,22 @@ class ScenarioRun:
         return node
 
     def _record(self, tick: int, kind: str, *values) -> None:
-        # folded before it is logged: a record the graph refuses takes no seq
-        fields = dict(zip(FIELDS[kind], values, strict=True))
-        record = _new(EventRecord, (tick, self._seq, kind, fields))
+        # folded before it is logged: a record fold refuses takes no seq
+        record = _new(EventRecord, (tick, self._seq, kind, values))
         self.fold(record)
         self._seq += 1
         self.records.append(record)
 
     def fold(self, record: EventRecord) -> None:
         """Write the statements one record implies (docs/FORMAT.md), each
-        through the graph's checked insert."""
+        through the graph's checked insert, reading its values by row position.
+        A record off the table (unknown kind, wrong count) is refused first."""
         g = self.graph
-        fields = record.fields
-        kind = record.kind
+        kind, values = record.kind, record.values
+        if len(values) != len(FIELDS[kind]):
+            raise ValueError(f"a {kind} record holds {len(FIELDS[kind])} values, not {len(values)}")
         if kind == MEASUREMENT:
-            _, measurement, sensor = map(fields.__getitem__, FIELDS[MEASUREMENT][:3])
+            _, measurement, sensor = values[:3]
             state = self._sensors.get(sensor)
             if state is None:  # checked first, so a refused record writes nothing
                 raise UnknownObjectError(f"unknown sensor {sensor}")
@@ -329,9 +329,8 @@ class ScenarioRun:
             g.add_statement(measurement, "L17", self._label_node("type", spec.measured_type, "E55"))
         elif kind in _LINKS:
             at_subject, property_id, at_object, class_id = _LINKS[kind]
-            row = FIELDS[kind]
-            subject = self._node(fields[row[at_subject]])  # first: a measurement minted it
-            node = self._node(fields[row[at_object]])
+            subject = self._node(values[at_subject])  # first: a measurement minted it
+            node = self._node(values[at_object])
             before = g.nodes.get(node.value)
             if class_id is not None:
                 g.add_entity(node, class_id)

@@ -64,7 +64,7 @@ DUMPS_TABLE = [
     (-2 ** 70, "-1180591620717411303424"),
     ({}, "{}"),
     ([], "[]"),
-    # subclasses render as their base types, as before the key memo
+    # subclasses render as their base types
     ({_Text("kind"): _Text("é\n")}, '{"kind":"é\\n"}'),
     ([_Count(3), _Amount("1.50"), True, _Text("")], '[3,1.5,true,""]'),
     ((1, [(_Text("a"), ()), ["b", (Decimal("2.0"), [None])]], ({"t": (1,)},)),
@@ -100,10 +100,10 @@ def test_dumps_canonical_rejects(value, error):
         dumps_canonical(value)
 
 
-# --- the key memo ---
+# --- keys: each renders its own text, and only a str is a key ---
 
-def test_key_memo_keeps_a_str_subclass_apart():
-    dumps_canonical({"a": 1})  # the memo now holds the key "a"
+def test_a_str_subclass_key_renders_its_own_text_after_an_equal_key():
+    dumps_canonical({"a": 1})  # a key that _Folded("A") compares equal to, rendered first
     assert dumps_canonical({_Folded("A"): 1}) == '{"A":1}'
 
 
@@ -117,7 +117,7 @@ class _LikeSeq:
         return other == "seq"
 
 
-def test_non_str_key_is_rejected_after_its_text_was_memoized():
+def test_a_non_str_key_is_rejected_though_it_equals_a_rendered_str_key():
     assert dumps_canonical({"seq": 1, "1": 2}) == '{"1":2,"seq":1}'
     for value in ({_LikeSeq(): 1}, {1: 2}, {"seq": {_LikeSeq(): 1}}):
         with pytest.raises(TypeError):
@@ -131,7 +131,7 @@ def test_a_dict_of_3000_keys_renders_sorted_twice_alike():
     assert dumps_canonical(dict.fromkeys(keys, 0)) == expected
 
 
-# --- dict layouts ---
+# --- keys render sorted, whatever their insertion order or shape ---
 
 def test_insertion_order_does_not_change_the_text():
     expected = '{"a":2,"b":{"x":[],"y":null},"c":"3"}'

@@ -1,12 +1,14 @@
 """One record schema: runtime.FIELDS names each kind's fields, and nothing else does.
 
-Every log line renders through its kind's layout, built from that table, and
-must read exactly as the generic canonical JSON of the record's merged dict;
-a record built by hand off the table still renders every key. The records
-checked are those of both Pisano goldens, of random scenarios, of --until
-prefixes and of an aborted run. FORMAT.md's per-kind table and its payload
-example must match the runtime tables, and runtime.py spells no field name
-outside them."""
+A record holds its values as a tuple in its kind's row order, and its
+`fields` are only a view of them by name. Every log line renders through its
+kind's layout, built from that table, and must read exactly as the generic
+canonical JSON of the record's merged dict; a record built by hand off the
+table (an unknown kind, a value short or over, a dict for values) is refused,
+never rendered short. The records checked are those of both Pisano goldens,
+of random scenarios, of --until prefixes and of an aborted run. FORMAT.md's
+per-kind table and its payload example must match the runtime tables, and
+runtime.py spells no field name outside them."""
 
 import ast
 import json
@@ -31,12 +33,14 @@ GOLDEN_CASES = [("examples/pisano/scenario.json", "examples/pisano/golden.log.js
 
 
 def assert_schema_lines(records):
-    """Each record holds its kind's row, in order, and renders as the generic
-    canonical JSON of its merged dict; each signal's payload is its measurement's."""
+    """Each record holds one value per field of its kind's row, in order, and
+    renders as the generic canonical JSON of its merged dict; each signal's
+    payload is its measurement's."""
     measurements = {}
     for record in records:
         fields = record.fields
-        assert tuple(fields) == FIELDS[record.kind], record
+        assert type(record.values) is tuple, record
+        assert fields == dict(zip(FIELDS[record.kind], record.values, strict=True)), record
         assert record.to_json() == dumps_canonical(
             {"kind": record.kind, "seq": record.seq, "tick": record.tick, **fields})
         if record.kind == "measurement":
@@ -100,23 +104,27 @@ def test_aborted_run_renders_by_the_schema():
     assert_schema_lines(err.value.records)
 
 
-@pytest.mark.parametrize("record,expected", [
-    # a key the table lacks, and one short of the row
-    (EventRecord(3, 7, "transmission", {"decider": "d", "signal": "s", "note": Decimal("1.50")}),
-     '{"decider":"d","kind":"transmission","note":1.5,"seq":7,"signal":"s","tick":3}'),
-    (EventRecord(3, 7, "transmission", {"signal": "s"}),
-     '{"kind":"transmission","seq":7,"signal":"s","tick":3}'),
-    # the row's keys in another order
-    (EventRecord(3, 7, "transmission", {"signal": "s", "decider": "d"}),
-     '{"decider":"d","kind":"transmission","seq":7,"signal":"s","tick":3}'),
-    # a kind the table lacks, and a field named like the head
-    (EventRecord(0, 1, "inspection", {"by": ["x", None], "%s": True}),
-     '{"%s":true,"by":["x",null],"kind":"inspection","seq":1,"tick":0}'),
-    (EventRecord(0, 1, "alert", {"tick": 9, "activation": "a", "actor": "b", "channel": ""}),
-     '{"activation":"a","actor":"b","channel":"","kind":"alert","seq":1,"tick":9}'),
+@pytest.mark.parametrize("record,error", [
+    # a value the row lacks, and one short of the row
+    (EventRecord(3, 7, "transmission", ("d", "s", Decimal("1.50"))), ValueError),
+    (EventRecord(3, 7, "transmission", ("s",)), ValueError),
+    # the row's fields as a dict, in another order: a record holds no dict
+    (EventRecord(3, 7, "transmission", {"signal": "s", "decider": "d"}), TypeError),
+    # a kind the table lacks, and a value for a field named like the head
+    (EventRecord(0, 1, "inspection", (["x", None], True)), KeyError),
+    (EventRecord(0, 1, "alert", (9, "a", "b", "")), ValueError),
 ])
-def test_a_record_off_the_table_renders_every_key(record, expected):
-    assert record.to_json() == expected
+def test_a_record_off_the_table_is_refused_not_rendered_short(record, error):
+    with pytest.raises(error):
+        record.to_json()
+    with pytest.raises(error):
+        render_log([record])
+    with open(GOLDEN_CASES[0][0], encoding="utf-8") as handle:
+        config = parse_scenario(handle.read())
+    run = ScenarioRun(config)
+    with pytest.raises((KeyError, ValueError)):
+        run.fold(record)
+    assert run.graph.content_equal(ScenarioRun(config).graph)
 
 
 def test_a_step_logs_exactly_its_row():
@@ -138,10 +146,13 @@ _VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=6))
-def test_object_layout_renders_as_dumps_canonical(value):
+@given(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=6), _VALUES)
+def test_object_layout_renders_as_dumps_canonical(value, extra):
     render = object_layout(tuple(value))
     assert render(*value.values()) == dumps_canonical(value)
+    for values in (list(value.values())[:-1], [*value.values(), extra]):
+        with pytest.raises(ValueError):  # one value too few or too many
+            render(*values)
 
 
 # --- the table is the one description ---

@@ -317,11 +317,11 @@ def test_fold_of_an_activator_measurement_is_refused_and_writes_nothing():
     config = load_scenario(NOISY)
     record = run_scenario(config, until=1).records[0]
     assert record.kind == "measurement"
-    fields = dict(record.fields, sensor=DEHUMIDIFIER,
-                  measurement="https://example.org/run/m/dehumidifier/0")
+    values = tuple(dict(record.fields, sensor=DEHUMIDIFIER,
+                        measurement="https://example.org/run/m/dehumidifier/0").values())
     run = ScenarioRun(config)
     with pytest.raises(UnknownObjectError, match=f"unknown sensor {DEHUMIDIFIER}"):
-        run.fold(record._replace(fields=fields))
+        run.fold(record._replace(values=values))
     assert run.records == []
     assert run.graph.content_equal(ScenarioRun(config).graph)
 
@@ -351,7 +351,7 @@ def test_fold_of_an_activation_by_an_undeclared_decider_is_refused_and_writes_no
         run.fold(earlier)
         before.fold(earlier)
     with pytest.raises(UnknownSubjectError) as err:
-        run.fold(record._replace(fields=dict(record.fields, decider=ghost)))
+        run.fold(record._replace(values=tuple(dict(record.fields, decider=ghost).values())))
     assert str(err.value) == f"unknown subject {ghost}"
     assert run.records == []
     assert run.graph.content_equal(before.graph)
@@ -364,7 +364,7 @@ def test_fold_of_a_signal_from_an_asset_is_refused_and_writes_nothing():
     asset = config.assets[0].iri
     run = ScenarioRun(config)
     with pytest.raises(StatementViolationError) as err:
-        run.fold(record._replace(fields=dict(record.fields, measurement=asset)))
+        run.fold(record._replace(values=tuple(dict(record.fields, measurement=asset).values())))
     assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
     assert run.records == []
     assert run.graph.content_equal(ScenarioRun(config).graph)

@@ -14,9 +14,9 @@ on the input, so doubling the size may at most multiply them by 2.2, the
 ratio ROADMAP.md sets for every layer. A per-token rescan, a quadratic index
 or a lookup that grows with the document shows as a ratio near 4. Work
 inside one C call, such as a sorted() per subject or a dict copy per class,
-is not seen. The run, emit, render_log, parse_scenario and load_extension
-rows also hold their tracemalloc peak to the same ratio, which sees a
-structure that grows with the square of the input even when it is built in C.
+is not seen. Every row also holds its tracemalloc peak to the same ratio,
+which sees a structure that grows with the square of the input even when it
+is built in C.
 
 bench/gen.py is the one tests/test_run_digests.py executes from its source,
 so nothing is imported from or written under bench/. The same scenario's run
@@ -100,10 +100,10 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-def _assert_linear(layer, calls, unit="ticks", memory=False):
+def _assert_linear(layer, calls, unit="ticks"):
     """calls yields (size, call) at doubling sizes; each call may make at
-    most MAX_RATIO times the trace events of the one before and, with
-    memory, reach at most MAX_RATIO times its tracemalloc peak."""
+    most MAX_RATIO times the trace events of the one before and reach at
+    most MAX_RATIO times its tracemalloc peak."""
     previous = previous_peak = None
     for size, call in calls:
         limit = MAX_RATIO * previous if previous else float("inf")
@@ -112,12 +112,11 @@ def _assert_linear(layer, calls, unit="ticks", memory=False):
             f"{layer} at {size} {unit} passed {MAX_RATIO}x the trace events "
             f"of {size // 2} {unit} ({previous})")
         previous = events
-        if memory:
-            peak = _peak_bytes(call)
-            assert previous_peak is None or peak <= MAX_RATIO * previous_peak, (
-                f"{layer} at {size} {unit} peaked at {peak} B, over {MAX_RATIO}x "
-                f"the {previous_peak} B of {size // 2} {unit}")
-            previous_peak = peak
+        peak = _peak_bytes(call)
+        assert previous_peak is None or peak <= MAX_RATIO * previous_peak, (
+            f"{layer} at {size} {unit} peaked at {peak} B, over {MAX_RATIO}x "
+            f"the {previous_peak} B of {size // 2} {unit}")
+        previous_peak = peak
 
 
 @pytest.mark.parametrize("layer", ["parse", "validate"])
@@ -165,12 +164,15 @@ def test_run_path_events_grow_linearly_with_ticks(layer, scenarios, seed_registr
             assert run.summary()["activations"] > 0
             if layer == "emit":
                 yield ticks, partial(emit, run.graph)
-            elif layer == "provenance_chain":
-                yield ticks, partial(_chains, run.graph)
+            elif layer == "provenance_chain":  # each call builds its read index
+                other = ScenarioRun(scenarios[ticks], seed_registry)
+                other.run()
+                graphs = [run.graph, other.graph]
+                yield ticks, lambda: _chains(graphs.pop())
             else:
                 yield ticks, partial(render_log, run.records)
 
-    _assert_linear(layer, calls(), memory=layer != "provenance_chain")
+    _assert_linear(layer, calls())
 
 
 def test_run_calls_no_namedtuple_new(scenarios, seed_registry):
@@ -230,7 +232,7 @@ def test_parse_scenario_grows_linearly_with_sensors():
             assert len(parse_scenario(text).sensors) == count
             yield count, partial(parse_scenario, text)
 
-    _assert_linear("parse_scenario", calls(), unit="sensors", memory=True)
+    _assert_linear("parse_scenario", calls(), unit="sensors")
 
 
 _EXTENSION_HEAD = ("@prefix reg: <https://example.org/ns/registry#> .\n"
@@ -261,7 +263,7 @@ def test_load_extension_grows_linearly_with_classes(shape, seed_registry):
             assert diagnostics == [] and len(grown.classes) == len(seed_registry.classes) + count
             yield count, partial(load_extension, seed_registry, text)
 
-    _assert_linear(f"load_extension ({shape})", calls(), unit="classes", memory=True)
+    _assert_linear(f"load_extension ({shape})", calls(), unit="classes")
 
 
 @pytest.mark.parametrize("shape", ["parent-first", "child-first", "tree"])
