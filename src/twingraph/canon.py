@@ -5,7 +5,8 @@ log) funnels through these helpers so equal values always render equally.
 Renderings come from the standard library's own formatters, so they are
 exact whatever the decimal context. Each JSON value is rendered by the encoder
 of its exact type, so a str or int inside a record costs one C call. An object
-of fixed keys, as a log line is, fills a %-template that object_layout builds once.
+of fixed keys, as a log line is, fills a %-template that object_layout builds once,
+with a log line's kind and LF already in it.
 """
 
 from __future__ import annotations
@@ -125,12 +126,20 @@ _ENCODERS = {
 }
 
 
-def object_layout(keys: tuple[str, ...]):
-    """A renderer of JSON objects with exactly these keys: given one value per
-    key, in `keys` order, dumps_canonical of their dict; other counts raise ValueError."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    template = "{" + ",".join([_encode_key(keys[i]).replace("%", "%%") + ":%s"
-                               for i in order]) + "}"
-    pick, encoder = itemgetter(*order), _ENCODERS.get
-    return lambda *values: template % pick([(encoder(type(v)) or _dumps)(v)
-                                            for _, v in zip(keys, values, strict=True)])
+def object_layout(keys: tuple[str, ...], kind: str | None = None):
+    """A renderer of dumps_canonical of a dict of exactly these keys, given one
+    value per key, in `keys` order; another count raises ValueError. Given a
+    `kind`, it renders a log line: the dict also holds "kind": kind, rendered
+    into the template once, and the text ends in LF."""
+    fixed = {} if kind is None else {"kind": dumps_canonical(kind)}
+    template = "{" + ",".join([_encode_key(key).replace("%", "%%") + ":"
+                               + (fixed[key].replace("%", "%%") if key in fixed else "%s")
+                               for key in sorted((*keys, *fixed))]) + "}" + ("\n" if fixed else "")
+    pick = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    count, encoder = len(keys), _ENCODERS.get
+
+    def render(*values):
+        if len(values) != count:
+            raise ValueError(f"{count} values expected, not {len(values)}")
+        return template % pick([(encoder(type(v)) or _dumps)(v) for v in values])
+    return render

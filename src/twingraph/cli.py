@@ -28,7 +28,7 @@ from .errors import (
     UnknownSubjectError,
 )
 from .ontology import SEED_VERSION, load_seed
-from .runtime import ScenarioRun, StepFailure
+from .runtime import ScenarioRun, StepFailure, render_log
 
 
 def _parse_graph_file(path: str):
@@ -72,12 +72,13 @@ def cmd_run(args) -> int:
 
 
 def _write_outputs(args, graph, records, abort_message: str | None = None) -> None:
+    # emit and render_log stream to the files, called by name so a wrapper times them
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(textformat.emit(graph))
+            textformat.emit(graph, handle)
     if args.log:
         with open(args.log, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(record.to_json() + "\n" for record in records)
+            render_log(records, handle)
             if abort_message is not None:
                 handle.write(dumps_canonical({"aborted": abort_message}) + "\n")
 

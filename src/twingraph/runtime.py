@@ -9,7 +9,8 @@ activation event per signal evaluation, whose actions are then executed as
 actuation and alert records (actuations first). Steps only log records:
 ScenarioRun.fold writes the statements each one implies, so the run graph is
 the static graph plus the fold of the log, in log order. FIELDS names each
-kind's fields once: a record holds its values in that order, by position.
+kind's fields once: a record holds its values in that order, by position, and
+its line renders through its row's template, which holds the kind and the LF.
 
 Everything is deterministic: fresh IRIs are minted from the sensor name and
 sample index, timestamps are start + tick * tick_seconds, and noise comes
@@ -61,7 +62,7 @@ ACTIVATION = "activation"
 ACTUATION = "actuation"
 ALERT = "alert"
 
-# Each kind's fields in key order (docs/FORMAT.md); every line also has _HEAD.
+# Each kind's fields in key order (docs/FORMAT.md); every line also has its kind and _HEAD.
 FIELDS = {
     MEASUREMENT: ("measuredType", "measurement", "sensor", "timestamp", "unit", "value"),
     SIGNAL: ("measurement", "payload", "signal"),
@@ -72,8 +73,8 @@ FIELDS = {
     ALERT: ("activation", "actor", "channel"),
 }
 PAYLOAD_FIELDS = ("measuredType", "sensorId", "signalId", "timestamp", "unit", "value")
-_HEAD = ("kind", "seq", "tick")
-_LINES = {kind: object_layout(_HEAD + row) for kind, row in FIELDS.items()}
+_HEAD = ("seq", "tick")  # and the kind, in each kind's template
+_LINES = {kind: object_layout(_HEAD + row, kind) for kind, row in FIELDS.items()}
 _PAYLOAD = object_layout(PAYLOAD_FIELDS)
 
 # kind -> fold's (subject, property, object, minted object's class), terms as row positions
@@ -93,12 +94,14 @@ class EventRecord(NamedTuple):
     fields = property(lambda self: dict(zip(FIELDS[self.kind], self.values, strict=True)))
 
     def to_json(self) -> str:  # refuses an unknown kind, a wrong count, values not a tuple
-        return _LINES[self.kind](*(self.kind, self.seq, self.tick) + self.values)
+        return _LINES[self.kind](*(self.seq, self.tick) + self.values)[:-1]
 
 
-def render_log(records: list[EventRecord]) -> str:
-    """JSON Lines, every line LF-terminated; `twingraph run` streams the same lines."""
-    return "".join(record.to_json() + "\n" for record in records)
+def render_log(records: list[EventRecord], out=None) -> str | None:
+    """JSON Lines, every line LF-terminated: returned, or written to the text
+    stream `out` line by line, as `twingraph run --log` writes them."""
+    lines = (_LINES[kind](*(seq, tick) + values) for tick, seq, kind, values in records)
+    return "".join(lines) if out is None else out.writelines(lines)
 
 
 class StepFailure(ScenarioError):
@@ -417,14 +420,15 @@ class ScenarioRun:
         measured_type = state.spec.measured_type
         history = self._histories[measured_type]
         history.append(value)
-        fired_rules: list[str] = []
+        fired: list[str] = []
         fired_actions = []
         for rule in self._rules.get(measured_type, ()):
             decision = evaluate_rule(rule, history)
             if decision.fired:
-                fired_rules.append(rule.id)
+                fired.append(rule.id)
                 fired_actions.extend(decision.actions)
 
+        fired_rules = tuple(fired)  # one immutable value for both records
         self._record(tick, DECISION, self.config.decider.iri, bool(fired_rules), fired_rules,
                      measured_type, signal.value, value)
         if not fired_rules:

@@ -22,7 +22,8 @@ returned.
 Emission is canonical and byte-stable: prefixes sorted by name, subjects by
 expanded IRI, 'a' types first, properties by id, objects sorted, one subject
 block per node, LF line endings, trailing newline. The parser also accepts
-CRLF input.
+CRLF input. emit renders all it prints in a pre-pass, then streams the
+header and each subject block in turn when given a stream.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import re
 from collections.abc import Iterator
 from functools import cache
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
 from . import namespaces as ns
@@ -81,6 +82,7 @@ _TOKENS = master(rf"""
 _PLAIN = frozenset((PNAME, WORD_A, PUNCT, NUMBER))  # groups named after their kinds
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 _new = tuple.__new__  # a record at half the cost of the NamedTuple's Python-level __new__
+_PROPERTY, _OBJECT = itemgetter(1), itemgetter(2)
 
 
 def _bad(lines, diagnostics, message, text, pos) -> Token:
@@ -358,33 +360,44 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
 
 # --- canonical emission ---
 
-def emit(graph: Graph) -> str:
-    """Canonical text for a graph; a byte-level fixed point under parse.
-    Each IRI, type set and property is rendered once per call."""
-    rendering = dict(ns.DEFAULT_PREFIXES)
-    rendering.update(graph.prefixes)
-    # Longest declared IRI wins; name breaks ties. Precomputed and sorted so
-    # rendering is deterministic.
-    candidates = sorted(rendering.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    used: set[str] = set()
+class _Texts(dict):
+    """Each printed term's text, keyed by the term (an Iri or a Literal) and rendered
+    on its first lookup. An IRI takes the longest base, then the first name, whose
+    rest is a local name: the alternation backtracks to the next base if it is not."""
 
-    @cache  # each distinct IRI text is rendered once per call
-    def render_iri(iri: str) -> str:
-        for name, base in candidates:
-            if iri.startswith(base):
-                local = iri[len(base):]
-                if ns.LOCAL_NAME_RE.match(local):
-                    used.add(name)
-                    return f"{name}:{local}"
-        return f"<{iri}>"
+    def __init__(self, prefixes: dict[str, str]):
+        super().__init__()
+        self.names = sorted(prefixes, key=lambda name: (-len(prefixes[name]), name))
+        bases = "|".join([f"({re.escape(prefixes[name])})" for name in self.names])
+        self.match = re.compile(f"(?:{bases})(?={ns.LOCAL_NAME}\\Z)").match
+        self.used: set[str] = set()  # the names of the prefixes the texts use
 
-    def render_literal(literal: Literal) -> str:
-        if literal.datatype == "decimal":
-            return literal.value
-        escaped = "".join(_UNESCAPES.get(c, c) for c in literal.value)
-        if literal.datatype == "string":
-            return f'"{escaped}"'
-        return f'"{escaped}"^^{render_iri(ns.XSD_IRI + literal.datatype)}'
+    def __missing__(self, term) -> str:
+        if isinstance(term, Iri):
+            found = self.match(term.value)
+            if found is None:
+                text = f"<{term.value}>"
+            else:
+                self.used.add(name := self.names[found.lastindex - 1])
+                text = f"{name}:{term.value[found.end():]}"
+        elif term.datatype == "decimal":
+            text = term.value
+        else:
+            escaped = "".join(_UNESCAPES.get(c, c) for c in term.value)
+            text = f'"{escaped}"' if term.datatype == "string" else \
+                f'"{escaped}"^^{self[Iri(ns.XSD_IRI + term.datatype)]}'
+        self[term] = text
+        return text
+
+
+def emit(graph: Graph, out=None) -> str | None:
+    """Canonical text for a graph; a byte-level fixed point under parse. It is
+    returned, or written to the text stream `out` one subject block at a time.
+    A pre-pass renders every IRI, type list, property head and object the text
+    prints, once each, and sorts each subject's statements, so whatever emit
+    raises, it raises before it writes anything."""
+    rendering = {**ns.DEFAULT_PREFIXES, **graph.prefixes}
+    text = _Texts(rendering)
 
     def statement_sort_key(statement):  # property, then IRIs before literals
         obj = statement.object
@@ -392,31 +405,42 @@ def emit(graph: Graph) -> str:
             return (statement.property, 0, obj.value, "")
         return (statement.property, 1, obj.datatype, obj.value)
 
-    def render_object(obj) -> str:
-        return render_iri(obj.value) if isinstance(obj, Iri) else render_literal(obj)
-
-    by_subject: dict[str, list] = {}
-    for statement in graph.statements:
-        by_subject.setdefault(statement.subject.value, []).append(statement)
-
     @cache  # each type set's 'a' list; frozenset() of an interned set is that set
     def type_list(types: frozenset[str]) -> str:
-        return ", ".join(sorted(render_iri(graph.registry.class_iri(t)) for t in types))
+        return ", ".join(sorted(text[Iri(graph.registry.class_iri(t))] for t in types))
 
     @cache  # and each property's '    prefix:Pxx ' head
     def head(property_id: str) -> str:
-        return f"    {render_iri(graph.registry.property_iri(property_id))} "
+        return f"    {text[Iri(graph.registry.property_iri(property_id))]} "
 
-    blocks = [""]  # slot 0: the header, set last as it names the prefixes used
-    for subject in sorted(graph.nodes):
-        lines = [f"\n{render_iri(subject)} a {type_list(frozenset(graph.nodes[subject]))}"]
-        statements = by_subject.pop(subject, ())
+    # The pre-pass. A statement whose subject is not a node is not printed. A
+    # subject's key is its statements' own Iri, so no key is built for it.
+    nodes = graph.nodes
+    by_subject: dict[str, list] = {}
+    for statement in graph.statements:
+        subject, property_id, obj = statement
+        if subject.value in nodes:
+            by_subject.setdefault(subject.value, []).append(statement)
+            head(property_id)
+            text[obj]
+    subjects = sorted(nodes)
+    for subject in subjects:
+        statements = by_subject.get(subject, ())
+        text[statements[0].subject if statements else Iri(subject)]
+        type_list(frozenset(nodes[subject]))
         if len(statements) > 1:
             statements.sort(key=statement_sort_key)
-        for property_id, group in groupby(statements, key=attrgetter("property")):
-            lines.append(head(property_id) + ", ".join([render_object(s.object) for s in group]))
-        blocks.append(" ;\n".join(lines) + " .\n")
+    declared = {name: rendering[name] for name in set(graph.prefixes) | text.used}
 
-    declared = {name: rendering[name] for name in set(graph.prefixes) | used}
-    blocks[0] = "".join(f"@prefix {name}: <{declared[name]}> .\n" for name in sorted(declared))
-    return "".join(blocks)
+    def blocks():
+        yield "".join(f"@prefix {name}: <{declared[name]}> .\n" for name in sorted(declared))
+        for subject in subjects:
+            statements = by_subject.pop(subject, ())
+            term = statements[0].subject if statements else Iri(subject)
+            lines = [f"\n{text[term]} a {type_list(frozenset(nodes[subject]))}"]
+            for property_id, group in groupby(statements, key=_PROPERTY):
+                lines.append(head(property_id) + ", ".join(map(text.__getitem__,
+                                                               map(_OBJECT, group))))
+            yield " ;\n".join(lines) + " .\n"
+
+    return "".join(blocks()) if out is None else out.writelines(blocks())

@@ -253,9 +253,13 @@ def test_aborted_run_writes_the_partial_log_then_the_aborted_line(tmp_path):
 def test_writer_peak_memory_per_output_byte(tmp_path):
     # The log goes to its file one line at a time, so its traced peak is
     # about a write buffer: 0.06 of the log's bytes at 200 ticks, 2.25 when
-    # the whole log is joined first. The graph text is one join of
-    # per-subject blocks: about 3.7 traced bytes per text byte, 8.3 with a
-    # list per (subject, property) and a header + body copy.
+    # the whole log is joined first. The graph text goes out one subject
+    # block at a time after a pre-pass, whose renderings and per-subject
+    # statement lists are what is left: 2.71, 2.51, 2.44 and 2.44 traced bytes
+    # per text byte on Python 3.10, 3.11, 3.12 and 3.13 (in a fresh process,
+    # so with emit's prefix regex compiled), against 4.03, 3.74, 3.61 and 3.61
+    # when the blocks are joined into one text first, and 8.3 with a list per
+    # (subject, property) and a header + body copy.
     with open(SCENARIO, encoding="utf-8") as handle:
         doc = json.load(handle)
     doc["duration"] = 200
@@ -277,7 +281,7 @@ def test_writer_peak_memory_per_output_byte(tmp_path):
     log_peak = traced_peak(log=str(log))
     assert log.stat().st_size > 300_000
     assert log_peak < 0.2 * log.stat().st_size
-    assert graph_peak < 6 * out.stat().st_size
+    assert graph_peak < 3 * out.stat().st_size
 
 
 def test_query_direct_and_transitive(capsys):

@@ -453,7 +453,7 @@ def test_decision_record_written_even_when_nothing_fires():
     decisions = [r for r in run.records if r.kind == "decision"]
     assert len(decisions) == 2
     assert all(d.fields["fired"] is False for d in decisions)
-    assert all(d.fields["firedRules"] == [] for d in decisions)
+    assert all(d.fields["firedRules"] == () for d in decisions)
 
 
 def test_sample_count_past_any_run_fires_nothing():
@@ -856,7 +856,7 @@ def test_two_rules_activating_one_activator_give_one_actuation():
     assert tail == [
         ("activation", {"activation": "https://example.org/run/act/s1/2",
                         "decider": "https://example.org/rt/brain",
-                        "firedRules": ["a", "b"],
+                        "firedRules": ("a", "b"),
                         "signal": "https://example.org/run/sig/s1/2"}),
         ("actuation", {"action": "drain",
                        "activation": "https://example.org/run/act/s1/2",

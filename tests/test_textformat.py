@@ -1,13 +1,16 @@
 """Text serialization: tokenizer diagnostics, parsing, canonical emission."""
 
+import io
 import json
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twingraph import (Graph, Iri, Literal, PropertyDef, ScenarioRun, emit, load_seed, parse,
-                       parse_scenario)
+from twingraph import (Graph, Iri, Literal, PropertyDef, ScenarioRun, Statement, emit, load_seed,
+                       parse, parse_scenario)
+from twingraph import namespaces as ns
 from twingraph.errors import SEVERITY_ERROR, SEVERITY_WARNING, has_errors
 from twingraph.textformat import FILE_EXTENSION, RawLiteral, parse_raw
 
@@ -288,11 +291,116 @@ def test_objects_sorted_iris_before_literals():
     assert line.strip().rstrip(" .;") == "crm:P55 ex:p1, ex:p2"
 
 
+def test_iris_sort_before_literals_within_one_property():
+    # only an unchecked insert puts both under one property; 'decimal' sorts before 'https'
+    g = Graph(load_seed(), {"ex": EX})
+    g.add_entity("ex:a", ["HC3"])
+    g.add_entity("ex:p1", ["E53"])
+    g.add_statement("ex:a", "P55", "ex:p1")
+    g.statements[Statement(Iri(EX + "a"), "P55", Literal.of("decimal", "4.5"))] = None
+    assert "    crm:P55 ex:p1, 4.5 .\n" in emit(g)
+
+
 def test_longest_prefix_match():
     g = Graph(load_seed(), {"ex": EX, "exdeep": EX + "deep/"})
     g.add_entity("<" + EX + "deep/a>", ["HC3"])
     text = emit(g)
     assert "exdeep:a" in text
+
+
+def test_a_base_whose_rest_is_no_local_name_gives_way_to_a_shorter_one():
+    g = Graph(load_seed(), {"ex": EX, "exd": EX + "d"})
+    g.add_entity("<" + EX + "d//x>", ["HC3"])  # after exd: '//x', which no local name starts with
+    assert emit(g) == (f"@prefix ex: <{EX}> .\n@prefix exd: <{EX}d> .\n"
+                       "@prefix hdto: <https://example.org/ns/hdto#> .\n"
+                       "\nex:d//x a hdto:HC3 .\n")
+
+
+def test_two_names_on_one_base_render_by_the_first_name():
+    g = Graph(load_seed(), {"b": EX, "a": EX})
+    g.add_entity("<" + EX + "x>", ["HC3"])
+    text = emit(g)
+    assert "\na:x a hdto:HC3 .\n" in text
+    assert "b:x" not in text
+
+
+def _curie_by_loop(iri, prefixes):
+    """The prefix rule as a plain loop, the reference for emit's one match."""
+    for name, base in sorted(prefixes.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+        if iri.startswith(base) and ns.LOCAL_NAME_RE.match(iri[len(base):]):
+            return f"{name}:{iri[len(base):]}"
+    return f"<{iri}>"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "ex", "exd"]),
+                       st.sampled_from(["https://e/", "https://e/d", "https://e/d/",
+                                        "https://e/d.", "https://e/d//"]), max_size=4),
+       st.lists(st.text(alphabet="d/.x%", max_size=5), min_size=1, max_size=6, unique=True))
+def test_each_iri_renders_by_the_prefix_rule(prefixes, tails):
+    g = Graph(load_seed(), prefixes)
+    for tail in tails:
+        g.add_entity(f"<https://e/{tail}>", ["HC3"])
+    text = emit(g)
+    for tail in tails:
+        curie = _curie_by_loop("https://e/" + tail, {**ns.DEFAULT_PREFIXES, **prefixes})
+        assert f"\n{curie} a hdto:HC3 .\n" in text
+
+
+def test_a_prefix_used_only_by_a_literal_datatype_is_declared():
+    registry = load_seed().register_property(PropertyDef(
+        id="P83", label="dateTime", namespace="CRM", domain="E1", range="dateTime"))
+    g = Graph(registry, {"ex": EX})
+    g.add_entity("ex:a", ["HC3"])
+    g.add_statement("ex:a", "P83", Literal.of("dateTime", "2026-05-01T12:00:00Z"))
+    text = emit(g)
+    assert "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n" in text
+    assert 'crm:P83 "2026-05-01T12:00:00Z"^^xsd:dateTime .\n' in text
+
+
+def test_a_prefix_used_only_by_an_unchecked_object_is_declared():
+    g = Graph(load_seed(), {"ex": EX})
+    g.add_entity("ex:a", ["HC3"])
+    g.statements[Statement(Iri(EX + "a"), "P55", Iri(ns.WD_IRI + "Q1"))] = None  # unchecked
+    text = emit(g)
+    assert f"@prefix wd: <{ns.WD_IRI}> .\n" in text
+    assert "crm:P55 wd:Q1 .\n" in text
+
+
+@pytest.mark.parametrize("with_statement", [False, True])
+def test_a_prefix_used_only_by_a_subject_is_declared(with_statement):
+    # the header goes out before the first block, so every subject is rendered first
+    g = Graph(load_seed(), {"ex": EX})
+    g.add_entity(f"<{ns.WD_IRI}Q1>", ["HC3"])
+    g.add_entity("ex:b", ["E53"])
+    if with_statement:
+        g.add_statement(f"<{ns.WD_IRI}Q1>", "P55", "ex:b")
+    text = emit(g)
+    assert f"@prefix wd: <{ns.WD_IRI}> .\n" in text
+    assert "\nwd:Q1 a hdto:HC3" in text
+
+
+@pytest.mark.parametrize("spoil", [None, "class", "property", "object"])
+def test_emit_to_a_stream_writes_the_text_or_nothing(spoil):
+    # what emit cannot render sits after a subject it can, and the stream stays empty
+    g = Graph(load_seed(), {"ex": EX})
+    g.add_entity("ex:a", ["HC3"])
+    g.add_entity("ex:b", ["E53"])
+    g.add_statement("ex:a", "P55", "ex:b")
+    if spoil == "class":
+        g.nodes[EX + "z"] = frozenset({"NOPE"})
+    elif spoil == "property":
+        g.statements[Statement(Iri(EX + "b"), "P999", Iri(EX + "a"))] = None
+    elif spoil == "object":
+        g.statements[Statement(Iri(EX + "b"), "P55", "not a term")] = None
+    out = io.StringIO()
+    if spoil is None:
+        assert emit(g, out) is None
+        assert out.getvalue() == emit(g)
+        return
+    with pytest.raises((KeyError, AttributeError)):
+        emit(g, out)
+    assert out.getvalue() == ""
 
 
 def test_invalid_local_name_falls_back_to_full_iri():
