@@ -1,16 +1,17 @@
 """Validated statement store over an ontology registry.
 
 A graph holds typed entity nodes and (subject, property, object) statements.
-Every statement is checked eagerly against the registry: both ends must be
-known nodes, the property must be registered, a literal must parse as its
-datatype, and the node types must satisfy the property's domain and range.
-add_statement resolves text terms against the graph's prefixes, takes an Iri
-subject and object as they are, and passes the Statement to the one checked
-insert, so a graph built through this API can never hold an ill-typed
-statement; validate() re-checks by the same rule for statements inserted by
-other means. A graph keeps the (property, subject types, object types)
-signature of each IRI statement that passed its domain and class-range
-checks and skips them for the next; failures and plain sets are never kept.
+The store takes terms: an Iri node or subject, an Iri or Literal object;
+resolve() is where text becomes an Iri, against the graph's prefixes. Every
+statement is checked eagerly against the registry by add_statement, the one
+checked insert: both ends must be known nodes, the property must be
+registered, a literal must be its datatype's canonical form, and the node
+types must satisfy the property's domain and range. So a graph built through
+this API can never hold an ill-typed statement; validate() re-checks by the
+same rule for statements inserted by other means. A graph keeps the
+(property, subject types, object types) signature of each IRI statement that
+passed its domain and class-range checks and skips them for the next;
+failures and plain sets are never kept.
 
 The statements are one append-only ordered set, a dict keyed by statement:
 duplicates collapse and insertion order is kept for queries and provenance
@@ -134,7 +135,7 @@ _RUN_ACT, _RUN_SIG = ns.RUN_IRI + "act/", ns.RUN_IRI + "sig/"
 
 _new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
 
-# insert raises these for existence; StatementViolationError otherwise.
+# add_statement raises these for existence; StatementViolationError otherwise.
 _UNKNOWN_ERRORS = {
     ViolationReason.UNKNOWN_PROPERTY: UnknownPropertyError,
     ViolationReason.UNKNOWN_SUBJECT: UnknownSubjectError,
@@ -158,49 +159,28 @@ class Graph:
 
     # --- identifiers ---
 
-    def resolve(self, text) -> Iri:
-        if isinstance(text, Iri):
-            return text
+    def resolve(self, text: str) -> Iri:
         return Iri(ns.resolve_iri(text, self.prefixes))
 
     # --- construction ---
 
-    def add_entity(self, iri, class_ids) -> Iri:
+    def add_entity(self, node: Iri, class_id: str) -> Iri:
         """Create or extend a node; merged types make a new interned frozenset."""
-        node = iri if isinstance(iri, Iri) else self.resolve(iri)
-        types = [class_ids] if isinstance(class_ids, str) else list(class_ids)
-        if not types:
-            raise UnknownClassError("a node needs at least one class")
-        for cid in types:
-            if cid not in self.registry.classes:
-                raise UnknownClassError(f"unknown class {cid}")
-        merged = frozenset(types).union(self.nodes.get(node.value, ()))
+        if class_id not in self.registry.classes:
+            raise UnknownClassError(f"unknown class {class_id}")
+        merged = frozenset((class_id,)).union(self.nodes.get(node.value, ()))
         self.nodes[node.value] = self._type_sets.setdefault(merged, merged)
         return node
 
-    def add_statement(self, subject, property_id: str, obj) -> Statement:
-        """Validate and insert one statement; duplicates collapse silently.
-        An Iri subject and an Iri object are taken as they are, unresolved."""
-        if isinstance(subject, Iri) and isinstance(obj, Iri):
-            return self.insert(_new(Statement, (subject, property_id, obj)))
-        return self.insert(self._statement(subject, property_id, obj))
-
-    def insert(self, statement: Statement) -> Statement:
-        """The one checked insert, for a Statement of Iri and Literal terms."""
+    def add_statement(self, subject: Iri, property_id: str, obj: Iri | Literal) -> Statement:
+        """The one checked insert; duplicates collapse silently."""
+        statement = _new(Statement, (subject, property_id, obj))
         found = self._violation(statement)
         if found is not None:
             error = _UNKNOWN_ERRORS.get(found[0])
             raise error(found[1]) if error else StatementViolationError(*found)
         self.statements[statement] = None
         return statement
-
-    def has_statement(self, subject, property_id: str, obj) -> bool:
-        return self._statement(subject, property_id, obj) in self.statements
-
-    def _statement(self, subject, property_id: str, obj) -> Statement:
-        if isinstance(obj, (str, Iri)):
-            obj = self.resolve(obj)
-        return Statement(self.resolve(subject), property_id, obj)
 
     def _violation(self, statement: Statement) -> tuple[ViolationReason, str] | None:
         """The first rule the statement breaks, or None. In order: property,
@@ -276,12 +256,11 @@ class Graph:
         found = [iri for iri, types in self.nodes.items() if types & accepted]
         return [Iri(v) for v in sorted(found)]
 
-    def objects_of(self, subject, property_id: str) -> list:
+    def objects_of(self, subject: Iri, property_id: str) -> list:
         """Objects of (subject, property) statements in insertion order."""
-        resolved = self.resolve(subject)
         if property_id not in self.registry.properties:
             raise UnknownPropertyError(f"unknown property {property_id}")
-        return [s.object for s in self._adjacency()[0].get(resolved.value, ())
+        return [s.object for s in self._adjacency()[0].get(subject.value, ())
                 if s.property == property_id]
 
     def _adjacency(self) -> tuple[dict[str, list[Statement]], dict[str, list[Statement]]]:
@@ -299,7 +278,7 @@ class Graph:
 
     # --- provenance ---
 
-    def provenance_chain(self, start) -> list[Statement]:
+    def provenance_chain(self, start: Iri) -> list[Statement]:
         """Walk an activation, signal, or measurement back toward its asset.
 
         Follows O13, HP12, L20 upstream and L12 plus the sensor attachment
@@ -308,10 +287,9 @@ class Graph:
         answered, when that reaches the decider; otherwise the earliest
         inserted matching statement wins. A hop reads one node's statements.
         """
-        resolved = self.resolve(start)
-        types = self.nodes.get(resolved.value)
+        types = self.nodes.get(start.value)
         if not types:
-            raise UnknownSubjectError(f"unknown node {resolved}")
+            raise UnknownSubjectError(f"unknown node {start}")
         skip = None
         for offset, class_id in ((0, "HC14"), (2, "HC12"), (3, "HC13")):
             if self.registry.falls_under(types, class_id):
@@ -319,12 +297,12 @@ class Graph:
                 break
         if skip is None:
             raise NotAProvenanceNodeError(
-                f"{resolved} is not an activation event, signal, or measurement")
+                f"{start} is not an activation event, signal, or measurement")
         out, into = self._adjacency()
-        minted = skip == 0 and resolved.value.startswith(_RUN_ACT)
-        cause = _RUN_SIG + resolved.value[len(_RUN_ACT):] if minted else None
+        minted = skip == 0 and start.value.startswith(_RUN_ACT)
+        cause = _RUN_SIG + start.value[len(_RUN_ACT):] if minted else None
         path: list[Statement] = []
-        current = resolved
+        current = start
         for properties, direction in _CHAIN_STEPS[skip:]:
             adjacent = into if direction == "in" else out
             for hit in adjacent.get(current.value, ()):

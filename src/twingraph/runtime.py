@@ -93,9 +93,6 @@ class EventRecord(NamedTuple):
     values: tuple
     fields = property(lambda self: dict(zip(FIELDS[self.kind], self.values, strict=True)))
 
-    def to_json(self) -> str:  # refuses an unknown kind, a wrong count, values not a tuple
-        return _LINES[self.kind](*(self.seq, self.tick) + self.values)[:-1]
-
 
 def render_log(records: list[EventRecord], out=None) -> str | None:
     """JSON Lines, every line LF-terminated: returned, or written to the text

@@ -45,7 +45,7 @@ from .errors import (
     UnknownSubjectError,
     has_errors,
 )
-from .graph import Graph, Iri, Literal, Statement, ViolationReason
+from .graph import Graph, Iri, Literal, ViolationReason
 from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
 from .ontology import LITERAL_KINDS, Registry
 
@@ -342,7 +342,7 @@ def parse(text: str, registry: Registry) -> tuple[Graph | None, list[ParseDiagno
         else:
             obj = iri(triple.object)
         try:
-            graph.insert(_new(Statement, (iri(triple.subject), property_id, obj)))
+            graph.add_statement(iri(triple.subject), property_id, obj)
         except UnknownSubjectError as exc:
             fail(triple.subject_pos, f"UnknownSubject: {exc}")
         except UnknownObjectError as exc:

@@ -299,9 +299,9 @@ def random_graph(rng, registry, tag):
     names = []
     for i in range(rng.randint(1, 14)):
         prefix = rng.choice(["ex", "alt"])
-        name = f"{prefix}:n{i}"
-        graph.add_entity(name, rng.sample(_GRAPH_CLASSES,
-                                          rng.choice([1, 1, 1, 2])))
+        name = graph.resolve(f"{prefix}:n{i}")
+        for class_id in rng.sample(_GRAPH_CLASSES, rng.choice([1, 1, 1, 2])):
+            graph.add_entity(name, class_id)
         names.append(name)
     for _ in range(rng.randint(0, 25)):
         subject, obj = rng.choice(names), rng.choice(names)

@@ -285,7 +285,8 @@ def test_decimal_past_28_digits_keeps_its_value():
     assert not diagnostics
     reread, diagnostics = parse(emit(graph), registry)
     assert not diagnostics
-    assert Decimal(reread.objects_of("ex:a", "P85")[0].value) == Decimal(THIRTY_TWO_DIGITS)
+    (value,) = reread.objects_of(reread.resolve("ex:a"), "P85")
+    assert Decimal(value.value) == Decimal(THIRTY_TWO_DIGITS)
 
 
 def test_run_before_year_1000_logs_readable_timestamps():

@@ -93,7 +93,7 @@ def test_each_node_of_a_run_is_one_iri_object():
 
 # --- one writer ---
 
-WRITES = {"add_entity", "add_statement", "insert"}
+WRITES = {"add_entity", "add_statement"}
 WRITERS = {"ScenarioRun.fold", "ScenarioRun._label_node", "ScenarioRun._build_static"}
 
 

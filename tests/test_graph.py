@@ -23,9 +23,9 @@ RUN = "https://example.org/run/"
 @pytest.fixture
 def graph(seed_registry):
     g = Graph(seed_registry, {"ex": EX})
-    g.add_entity("ex:place", ["E53"])
-    g.add_entity("ex:asset", ["HC3"])
-    g.add_entity("ex:twin", ["HC2"])
+    g.add_entity(g.resolve("ex:place"), "E53")
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    g.add_entity(g.resolve("ex:twin"), "HC2")
     return g
 
 
@@ -38,48 +38,48 @@ def test_prefix_resolution(graph):
 
 
 def test_entity_types_merge(graph):
-    graph.add_entity("ex:asset", ["HC6"])
+    graph.add_entity(graph.resolve("ex:asset"), "HC6")
     assert graph.nodes[EX + "asset"] == {"HC3", "HC6"}
     with pytest.raises(UnknownClassError):
-        graph.add_entity("ex:asset", ["HC99"])
+        graph.add_entity(graph.resolve("ex:asset"), "HC99")
 
 
 def test_entity_types_merge_over_a_plain_set(graph):
     graph.nodes[EX + "odd"] = {"HC3"}  # placed directly, not through add_entity
-    graph.add_entity("ex:odd", ["HC6"])
-    graph.add_entity("ex:asset", ["HC6"])
+    graph.add_entity(graph.resolve("ex:odd"), "HC6")
+    graph.add_entity(graph.resolve("ex:asset"), "HC6")
     merged = graph.nodes[EX + "odd"]
     assert type(merged) is frozenset and merged == {"HC3", "HC6"}
     assert merged is graph.nodes[EX + "asset"]  # interned: one object per class set
 
 
 def test_statement_accepted(graph):
-    st = graph.add_statement("ex:asset", "P55", "ex:place")
+    st = graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:place"))
     assert st.subject == Iri(EX + "asset")
     assert st.property == "P55"
     assert st.object == Iri(EX + "place")
-    assert graph.has_statement("ex:asset", "P55", "ex:place")
+    assert Statement(Iri(EX + "asset"), "P55", Iri(EX + "place")) in graph.statements
 
 
 def test_statement_dedup(graph):
-    graph.add_statement("ex:asset", "P55", "ex:place")
+    graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:place"))
     before = len(graph.statements)
-    graph.add_statement("ex:asset", "P55", "ex:place")
+    graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:place"))
     assert len(graph.statements) == before
 
 
 def test_statement_rejections(graph):
     with pytest.raises(UnknownPropertyError):
-        graph.add_statement("ex:asset", "P99", "ex:place")
+        graph.add_statement(graph.resolve("ex:asset"), "P99", graph.resolve("ex:place"))
     with pytest.raises(UnknownSubjectError):
-        graph.add_statement("ex:ghost", "P55", "ex:place")
+        graph.add_statement(graph.resolve("ex:ghost"), "P55", graph.resolve("ex:place"))
     with pytest.raises(UnknownObjectError):
-        graph.add_statement("ex:asset", "P55", "ex:ghost")
+        graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:ghost"))
     with pytest.raises(StatementViolationError) as err:
-        graph.add_statement("ex:place", "HP1", "ex:asset")
+        graph.add_statement(graph.resolve("ex:place"), "HP1", graph.resolve("ex:asset"))
     assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
     with pytest.raises(StatementViolationError) as err:
-        graph.add_statement("ex:twin", "HP1", "ex:place")
+        graph.add_statement(graph.resolve("ex:twin"), "HP1", graph.resolve("ex:place"))
     assert err.value.reason is ViolationReason.RANGE_VIOLATION
     # nothing was recorded by the failed attempts
     assert graph.statements == {}
@@ -92,11 +92,11 @@ def test_literal_statements(seed_registry):
         domain="E1", range="decimal")).register_property(PropertyDef(
         id="P81", label="read at", namespace="CRM", domain="E1", range="dateTime"))
     g = Graph(registry, {"ex": EX})
-    g.add_entity("ex:asset", ["HC3"])
-    st = g.add_statement("ex:asset", "P80", Literal.of("decimal", "4.50"))
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    st = g.add_statement(g.resolve("ex:asset"), "P80", Literal.of("decimal", "4.50"))
     assert st.object == Literal("decimal", "4.5")
     with pytest.raises(StatementViolationError) as err:
-        g.add_statement("ex:asset", "P80", Literal("string", "wet"))
+        g.add_statement(g.resolve("ex:asset"), "P80", Literal("string", "wet"))
     assert err.value.reason is ViolationReason.DATATYPE_VIOLATION
     # a lexical form that does not parse as its datatype, or is not its
     # canonical form, is refused on insert
@@ -105,12 +105,12 @@ def test_literal_statements(seed_registry):
                              ("P80", Literal("decimal", "1.50")),
                              ("P81", Literal("dateTime", "2026-01-01T00:00:00+00:00"))):
         with pytest.raises(StatementViolationError) as err:
-            g.add_statement("ex:asset", property_id, bad)
+            g.add_statement(g.resolve("ex:asset"), property_id, bad)
         assert err.value.reason is ViolationReason.DATATYPE_VIOLATION
     assert list(g.statements) == [st]
     # class-valued ranges refuse literals
     with pytest.raises(StatementViolationError):
-        g.add_statement("ex:asset", "P55", Literal("string", "here"))
+        g.add_statement(g.resolve("ex:asset"), "P55", Literal("string", "here"))
 
 
 def test_literal_canonical_forms():
@@ -145,7 +145,7 @@ def test_literal_canonical_forms():
 
 
 def test_validate_finds_injected_violation(graph):
-    graph.add_statement("ex:asset", "P55", "ex:place")
+    graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:place"))
     assert graph.validate().ok
     # slip a statement past the write checks
     graph.statements[Statement(Iri(EX + "place"), "HP1", Iri(EX + "asset"))] = None
@@ -159,9 +159,9 @@ def test_validate_finds_injected_violation(graph):
 
 def test_instances_of(graph):
     g = graph
-    g.add_entity("ex:sensor-b", ["HC9"])
-    g.add_entity("ex:sensor-a", ["HC9"])
-    g.add_entity("ex:unit", ["HC11"])
+    g.add_entity(g.resolve("ex:sensor-b"), "HC9")
+    g.add_entity(g.resolve("ex:sensor-a"), "HC9")
+    g.add_entity(g.resolve("ex:unit"), "HC11")
     assert [i.value for i in g.instances_of("HC9")] == [EX + "sensor-a", EX + "sensor-b"]
     assert g.instances_of("D8") == []
     transitive = [i.value for i in g.instances_of("D8", transitive=True)]
@@ -169,74 +169,74 @@ def test_instances_of(graph):
 
 
 def test_objects_of_keeps_insertion_order(graph):
-    graph.add_entity("ex:place2", ["E53"])
-    graph.add_statement("ex:asset", "P55", "ex:place2")
-    graph.add_statement("ex:asset", "P55", "ex:place")
-    objs = graph.objects_of("ex:asset", "P55")
+    graph.add_entity(graph.resolve("ex:place2"), "E53")
+    graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:place2"))
+    graph.add_statement(graph.resolve("ex:asset"), "P55", graph.resolve("ex:place"))
+    objs = graph.objects_of(graph.resolve("ex:asset"), "P55")
     assert [o.value for o in objs] == [EX + "place2", EX + "place"]
 
 
 def _provenance_world(seed_registry, attach="HP15"):
     g = Graph(seed_registry, {"ex": EX})
-    g.add_entity("ex:place", ["E53"])
-    g.add_entity("ex:asset", ["HC3"])
-    g.add_entity("ex:sensor", ["HC9"])
-    g.add_entity("ex:decider", ["HC10"])
-    g.add_entity("ex:m", ["HC13"])
-    g.add_entity("ex:sig", ["HC12"])
-    g.add_entity("ex:act", ["HC14"])
+    g.add_entity(g.resolve("ex:place"), "E53")
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    g.add_entity(g.resolve("ex:sensor"), "HC9")
+    g.add_entity(g.resolve("ex:decider"), "HC10")
+    g.add_entity(g.resolve("ex:m"), "HC13")
+    g.add_entity(g.resolve("ex:sig"), "HC12")
+    g.add_entity(g.resolve("ex:act"), "HC14")
     if attach == "HP15":
-        g.add_statement("ex:sensor", "HP15", "ex:asset")
+        g.add_statement(g.resolve("ex:sensor"), "HP15", g.resolve("ex:asset"))
     elif attach == "P55":
-        g.add_statement("ex:sensor", "P55", "ex:place")
-    g.add_statement("ex:m", "L12", "ex:sensor")
-    g.add_statement("ex:m", "L20", "ex:sig")
-    g.add_statement("ex:sig", "HP12", "ex:decider")
-    g.add_statement("ex:decider", "O13", "ex:act")
+        g.add_statement(g.resolve("ex:sensor"), "P55", g.resolve("ex:place"))
+    g.add_statement(g.resolve("ex:m"), "L12", g.resolve("ex:sensor"))
+    g.add_statement(g.resolve("ex:m"), "L20", g.resolve("ex:sig"))
+    g.add_statement(g.resolve("ex:sig"), "HP12", g.resolve("ex:decider"))
+    g.add_statement(g.resolve("ex:decider"), "O13", g.resolve("ex:act"))
     return g
 
 
 def test_provenance_chain_from_activation(seed_registry):
     g = _provenance_world(seed_registry)
-    chain = g.provenance_chain("ex:act")
+    chain = g.provenance_chain(g.resolve("ex:act"))
     assert [s.property for s in chain] == ["O13", "HP12", "L20", "L12", "HP15"]
     assert chain[-1].object == Iri(EX + "asset")
 
 
 def test_provenance_chain_place_attachment(seed_registry):
     g = _provenance_world(seed_registry, attach="P55")
-    chain = g.provenance_chain("ex:act")
+    chain = g.provenance_chain(g.resolve("ex:act"))
     assert [s.property for s in chain] == ["O13", "HP12", "L20", "L12", "P55"]
     assert chain[-1].object == Iri(EX + "place")
 
 
 def test_provenance_chain_shorter_starts(seed_registry):
     g = _provenance_world(seed_registry)
-    assert [s.property for s in g.provenance_chain("ex:sig")] == ["L20", "L12", "HP15"]
-    assert [s.property for s in g.provenance_chain("ex:m")] == ["L12", "HP15"]
+    assert [s.property for s in g.provenance_chain(g.resolve("ex:sig"))] == ["L20", "L12", "HP15"]
+    assert [s.property for s in g.provenance_chain(g.resolve("ex:m"))] == ["L12", "HP15"]
 
 
 def test_provenance_chain_stops_at_gap(seed_registry):
     g = _provenance_world(seed_registry, attach="none")
-    chain = g.provenance_chain("ex:act")
+    chain = g.provenance_chain(g.resolve("ex:act"))
     assert [s.property for s in chain] == ["O13", "HP12", "L20", "L12"]
 
 
 def test_provenance_chain_rejects_other_nodes(seed_registry):
     g = _provenance_world(seed_registry)
     with pytest.raises(NotAProvenanceNodeError):
-        g.provenance_chain("ex:sensor")
+        g.provenance_chain(g.resolve("ex:sensor"))
     with pytest.raises(UnknownSubjectError):
-        g.provenance_chain("ex:missing")
+        g.provenance_chain(g.resolve("ex:missing"))
 
 
 def test_provenance_chain_prefers_earliest_statement(seed_registry):
     g = _provenance_world(seed_registry)
-    g.add_entity("ex:sig2", ["HC12"])
-    g.add_entity("ex:m2", ["HC13"])
-    g.add_statement("ex:m2", "L20", "ex:sig2")
-    g.add_statement("ex:sig2", "HP12", "ex:decider")
-    chain = g.provenance_chain("ex:act")
+    g.add_entity(g.resolve("ex:sig2"), "HC12")
+    g.add_entity(g.resolve("ex:m2"), "HC13")
+    g.add_statement(g.resolve("ex:m2"), "L20", g.resolve("ex:sig2"))
+    g.add_statement(g.resolve("ex:sig2"), "HP12", g.resolve("ex:decider"))
+    chain = g.provenance_chain(g.resolve("ex:act"))
     # two signals feed the decider; the first recorded transmission wins
     assert chain[1].subject == Iri(EX + "sig")
 
@@ -244,16 +244,16 @@ def test_provenance_chain_prefers_earliest_statement(seed_registry):
 def test_provenance_chain_takes_the_activations_own_signal(seed_registry):
     g = _provenance_world(seed_registry)
     g.prefixes["run"] = RUN
-    g.add_entity("run:sig/s/1", ["HC12"])
-    g.add_entity("run:act/s/1", ["HC14"])
-    g.add_entity("run:act/s/2", ["HC14"])
-    g.add_statement("run:sig/s/1", "HP12", "ex:decider")
-    g.add_statement("ex:decider", "O13", "run:act/s/1")
-    g.add_statement("ex:decider", "O13", "run:act/s/2")
+    g.add_entity(g.resolve("run:sig/s/1"), "HC12")
+    g.add_entity(g.resolve("run:act/s/1"), "HC14")
+    g.add_entity(g.resolve("run:act/s/2"), "HC14")
+    g.add_statement(g.resolve("run:sig/s/1"), "HP12", g.resolve("ex:decider"))
+    g.add_statement(g.resolve("ex:decider"), "O13", g.resolve("run:act/s/1"))
+    g.add_statement(g.resolve("ex:decider"), "O13", g.resolve("run:act/s/2"))
     # the signal minted with the activation's sensor and index
-    assert g.provenance_chain("run:act/s/1")[1].subject == Iri(RUN + "sig/s/1")
+    assert g.provenance_chain(g.resolve("run:act/s/1"))[1].subject == Iri(RUN + "sig/s/1")
     # no such signal: the earliest transmission to the decider
-    assert g.provenance_chain("run:act/s/2")[1].subject == Iri(EX + "sig")
+    assert g.provenance_chain(g.resolve("run:act/s/2"))[1].subject == Iri(EX + "sig")
 
 
 # --- the read index against a plain scan ---
@@ -292,19 +292,19 @@ def _chain_world(registry, rng):
     """Run-shaped nodes plus a pool of candidate chain statements, some of
     them crossing sensors and indexes."""
     g = Graph(registry, {"ex": EX, "run": RUN})
-    g.add_entity("ex:asset", ["HC3"])
-    g.add_entity("ex:place", ["E53"])
-    deciders = [g.add_entity(f"ex:d{k}", ["HC10"]) for k in range(2)]
-    sensors = [g.add_entity(f"ex:s{k}", ["HC9"]) for k in range(3)]
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    g.add_entity(g.resolve("ex:place"), "E53")
+    deciders = [g.add_entity(g.resolve(f"ex:d{k}"), "HC10") for k in range(2)]
+    sensors = [g.add_entity(g.resolve(f"ex:s{k}"), "HC9") for k in range(3)]
     starts, pool = [], []
     for sensor in sensors:
         pool.append(rng.choice([(sensor, "HP15", g.resolve("ex:asset")),
                                 (sensor, "P55", g.resolve("ex:place"))]))
         for i in range(3):
             local = f"{sensor.value.rsplit('/', 1)[1]}/{i}"
-            m = g.add_entity(f"run:m/{local}", ["HC13"])
-            sig = g.add_entity(f"run:sig/{local}", ["HC12"])
-            act = g.add_entity(f"run:act/{local}", ["HC14"])
+            m = g.add_entity(g.resolve(f"run:m/{local}"), "HC13")
+            sig = g.add_entity(g.resolve(f"run:sig/{local}"), "HC12")
+            act = g.add_entity(g.resolve(f"run:act/{local}"), "HC14")
             starts += [m, sig, act]
             pool += [(m, "L12", sensor), (m, "L20", sig),
                      (sig, "HP12", rng.choice(deciders)),
@@ -331,21 +331,17 @@ def test_read_index_matches_a_scan(seed_registry, seed):
         elif roll < 0.75:
             start = rng.choice(starts)
             assert g.provenance_chain(start) == scan_chain(g, start)
-        elif roll < 0.9:
+        else:
             subject = rng.choice(nodes)
             property_id = rng.choice(["O13", "HP12", "L20", "L12", "HP15", "P55"])
             assert g.objects_of(subject, property_id) == scan_objects(g, subject, property_id)
-        else:
-            triple = rng.choice(pool)
-            assert g.has_statement(*triple) == any(s == Statement(*triple)
-                                                   for s in g.statements)
 
 
 def test_content_equal(seed_registry):
     a = _provenance_world(seed_registry)
     b = _provenance_world(seed_registry)
     assert a.content_equal(b)
-    b.add_entity("ex:extra", ["E53"])
+    b.add_entity(b.resolve("ex:extra"), "E53")
     assert not a.content_equal(b)
     # a statement inserted unchecked counts like any other
     c = _provenance_world(seed_registry)
@@ -417,9 +413,9 @@ def test_validate_reason_table(seed_registry, case, subject, property_id, obj, e
     registry = seed_registry.register_property(PropertyDef(
         id="P80", label="reading", namespace="CRM", domain="HC3", range="decimal"))
     g = Graph(registry, {"ex": _V})
-    g.add_entity("ex:asset", ["HC3"])
-    g.add_entity("ex:place", ["E53"])
-    g.add_entity("ex:twin", ["HC2"])
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    g.add_entity(g.resolve("ex:place"), "E53")
+    g.add_entity(g.resolve("ex:twin"), "HC2")
     g.nodes[_V + "odd"] = {"HC99"}
     g.statements[Statement(subject, property_id, obj)] = None
     report = g.validate()
@@ -492,7 +488,8 @@ def _typed_graph(registry, nodes):
         elif "E999" in types:  # add_entity refuses it: placed as a frozenset
             g.nodes[iri] = frozenset(types)
         else:
-            g.add_entity(Iri(iri), types)
+            for class_id in types:
+                g.add_entity(Iri(iri), class_id)
     return g
 
 
@@ -520,9 +517,9 @@ def test_signature_verdicts_match_a_per_statement_reference(data):
             expected.setdefault(statement, (*found, statement))
         g.statements[statement] = None  # unchecked
         if error is None:
-            inserted.insert(statement)
+            inserted.add_statement(*statement)
         else:
             with pytest.raises(error):
-                inserted.insert(statement)
+                inserted.add_statement(*statement)
     for _ in range(2):  # the second pass meets the signatures the first kept
         assert [tuple(v) for v in g.validate().violations] == list(expected.values())

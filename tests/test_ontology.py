@@ -282,8 +282,8 @@ def test_falls_under_matches_pairwise_subclass_tests(data):
             else:
                 with pytest.raises(UnknownClassError):
                     registry.falls_under(types | {"E999"}, target)
-            if types:
-                graph.add_entity(f"<https://example.org/n{i}>", sorted(types))
+            for class_id in sorted(types):
+                graph.add_entity(graph.resolve(f"<https://example.org/n{i}>"), class_id)
         assert registry.subclass_closure(target) == {
             c for c in ids if registry.is_subclass_of(c, target)}
         assert [iri.value for iri in graph.instances_of(target, transitive=True)] == sorted(

@@ -105,8 +105,8 @@ def _records() -> list:
     decision = evaluate_rule(rule, [Decimal(71)])
 
     graph = Graph(load_seed(), {"ex": EX})
-    graph.add_entity("ex:place", ["E53"])
-    graph.add_entity("ex:asset", ["HC3"])
+    graph.add_entity(graph.resolve("ex:place"), "E53")
+    graph.add_entity(graph.resolve("ex:asset"), "HC3")
     graph.statements[Statement(Iri(EX + "place"), "HP1", Iri(EX + "asset"))] = None
     report = graph.validate()
 

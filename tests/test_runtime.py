@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from twingraph import (
     Iri,
+    Statement,
     StepFailure,
     load_scenario,
     load_seed,
@@ -836,12 +837,14 @@ def test_static_world_matches_config():
     g = run.graph
     pulpit = "http://www.wikidata.org/entity/Q3925522"
     assert g.nodes[pulpit] == {"HC3"}
-    assert g.has_statement("wd:Q3925522", "P55", "wd:Q1148335")
-    assert g.has_statement("ex:pulpit-twin", "HP1", "wd:Q3925522")
-    assert g.has_statement("ex:accelerometer", "HP15", "wd:Q3925522")
-    assert g.has_statement("ex:hygrometer", "P55", "wd:Q1148335")
-    assert g.has_statement("ex:accelerometer", "HP11", "ex:monitoring-sw")
-    assert g.has_statement("ex:hygrometer", "HP11", "ex:monitoring-sw")
+    for subject, property_id, obj in (
+            ("wd:Q3925522", "P55", "wd:Q1148335"),
+            ("ex:pulpit-twin", "HP1", "wd:Q3925522"),
+            ("ex:accelerometer", "HP15", "wd:Q3925522"),
+            ("ex:hygrometer", "P55", "wd:Q1148335"),
+            ("ex:accelerometer", "HP11", "ex:monitoring-sw"),
+            ("ex:hygrometer", "HP11", "ex:monitoring-sw")):
+        assert Statement(g.resolve(subject), property_id, g.resolve(obj)) in g.statements
     assert run.static_statements == 6
 
 

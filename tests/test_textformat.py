@@ -67,12 +67,12 @@ def test_string_escapes_round_trip():
     g = Graph(load_seed().register_property(PropertyDef(
         id="P81", label="note", namespace="CRM", domain="E1", range="string")),
         {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
-    g.add_statement("ex:a", "P81", Literal.of("string", value))
+    g.add_entity(g.resolve("ex:a"), "HC3")
+    g.add_statement(g.resolve("ex:a"), "P81", Literal.of("string", value))
     text = emit(g)
     reparsed, diagnostics = parse(text, g.registry)
     assert not diagnostics
-    literal = reparsed.objects_of("ex:a", "P81")[0]
+    literal = reparsed.objects_of(reparsed.resolve("ex:a"), "P81")[0]
     assert literal.value == value
 
 
@@ -220,7 +220,7 @@ def test_typed_literal_forms():
         text = HEADER + f"ex:a a hdto:HC3 .\nex:a crm:{pid} {token} .\n"
         graph, diagnostics = parse(text, registry)
         assert not diagnostics, (pid, diagnostics)
-        assert graph.objects_of("ex:a", pid)[0].value == canonical
+        assert graph.objects_of(graph.resolve("ex:a"), pid)[0].value == canonical
         reparsed, diagnostics = parse(emit(graph), registry)
         assert not diagnostics and reparsed.content_equal(graph), pid
 
@@ -234,7 +234,7 @@ def test_empty_graph_single_prefix():
 
 def test_defaults_emitted_only_when_used():
     g = Graph(load_seed(), {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
+    g.add_entity(g.resolve("ex:a"), "HC3")
     text = emit(g)
     assert "@prefix hdto:" in text
     assert "@prefix crmdig:" not in text
@@ -243,11 +243,11 @@ def test_defaults_emitted_only_when_used():
 
 def test_block_and_property_ordering(seed_registry):
     g = Graph(seed_registry, {"ex": EX})
-    g.add_entity("ex:sensor", ["HC9"])
-    g.add_entity("ex:asset", ["HC3"])
-    g.add_entity("ex:sw", ["D14"])
-    g.add_statement("ex:sensor", "HP15", "ex:asset")
-    g.add_statement("ex:sensor", "HP11", "ex:sw")
+    g.add_entity(g.resolve("ex:sensor"), "HC9")
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    g.add_entity(g.resolve("ex:sw"), "D14")
+    g.add_statement(g.resolve("ex:sensor"), "HP15", g.resolve("ex:asset"))
+    g.add_statement(g.resolve("ex:sensor"), "HP11", g.resolve("ex:sw"))
     text = emit(g)
     asset_at = text.index("ex:asset a")
     sensor_at = text.index("ex:sensor a")
@@ -261,12 +261,13 @@ def test_types_placed_as_a_plain_set_emit_like_interned_ones(seed_registry):
     # the bytes were recorded before emit rendered each type set once
     g = Graph(seed_registry, {"ex": EX})
     g.nodes[EX + "odd"] = {"HC3", "HC6"}  # placed directly, not through add_entity
-    g.add_entity("ex:asset", ["HC6", "HC3"])
-    g.add_entity("ex:place", "E53")
+    g.add_entity(g.resolve("ex:asset"), "HC6")
+    g.add_entity(g.resolve("ex:asset"), "HC3")
+    g.add_entity(g.resolve("ex:place"), "E53")
     g.nodes[EX + "room"] = {"E53"}
-    g.add_statement("ex:odd", "P55", "ex:place")
-    g.add_statement("ex:odd", "P55", "ex:room")
-    g.add_statement("ex:asset", "P55", "ex:room")
+    g.add_statement(g.resolve("ex:odd"), "P55", g.resolve("ex:place"))
+    g.add_statement(g.resolve("ex:odd"), "P55", g.resolve("ex:room"))
+    g.add_statement(g.resolve("ex:asset"), "P55", g.resolve("ex:room"))
     assert emit(g) == (
         "@prefix crm: <http://www.cidoc-crm.org/cidoc-crm/> .\n"
         f"@prefix ex: <{EX}> .\n"
@@ -281,11 +282,11 @@ def test_objects_sorted_iris_before_literals():
     registry = load_seed().register_property(PropertyDef(
         id="P81", label="note", namespace="CRM", domain="E1", range="string"))
     g = Graph(registry, {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
-    g.add_entity("ex:p2", ["E53"])
-    g.add_entity("ex:p1", ["E53"])
-    g.add_statement("ex:a", "P55", "ex:p2")
-    g.add_statement("ex:a", "P55", "ex:p1")
+    g.add_entity(g.resolve("ex:a"), "HC3")
+    g.add_entity(g.resolve("ex:p2"), "E53")
+    g.add_entity(g.resolve("ex:p1"), "E53")
+    g.add_statement(g.resolve("ex:a"), "P55", g.resolve("ex:p2"))
+    g.add_statement(g.resolve("ex:a"), "P55", g.resolve("ex:p1"))
     text = emit(g)
     line = [l for l in text.splitlines() if "P55" in l][0]
     assert line.strip().rstrip(" .;") == "crm:P55 ex:p1, ex:p2"
@@ -294,23 +295,24 @@ def test_objects_sorted_iris_before_literals():
 def test_iris_sort_before_literals_within_one_property():
     # only an unchecked insert puts both under one property; 'decimal' sorts before 'https'
     g = Graph(load_seed(), {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
-    g.add_entity("ex:p1", ["E53"])
-    g.add_statement("ex:a", "P55", "ex:p1")
+    g.add_entity(g.resolve("ex:a"), "HC3")
+    g.add_entity(g.resolve("ex:p1"), "E53")
+    g.add_statement(g.resolve("ex:a"), "P55", g.resolve("ex:p1"))
     g.statements[Statement(Iri(EX + "a"), "P55", Literal.of("decimal", "4.5"))] = None
     assert "    crm:P55 ex:p1, 4.5 .\n" in emit(g)
 
 
 def test_longest_prefix_match():
     g = Graph(load_seed(), {"ex": EX, "exdeep": EX + "deep/"})
-    g.add_entity("<" + EX + "deep/a>", ["HC3"])
+    g.add_entity(g.resolve("<" + EX + "deep/a>"), "HC3")
     text = emit(g)
     assert "exdeep:a" in text
 
 
 def test_a_base_whose_rest_is_no_local_name_gives_way_to_a_shorter_one():
     g = Graph(load_seed(), {"ex": EX, "exd": EX + "d"})
-    g.add_entity("<" + EX + "d//x>", ["HC3"])  # after exd: '//x', which no local name starts with
+    # after exd: '//x', which no local name starts with
+    g.add_entity(g.resolve("<" + EX + "d//x>"), "HC3")
     assert emit(g) == (f"@prefix ex: <{EX}> .\n@prefix exd: <{EX}d> .\n"
                        "@prefix hdto: <https://example.org/ns/hdto#> .\n"
                        "\nex:d//x a hdto:HC3 .\n")
@@ -318,7 +320,7 @@ def test_a_base_whose_rest_is_no_local_name_gives_way_to_a_shorter_one():
 
 def test_two_names_on_one_base_render_by_the_first_name():
     g = Graph(load_seed(), {"b": EX, "a": EX})
-    g.add_entity("<" + EX + "x>", ["HC3"])
+    g.add_entity(g.resolve("<" + EX + "x>"), "HC3")
     text = emit(g)
     assert "\na:x a hdto:HC3 .\n" in text
     assert "b:x" not in text
@@ -340,7 +342,7 @@ def _curie_by_loop(iri, prefixes):
 def test_each_iri_renders_by_the_prefix_rule(prefixes, tails):
     g = Graph(load_seed(), prefixes)
     for tail in tails:
-        g.add_entity(f"<https://e/{tail}>", ["HC3"])
+        g.add_entity(g.resolve(f"<https://e/{tail}>"), "HC3")
     text = emit(g)
     for tail in tails:
         curie = _curie_by_loop("https://e/" + tail, {**ns.DEFAULT_PREFIXES, **prefixes})
@@ -351,8 +353,8 @@ def test_a_prefix_used_only_by_a_literal_datatype_is_declared():
     registry = load_seed().register_property(PropertyDef(
         id="P83", label="dateTime", namespace="CRM", domain="E1", range="dateTime"))
     g = Graph(registry, {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
-    g.add_statement("ex:a", "P83", Literal.of("dateTime", "2026-05-01T12:00:00Z"))
+    g.add_entity(g.resolve("ex:a"), "HC3")
+    g.add_statement(g.resolve("ex:a"), "P83", Literal.of("dateTime", "2026-05-01T12:00:00Z"))
     text = emit(g)
     assert "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n" in text
     assert 'crm:P83 "2026-05-01T12:00:00Z"^^xsd:dateTime .\n' in text
@@ -360,7 +362,7 @@ def test_a_prefix_used_only_by_a_literal_datatype_is_declared():
 
 def test_a_prefix_used_only_by_an_unchecked_object_is_declared():
     g = Graph(load_seed(), {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
+    g.add_entity(g.resolve("ex:a"), "HC3")
     g.statements[Statement(Iri(EX + "a"), "P55", Iri(ns.WD_IRI + "Q1"))] = None  # unchecked
     text = emit(g)
     assert f"@prefix wd: <{ns.WD_IRI}> .\n" in text
@@ -371,10 +373,10 @@ def test_a_prefix_used_only_by_an_unchecked_object_is_declared():
 def test_a_prefix_used_only_by_a_subject_is_declared(with_statement):
     # the header goes out before the first block, so every subject is rendered first
     g = Graph(load_seed(), {"ex": EX})
-    g.add_entity(f"<{ns.WD_IRI}Q1>", ["HC3"])
-    g.add_entity("ex:b", ["E53"])
+    g.add_entity(g.resolve(f"<{ns.WD_IRI}Q1>"), "HC3")
+    g.add_entity(g.resolve("ex:b"), "E53")
     if with_statement:
-        g.add_statement(f"<{ns.WD_IRI}Q1>", "P55", "ex:b")
+        g.add_statement(g.resolve(f"<{ns.WD_IRI}Q1>"), "P55", g.resolve("ex:b"))
     text = emit(g)
     assert f"@prefix wd: <{ns.WD_IRI}> .\n" in text
     assert "\nwd:Q1 a hdto:HC3" in text
@@ -384,9 +386,9 @@ def test_a_prefix_used_only_by_a_subject_is_declared(with_statement):
 def test_emit_to_a_stream_writes_the_text_or_nothing(spoil):
     # what emit cannot render sits after a subject it can, and the stream stays empty
     g = Graph(load_seed(), {"ex": EX})
-    g.add_entity("ex:a", ["HC3"])
-    g.add_entity("ex:b", ["E53"])
-    g.add_statement("ex:a", "P55", "ex:b")
+    g.add_entity(g.resolve("ex:a"), "HC3")
+    g.add_entity(g.resolve("ex:b"), "E53")
+    g.add_statement(g.resolve("ex:a"), "P55", g.resolve("ex:b"))
     if spoil == "class":
         g.nodes[EX + "z"] = frozenset({"NOPE"})
     elif spoil == "property":
@@ -405,7 +407,7 @@ def test_emit_to_a_stream_writes_the_text_or_nothing(spoil):
 
 def test_invalid_local_name_falls_back_to_full_iri():
     g = Graph(load_seed(), {"ex": EX})
-    g.add_entity("<" + EX + "weird's#弧>", ["HC3"])
+    g.add_entity(g.resolve("<" + EX + "weird's#弧>"), "HC3")
     text = emit(g)
     assert "<" + EX + "weird's#弧>" in text
     reparsed, diagnostics = parse(text, load_seed())
@@ -416,9 +418,9 @@ def test_invalid_local_name_falls_back_to_full_iri():
 def test_uncarriable_iri_rejected_at_entry():
     g = Graph(load_seed(), {"ex": EX})
     with pytest.raises(ValueError):
-        g.add_entity("ex:has space", ["HC3"])
+        g.add_entity(g.resolve("ex:has space"), "HC3")
     with pytest.raises(ValueError):
-        g.add_entity("<https://example.org/q?x=<y>>", ["HC3"])
+        g.add_entity(g.resolve("<https://example.org/q?x=<y>>"), "HC3")
 
 
 def test_emission_fixed_point_on_shipped_scenario_output():
@@ -437,15 +439,16 @@ def test_random_graph_round_trips():
         g = Graph(registry, {"ex": EX})
         names = [f"n{i}" for i in range(rng.randint(1, 12))]
         for name in names:
-            g.add_entity(f"ex:{name}", [rng.choice(["HC3", "E53", "HC9", "D14"])])
+            g.add_entity(g.resolve(f"ex:{name}"), rng.choice(["HC3", "E53", "HC9", "D14"]))
         for _ in range(rng.randint(0, 18)):
             a, b = rng.choice(names), rng.choice(names)
             try:
-                g.add_statement(f"ex:{a}", rng.choice(["P55", "HP15", "HP11"]), f"ex:{b}")
+                g.add_statement(g.resolve(f"ex:{a}"), rng.choice(["P55", "HP15", "HP11"]),
+                                g.resolve(f"ex:{b}"))
             except Exception:
                 pass
         if rng.random() < 0.5:
-            g.add_statement(f"ex:{rng.choice(names)}", "P81",
+            g.add_statement(g.resolve(f"ex:{rng.choice(names)}"), "P81",
                             Literal.of("string", f"note {case}\n"))
         text = emit(g)
         reparsed, diagnostics = parse(text, registry)
@@ -462,7 +465,7 @@ def test_iri_subject_is_not_read_as_a_curie():
     graph, diagnostics = parse(text, load_seed())
     assert not diagnostics
     assert sorted(graph.nodes) == ["https://e.org/a", "https://e.org/b"]
-    assert graph.has_statement(Iri("https://e.org/a"), "P55", Iri("https://e.org/b"))
+    assert Statement(Iri("https://e.org/a"), "P55", Iri("https://e.org/b")) in graph.statements
 
 
 def test_iri_and_curie_of_one_text_stay_two_nodes():
@@ -484,7 +487,7 @@ def test_scheme_named_prefix_round_trips():
     # one is written <...>
     g = Graph(load_seed(), {"https": "urn:x:"})
     for text in ("https://e.org/m", "<urn:x://e.org/m>", "https:local"):
-        g.add_entity(text, ["HC3"])
+        g.add_entity(g.resolve(text), "HC3")
     assert sorted(g.nodes) == ["https://e.org/m", "urn:x://e.org/m", "urn:x:local"]
     text = emit(g)
     assert text.splitlines()[2:] == ["", "<https://e.org/m> a hdto:HC3 .", "",
@@ -550,6 +553,23 @@ def test_parse_inserts_in_text_order():
         rebuilt = _rebuilt_in_text_order(text, registry)
         assert list(graph.statements) == list(rebuilt.statements)
         assert list(graph.nodes) == list(rebuilt.nodes)
+
+
+def test_parse_inserts_through_add_statement_by_name(monkeypatch):
+    # bench/spans.py times graph-read's inserts by wrapping Graph.add_statement
+    calls = []
+    add_statement = Graph.add_statement
+
+    def counted(self, *terms):
+        calls.append(terms)
+        return add_statement(self, *terms)
+
+    monkeypatch.setattr(Graph, "add_statement", counted)
+    text = HEADER + ('ex:a a hdto:HC3 .\nex:b a crm:E53 .\nex:c a crm:E53 .\n'
+                     'ex:a crm:P55 ex:b, ex:c .\nex:b crm:P55 ex:c .\n')
+    graph, diagnostics = parse(text, load_seed())
+    assert not diagnostics
+    assert len(calls) == len(parse_raw(text).triples) == len(graph.statements) == 3
 
 
 def test_parse_peak_memory_per_text_byte():
