@@ -47,14 +47,14 @@ from .ontology import (
     seed_class_table,
     seed_property_table,
 )
-from .rules import Action, ActionKind, Decision, Rule, TriggerMode, evaluate_rule, parse_rules
+from .rules import Action, ActionKind, Rule, TriggerMode, evaluate_rule, parse_rules
 from .runtime import EventRecord, ScenarioRun, StepFailure, render_log, run_scenario, schedule_due
 from .textformat import FILE_EXTENSION, emit, parse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "ActionKind", "ConfigError", "ConstantGen", "Decision",
+    "Action", "ActionKind", "ConfigError", "ConstantGen",
     "EventRecord", "FILE_EXTENSION", "Graph", "GraphError", "Iri", "ListGen",
     "Literal", "LITERAL_KINDS", "NoisyGen",
     "OntologyClassDef", "ParseDiagnostic", "PropertyDef", "RampGen",

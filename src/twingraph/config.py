@@ -121,6 +121,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         data = json.loads(text, parse_float=Decimal)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+    except ArithmeticError as exc:  # decimal.InvalidOperation, whose text names no cause
+        raise ConfigError("scenario holds a number beyond Decimal's exponent range") from exc
     return build_scenario(data)
 
 

@@ -31,7 +31,6 @@ from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
 _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
 COMPARATORS = tuple(_OPERATORS)
-_new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
 
 _KEYWORDS = {"RULE", "WHEN", "TYPE", "AND", "VALUE", "FOR", "SAMPLES",
              "MODE", "ON_RISE", "EVERY", "THEN", "ACTIVATE", "ALERT", "VIA"}
@@ -63,37 +62,29 @@ class Rule(NamedTuple):
     actions: tuple[Action, ...] = ()
 
 
-class Decision(NamedTuple):
-    fired: bool
-    rule_id: str
-    actions: tuple[Action, ...] = ()
-
-
 # --- evaluation ---
 
-def evaluate_rule(rule: Rule, window: Sequence[Decimal]) -> Decision:
-    """Evaluate a rule against a value window, newest last.
+def evaluate_rule(rule: Rule, window: Sequence[Decimal]) -> bool:
+    """Whether a rule fires on a value window, newest last.
 
     The window must hold only values of the rule's measured type, and at
     least the last sustain+1 values seen so far (or all of them, if fewer);
-    ON_RISE needs one entry of lookback. An empty window never fires. The
-    comparator is looked up once per call, and an unknown one raises
-    ValueError as soon as there are sustain >= 1 values to compare.
+    ON_RISE needs one entry of lookback. An empty window never fires, and an
+    unknown comparator raises ValueError once sustain >= 1 values are there.
     """
     n, sustain = len(window), rule.sustain
     if n == 0 or n < sustain:
-        fired = False
-    elif sustain < 1:  # nothing to compare: the condition holds at every end
-        fired = rule.mode is TriggerMode.EVERY or n == 1
-    else:
-        test = _OPERATORS.get(rule.comparator)
-        if test is None:
-            raise ValueError(f"unknown comparator {rule.comparator!r}")
-        fired = all(map(test, islice(window, n - sustain, None), repeat(rule.threshold)))
-        if fired and rule.mode is not TriggerMode.EVERY and n > sustain:
-            # it held one entry back too unless the value before the last sustain fails
-            fired = not test(window[n - 1 - sustain], rule.threshold)
-    return _new(Decision, (fired, rule.id, rule.actions if fired else ()))
+        return False
+    if sustain < 1:  # nothing to compare: the condition holds at every end
+        return rule.mode is TriggerMode.EVERY or n == 1
+    test = _OPERATORS.get(rule.comparator)
+    if test is None:
+        raise ValueError(f"unknown comparator {rule.comparator!r}")
+    fired = all(map(test, islice(window, n - sustain, None), repeat(rule.threshold)))
+    if fired and rule.mode is not TriggerMode.EVERY and n > sustain:
+        # it held one entry back too unless the value before the last sustain fails
+        return not test(window[n - 1 - sustain], rule.threshold)
+    return fired
 
 
 # --- parsing ---

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .graph import Graph, Iri, Statement
 from .ontology import Registry, load_seed
-from .rules import Action, ActionKind, Rule, evaluate_rule
+from .rules import COMPARATORS, Action, ActionKind, Rule, evaluate_rule
 
 _new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
 _SIG = f"{ns.RUN_IRI}sig/"
@@ -216,6 +216,8 @@ class ScenarioRun:
         sizes = {spec.measured_type: 0 for spec in config.sensors}
         self._rules: dict[str, list[Rule]] = {}  # each measured type's rules, in rule order
         for rule in config.decider.rules:
+            if rule.comparator not in COMPARATORS:  # refused before a sample is spent
+                raise ConfigError(f"rule {rule.id}: unknown comparator {rule.comparator!r}")
             kind = rule.measured_type
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
             self._rules.setdefault(kind, []).append(rule)
@@ -391,8 +393,7 @@ class ScenarioRun:
         decider = self._iris[self.config.decider.iri]
         return _new(Statement, (signal, "HP12", decider)) in self.graph.statements
 
-    def decide(self, signal: Iri,
-               tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
+    def decide(self, signal: Iri, tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
         """Evaluate the rules of the signal's measured type; at most one activation.
 
         The signal must be minted from its sensor's latest sample, transmitted
@@ -417,22 +418,15 @@ class ScenarioRun:
         measured_type = state.spec.measured_type
         history = self._histories[measured_type]
         history.append(value)
-        fired: list[str] = []
-        fired_actions = []
-        for rule in self._rules.get(measured_type, ()):
-            decision = evaluate_rule(rule, history)
-            if decision.fired:
-                fired.append(rule.id)
-                fired_actions.extend(decision.actions)
-
-        fired_rules = tuple(fired)  # one immutable value for both records
+        fired = [rule for rule in self._rules.get(measured_type, ()) if evaluate_rule(rule, history)]
+        fired_rules = tuple(rule.id for rule in fired)  # one immutable value for both records
         self._record(tick, DECISION, self.config.decider.iri, bool(fired_rules), fired_rules,
                      measured_type, signal.value, value)
         if not fired_rules:
             return None
 
         resolved: dict[tuple[ActionKind, str], tuple[Action, Iri]] = {}
-        for action in fired_actions:
+        for action in (action for rule in fired for action in rule.actions):
             target = self._iris.get(action.target)
             wanted = "HC11" if action.kind is ActionKind.ACTIVATE else "E39"
             if target is None or not self.registry.falls_under(

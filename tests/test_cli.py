@@ -150,6 +150,16 @@ def test_run_non_json_scenario(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("number", ["1E+99999999999999999999", "1E-99999999999999999999"])
+def test_run_scenario_number_beyond_decimal_range_is_exit_2(tmp_path, capsys, number):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"seed": {number}}}', encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error:") and "exponent range" in err
+
+
 def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad"
     path.write_bytes(b"\xff")

@@ -135,8 +135,10 @@ def test_not_json_and_not_object():
     with pytest.raises(ConfigError, match="top level must be an object"):
         parse_scenario("[1, 2]")
     # past the parser's limits: int() takes at most 4300 digits (3.10.7+),
-    # and nesting is bounded by the recursion limit
-    for text in ('{"seed": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
+    # nesting is bounded by the recursion limit, and a Decimal's exponent by
+    # its own range (9E+999999 is in it, and loads)
+    for text in ('{"seed": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000,
+                 '{"seed": 1E+99999999999999999999}', '{"seed": 1E-99999999999999999999}'):
         with pytest.raises(ConfigError):
             parse_scenario(text)
 
@@ -337,8 +339,14 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+class _Numeral(str):
+    """A JSON number written as is, so it may lie beyond what a Decimal holds."""
+
+
 _NUMBERS = st.sampled_from([2 ** 64, -1, 0, 1, 3, Decimal("9E+999999"),
-                            Decimal("-9E+999999"), Decimal("0.5"), Decimal("1E-40")])
+                            Decimal("-9E+999999"), Decimal("0.5"), Decimal("1E-40"),
+                            _Numeral("1E+99999999999999999999"),
+                            _Numeral("1E-99999999999999999999")])
 _TEXTS = st.text(max_size=5) | st.sampled_from([
     "ex:obj", "ex:room", "ex:fan", "ex:curator", "ex:sw", "ex:nope", "wd:Q1", "zz:x",
     "humidity", "https://example.org/cfg/x", "0999-01-01T00:00:00Z",
@@ -383,8 +391,9 @@ _MUTATIONS = st.lists(st.one_of(
 
 
 def _to_json(value):
-    """JSON text in which each Decimal keeps its own notation (9E+999999)."""
-    if isinstance(value, Decimal):
+    """JSON text in which each Decimal keeps its own notation (9E+999999), and
+    each _Numeral is written as is."""
+    if isinstance(value, (Decimal, _Numeral)):
         return str(value)
     if isinstance(value, dict):
         return "{" + ",".join(json.dumps(key) + ":" + _to_json(item)

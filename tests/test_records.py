@@ -23,7 +23,6 @@ from twingraph import (
     ScenarioRun,
     Statement,
     build_scenario,
-    evaluate_rule,
     load_seed,
     parse,
     parse_rules,
@@ -39,7 +38,7 @@ NOISY = ROOT / "examples" / "pisano" / "scenario-noisy.json"
 EX = "https://example.org/r/"
 
 NAMED_TUPLES = {
-    "ParseDiagnostic", "Action", "Rule", "Decision",
+    "ParseDiagnostic", "Action", "Rule",
     "ConstantGen", "RampGen", "SineGen", "ListGen", "NoisyGen",
     "AssetSpec", "TwinSpec", "ActivatorSpec", "DeciderSpec",
     "OntologyClassDef", "PropertyDef", "Violation", "ValidationReport",
@@ -102,7 +101,6 @@ def _records() -> list:
 
     (rule,), _ = parse_rules('RULE r WHEN TYPE = "humidity" AND VALUE > 70 '
                              'THEN ALERT ex:opd VIA "email"')
-    decision = evaluate_rule(rule, [Decimal(71)])
 
     graph = Graph(load_seed(), {"ex": EX})
     graph.add_entity(graph.resolve("ex:place"), "E53")
@@ -117,7 +115,7 @@ def _records() -> list:
     run.sample(spec, 0)
     raw = parse_raw(f'@prefix ex: <{EX}> .\nex:a a ex:C ; ex:p "x" .\n')
 
-    return [diagnostics[0], rule.actions[0], rule, decision,
+    return [diagnostics[0], rule.actions[0], rule,
             *generators, noisy.inner, noisy,
             config.assets[0], config.twin, config.activators[0], config.decider,
             seed_class_table()[0], seed_property_table()[0],

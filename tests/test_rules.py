@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingraph import ActionKind, Rule, TriggerMode, evaluate_rule, parse_rules
-from twingraph.rules import COMPARATORS, Action, Decision
+from twingraph.rules import COMPARATORS, Action
 
 from conftest import oracle_decision, random_rule
 
@@ -90,12 +90,12 @@ def test_recovery_reports_later_rules():
 def test_compare_is_exact_decimal():
     def compare(value, comparator, threshold):  # a one-value window fires iff it holds
         return evaluate_rule(Rule("r", "h", comparator, Decimal(threshold)),
-                             [Decimal(value)]).fired
+                             [Decimal(value)])
 
-    assert compare("70.0", "=", "70")
-    assert not compare("70.000000000001", "<=", "70")
-    assert compare("-0", "=", "0")
-    assert compare("0.1", "<", "0.3")
+    assert compare("70.0", "=", "70") is True
+    assert compare("70.000000000001", "<=", "70") is False
+    assert compare("-0", "=", "0") is True
+    assert compare("0.1", "<", "0.3") is True
     assert sorted(COMPARATORS) == ["!=", "<", "<=", "=", ">", ">="]
 
 
@@ -115,7 +115,7 @@ def _rule(comparator=">", threshold="70", sustain=1, mode=TriggerMode.ON_RISE):
 def decisions(rule, series):
     out = []
     for n in range(1, len(series) + 1):
-        out.append(evaluate_rule(rule, [Decimal(v) for v in series[:n]]).fired)
+        out.append(evaluate_rule(rule, [Decimal(v) for v in series[:n]]))
     return out
 
 
@@ -141,12 +141,7 @@ def test_sustain_needs_full_window():
 
 
 def test_empty_window_never_fires():
-    assert not evaluate_rule(_rule(), []).fired
-
-
-def test_decision_carries_rule_identity():
-    decision = evaluate_rule(_rule(), [Decimal(80)])
-    assert decision.fired and decision.rule_id == "r"
+    assert evaluate_rule(_rule(), []) is False
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,7 +154,7 @@ def test_matches_linear_scan_oracle(data, series):
     import random as _random
     rng = _random.Random(data.draw(st.integers(0, 2**32)))
     rule = random_rule(rng, "r", "humidity")
-    assert evaluate_rule(rule, series).fired == oracle_decision(rule, series)
+    assert evaluate_rule(rule, series) is oracle_decision(rule, series)
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,7 +167,7 @@ def test_only_the_last_sustain_plus_one_values_matter(data, window):
     import random as _random
     rng = _random.Random(data.draw(st.integers(0, 2**32)))
     rule = random_rule(rng, "r", "humidity")
-    assert evaluate_rule(rule, window) == evaluate_rule(rule, window[-(rule.sustain + 1):])
+    assert evaluate_rule(rule, window) is evaluate_rule(rule, window[-(rule.sustain + 1):])
 
 
 # --- evaluate_rule against the closure implementation it replaced ---
@@ -192,7 +187,7 @@ def reference_evaluate_rule(rule, window):
     """evaluate_rule as a per-end closure with one compare call per value."""
     n = len(window)
     if n == 0:
-        return Decision(False, rule.id, ())
+        return False
     sustain, comparator, threshold = rule.sustain, rule.comparator, rule.threshold
 
     def holds(end):
@@ -206,7 +201,7 @@ def reference_evaluate_rule(rule, window):
         fired = now
     else:
         fired = now and not (n >= 2 and holds(n - 2))
-    return Decision(fired, rule.id, rule.actions if fired else ())
+    return fired
 
 
 def _outcome(evaluate, rule, window):

@@ -626,6 +626,18 @@ def test_config_iri_the_graph_text_cannot_carry_is_refused(text):
         ScenarioRun(config._replace(sensors=sensors))
 
 
+def test_hand_built_rule_with_an_unknown_comparator_is_refused_before_the_graph(monkeypatch):
+    # parse_rules never builds one; decide would spend a sample and then fail
+    # outside StepFailure, with no decision record logged
+    config = load_scenario(PISANO)
+    rules = tuple(rule._replace(comparator="~") for rule in config.decider.rules)
+    built = []
+    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
+    with pytest.raises(ConfigError, match="rule humidity-alert: unknown comparator '~'"):
+        ScenarioRun(config._replace(decider=config.decider._replace(rules=rules)))
+    assert built == []
+
+
 def test_activation_targets_share_one_iri_each():
     config = scenario(BASIC_SENSOR, duration=4,
                       activators='[{"iri": "ex:pump", "action": "drain"}]',

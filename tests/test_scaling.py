@@ -198,7 +198,7 @@ def test_evaluate_rule_events_grow_linearly_with_sustain():
         for sustain in (8, 16, 32):  # every value holds, so each one is compared
             rule = Rule("r", "t", ">", Decimal(0), sustain, TriggerMode.ON_RISE)
             window = deque([Decimal(1)] * (sustain + 1), maxlen=sustain + 1)
-            assert not evaluate_rule(rule, window).fired  # it held one entry back
+            assert evaluate_rule(rule, window) is False  # it held one entry back
             yield sustain, partial(evaluate_rule, rule, window)
 
     _assert_linear("evaluate_rule", calls(), unit="samples")
