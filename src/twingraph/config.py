@@ -202,7 +202,7 @@ def build_scenario(data) -> ScenarioConfig:
     for name, iri in prefixes.items():
         if not isinstance(iri, str) or not ns.PREFIX_NAME_RE.match(name):
             raise ConfigError(f"scenario: bad prefix declaration {name!r}")
-        if not ns.is_absolute_iri(iri) or any(c in iri for c in ns.IRI_FORBIDDEN):
+        if not ns.carriable(iri):
             raise ConfigError(f"scenario: prefix {name!r} must map to an absolute IRI")
         if name == ns.RUN_PREFIX and iri != ns.RUN_IRI:
             raise ConfigError(f"scenario: prefix {ns.RUN_PREFIX!r} is reserved "

@@ -30,6 +30,7 @@ from typing import NamedTuple
 from . import namespaces as ns
 from .canon import canonical_decimal, format_datetime_utc, parse_datetime_utc, parse_decimal
 from .errors import (
+    InvalidIriError,
     NotAProvenanceNodeError,
     StatementViolationError,
     UnknownClassError,
@@ -86,8 +87,7 @@ def _canonical_lexical(datatype: str, value) -> str:
         return format_datetime_utc(value)
     if datatype == "anyURI":
         text = str(value)  # absolute, and carried by the text form as is
-        if not ns.is_absolute_iri(text) or any(
-                ch.isspace() or ch in ns.IRI_FORBIDDEN for ch in text):
+        if not ns.carriable(text) or any(ch.isspace() for ch in text):
             raise ValueError(f"not a valid anyURI: {text!r}")
         return text
     raise ValueError(f"unknown literal datatype {datatype!r}")
@@ -147,6 +147,9 @@ class Graph:
     def __init__(self, registry: Registry, prefixes: dict[str, str] | None = None):
         self.registry = registry
         self.prefixes: dict[str, str] = dict(prefixes or {})
+        for name, base in self.prefixes.items():  # each one the graph text can declare
+            if not (ns.PREFIX_NAME_RE.match(name) and ns.carriable(base)):
+                raise InvalidIriError(f"prefix {name!r}: {base!r} cannot be declared in graph text")
         # Each node's classes, one shared frozenset per distinct combination.
         self.nodes: dict[str, frozenset[str]] = {}
         self._type_sets: dict[frozenset[str], frozenset[str]] = {}

@@ -1,9 +1,12 @@
-"""Namespace IRIs, prefix handling, and CURIE resolution.
+"""Namespace IRIs, prefix handling, CURIE resolution, and the IRI rule.
 
 The engine ships a fixed set of well-known prefixes. Six of them carry the
 ontology vocabulary itself; wd covers external entity references and xsd the
 literal datatypes. Prefixes declared on a graph or document always win a name
 clash with these defaults.
+
+carriable states the one IRI rule (absolute, no character of IRI_FORBIDDEN);
+every IRI or prefix base that text or a caller supplies must pass it.
 """
 
 from __future__ import annotations
@@ -19,18 +22,7 @@ CRMPE = "CRMpe"
 HDTO = "HDTO"
 RHDTO = "RHDTO"
 
-NAMESPACES = (CRM, CRMDIG, CRMSCI, CRMPE, HDTO, RHDTO)
-
-# Canonical prefix name and IRI per ontology namespace.
-NAMESPACE_PREFIX = {
-    CRM: "crm",
-    CRMDIG: "crmdig",
-    CRMSCI: "crmsci",
-    CRMPE: "crmpe",
-    HDTO: "hdto",
-    RHDTO: "rhdto",
-}
-
+# Each ontology namespace's IRI; its default prefix is its name in lower case.
 NAMESPACE_IRI = {
     CRM: "http://www.cidoc-crm.org/cidoc-crm/",
     CRMDIG: "http://www.ics.forth.gr/isl/CRMdig/",
@@ -53,10 +45,7 @@ REG_IRI = "https://example.org/ns/registry#"
 # Emitter-known prefixes: declared automatically when rendered output uses
 # them, unless the graph declares the same name itself.
 DEFAULT_PREFIXES: dict[str, str] = {
-    **{NAMESPACE_PREFIX[ns]: NAMESPACE_IRI[ns] for ns in NAMESPACES},
-    "wd": WD_IRI,
-    "xsd": XSD_IRI,
-}
+    **{ns.lower(): iri for ns, iri in NAMESPACE_IRI.items()}, "wd": WD_IRI, "xsd": XSD_IRI}
 
 # Class ids and property ids must start with the marker of their
 # namespace. Longest marker wins.
@@ -84,11 +73,8 @@ PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _LOCAL_CHARS = "A-Za-z0-9_%~/-"  # and '.'
 LOCAL_CHAR = f"[.{_LOCAL_CHARS}]"
 LOCAL_NAME = f"(?!//)[{_LOCAL_CHARS}]*(?:\\.+[{_LOCAL_CHARS}]+)*"
-LOCAL_NAME_RE = re.compile(LOCAL_NAME + r"\Z")
 
-# Characters an IRI may not contain: the text form could not carry them
-# inside <...>. The graph tokenizer and resolve_iri both reject them.
-IRI_FORBIDDEN = ' \t\r\n"<>'
+IRI_FORBIDDEN = ' \t\r\n"<>'  # the text form could not carry them inside <...>
 
 _ABSOLUTE_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 
@@ -106,12 +92,17 @@ def is_absolute_iri(text: str) -> bool:
     return bool(_ABSOLUTE_RE.match(text)) or text.startswith("urn:") or text.startswith("mailto:")
 
 
+def carriable(iri: str) -> bool:
+    """The IRI rule: absolute, with no character the text form cannot carry."""
+    return is_absolute_iri(iri) and not any(c in iri for c in IRI_FORBIDDEN)
+
+
 def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
     """Expand a CURIE or pass through an absolute IRI.
 
     <...> wrapping is stripped. CURIE prefixes resolve against the given map
-    with the defaults as fallback; "name://..." is never a CURIE. Characters
-    the serialization cannot carry inside <...> are rejected up front.
+    with the defaults as fallback; "name://..." is never a CURIE. The result
+    must be carriable, or InvalidIriError says which half of the rule fails.
     """
     if text.startswith("<") and text.endswith(">"):
         return _checked(text[1:-1])
@@ -126,9 +117,11 @@ def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
 
 
 def _checked(iri: str) -> str:
+    if carriable(iri):
+        return iri
     if any(c in iri for c in IRI_FORBIDDEN):
         raise InvalidIriError(f"IRI contains characters the text form cannot carry: {iri!r}")
-    return iri
+    raise InvalidIriError(f"not an absolute IRI: {iri!r}")
 
 
 def local_name(iri: str) -> str:
@@ -142,11 +135,5 @@ def local_name(iri: str) -> str:
 
 
 def slug(label: str) -> str:
-    """Deterministic IRI-safe token for a free-text label."""
-    out = []
-    for ch in label.strip():
-        if ch.isalnum() or ch in "_-":
-            out.append(ch)
-        else:
-            out.append("-")
-    return "".join(out) or "x"
+    """Deterministic IRI-safe token for a free-text label: '-' for each non-word character."""
+    return re.sub(r"[^\w-]", "-", label.strip()) or "x"

@@ -227,12 +227,12 @@ class ScenarioRun:
         self._label_nodes: dict[tuple[str, str], Iri] = {}
         self._iris: dict[str, Iri] = {}  # one Iri per declared entity, by IRI text
         self._minted = Iri(ns.RUN_IRI)  # the node the latest fold minted
-        self._build_static()
-        self.static_statements = len(self.graph.statements)
         self._sensors = {spec.iri: _SensorState(spec, config.seed) for spec in config.sensors}
         self._locals = {state.local: state for state in self._sensors.values()}  # decide's lookup
-        if len(self._locals) < len(self._sensors):
-            raise ConfigError("two sensors share a local name, from which run IRIs are minted")
+        if len(self._locals) < len(config.sensors):
+            raise ConfigError("sensors repeat or share a local name, from which run IRIs are minted")
+        self._build_static()
+        self.static_statements = len(self.graph.statements)
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
@@ -243,7 +243,7 @@ class ScenarioRun:
 
         def iri(text: str) -> Iri:
             if text not in self._iris:
-                if not ns.is_absolute_iri(text) or any(c in text for c in ns.IRI_FORBIDDEN):
+                if not ns.carriable(text):
                     raise ConfigError(f"{text!r} is not an absolute IRI the graph text can carry")
                 self._iris[text] = Iri(text)
             return self._iris[text]

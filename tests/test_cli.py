@@ -358,6 +358,13 @@ def test_chain_rejects_uncarriable_iri(capsys, start):
     assert err.count("\n") == 1 and "cannot carry" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("start", ["<>", "<foo>"])
+def test_chain_rejects_a_relative_iri(capsys, start):
+    assert main(["chain", GOLDEN_GRAPH, "--from", start]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an absolute IRI" in err and "Traceback" not in err
+
+
 # "https" names a prefix here, yet "https://..." still names an absolute IRI.
 SCHEME_PREFIX_GRAPH = ("@prefix https: <urn:x:> .\n"
                        "<https://e.org/m> a rhdto:HC13 ; crmdig:L12 <urn:x://e.org/s> .\n"

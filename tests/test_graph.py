@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingraph import Graph, Iri, Literal, Statement, ViolationReason, load_seed
+from twingraph import namespaces as ns
 from twingraph.errors import (
+    InvalidIriError,
     NotAProvenanceNodeError,
     StatementViolationError,
     UnknownClassError,
@@ -35,6 +37,24 @@ def test_prefix_resolution(graph):
     assert graph.resolve("wd:Q42").value == "http://www.wikidata.org/entity/Q42"
     with pytest.raises(UnknownPrefixError):
         graph.resolve("nope:thing")
+
+
+@pytest.mark.parametrize("text", ["<>", "<foo>", "rel:x"])
+def test_resolve_refuses_a_relative_iri(graph, text):
+    # written <...>, or a CURIE expanding against a relative base
+    with pytest.raises(InvalidIriError, match="not an absolute IRI"):
+        ns.resolve_iri(text, {"rel": "rel/"})
+    if text != "rel:x":
+        with pytest.raises(InvalidIriError, match="not an absolute IRI"):
+            graph.resolve(text)
+
+
+@pytest.mark.parametrize("prefixes", [{"x": "rel/"}, {"1x": "https://e/"},
+                                      {"x": "https://e/ x"}, {"x": ""}])
+def test_graph_refuses_a_prefix_the_graph_text_cannot_declare(prefixes):
+    # emit would write an @prefix line that parse refuses
+    with pytest.raises(InvalidIriError, match="cannot be declared"):
+        Graph(load_seed(), prefixes)
 
 
 def test_entity_types_merge(graph):

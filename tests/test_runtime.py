@@ -412,6 +412,17 @@ def test_run_refuses_a_config_whose_sensors_share_a_local_name():
         ScenarioRun(clash)
 
 
+def test_run_refuses_a_config_that_repeats_a_sensor(monkeypatch):
+    # both sensor maps would collapse the repeat, and it would sample twice a tick
+    config = load_scenario(PISANO)
+    first = config.sensors[0]
+    built = []
+    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
+    with pytest.raises(ConfigError, match="sensors repeat"):
+        ScenarioRun(config._replace(sensors=(first, first) + config.sensors[1:]))
+    assert built == []
+
+
 def test_execute_activation_rejects_other_nodes():
     config = scenario(BASIC_SENSOR, duration=1)
     run = ScenarioRun(config)

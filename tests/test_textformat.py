@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -329,7 +330,7 @@ def test_two_names_on_one_base_render_by_the_first_name():
 def _curie_by_loop(iri, prefixes):
     """The prefix rule as a plain loop, the reference for emit's one match."""
     for name, base in sorted(prefixes.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        if iri.startswith(base) and ns.LOCAL_NAME_RE.match(iri[len(base):]):
+        if iri.startswith(base) and re.match(ns.LOCAL_NAME + r"\Z", iri[len(base):]):
             return f"{name}:{iri[len(base):]}"
     return f"<{iri}>"
 
