@@ -87,10 +87,6 @@ class ConfigError(ScenarioError):
     pass
 
 
-class ActionTargetMissingError(ScenarioError):
-    pass
-
-
 # --- parse diagnostics ---
 
 SEVERITY_ERROR = "error"

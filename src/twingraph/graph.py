@@ -148,7 +148,7 @@ class Graph:
         self.registry = registry
         self.prefixes: dict[str, str] = dict(prefixes or {})
         for name, base in self.prefixes.items():  # each one the graph text can declare
-            if not (ns.PREFIX_NAME_RE.match(name) and ns.carriable(base)):
+            if not (ns.carriable(base) and isinstance(name, str) and ns.PREFIX_NAME_RE.match(name)):
                 raise InvalidIriError(f"prefix {name!r}: {base!r} cannot be declared in graph text")
         # Each node's classes, one shared frozenset per distinct combination.
         self.nodes: dict[str, frozenset[str]] = {}

@@ -93,8 +93,9 @@ def is_absolute_iri(text: str) -> bool:
 
 
 def carriable(iri: str) -> bool:
-    """The IRI rule: absolute, with no character the text form cannot carry."""
-    return is_absolute_iri(iri) and not any(c in iri for c in IRI_FORBIDDEN)
+    """The IRI rule: a str, absolute, with no character the text form cannot carry."""
+    return isinstance(iri, str) and is_absolute_iri(iri) and not any(
+        c in iri for c in IRI_FORBIDDEN)
 
 
 def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
@@ -104,6 +105,8 @@ def resolve_iri(text: str, prefixes: dict[str, str]) -> str:
     with the defaults as fallback; "name://..." is never a CURIE. The result
     must be carriable, or InvalidIriError says which half of the rule fails.
     """
+    if not isinstance(text, str):
+        raise InvalidIriError(f"not an IRI or CURIE: {text!r}")
     if text.startswith("<") and text.endswith(">"):
         return _checked(text[1:-1])
     head, sep, local = text.partition(":")

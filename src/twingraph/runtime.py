@@ -2,9 +2,10 @@
 
 Time advances in integer ticks. Each tick, every due sensor (in expanded IRI
 order) samples its generator, wraps the sample in a signal, transmits the
-signal to the decider, and the decider evaluates its rules on that sample,
-once: the run keeps each sensor's latest sample until it is decided, and no
-step takes a value from its caller. A firing rule set yields at most one
+signal to the decider, and the decider evaluates its rules on that sample.
+Each step takes a sensor and a tick, nothing more: the sensor's run state
+names the step its sample waits for, and a step called out of that order is
+refused before it writes anything. A firing rule set yields at most one
 activation event per signal evaluation, whose actions are then executed as
 actuation and alert records (actuations first). Steps only log records:
 ScenarioRun.fold writes the statements each one implies, so the run graph is
@@ -39,18 +40,16 @@ from .config import (
     SineGen,
 )
 from .errors import (
-    ActionTargetMissingError,
     ConfigError,
     ScenarioError,
     TwingraphError,
     UnknownObjectError,
 )
-from .graph import Graph, Iri, Statement
+from .graph import Graph, Iri
 from .ontology import Registry, load_seed
 from .rules import COMPARATORS, Action, ActionKind, Rule, evaluate_rule
 
 _new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
-_SIG = f"{ns.RUN_IRI}sig/"
 
 # --- event records ---
 
@@ -188,13 +187,23 @@ def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
 
 # --- the run ---
 
+def _carried(text: str) -> str:
+    # a config built by hand may hold text the graph text cannot carry
+    if not ns.carriable(text):
+        raise ConfigError(f"{text!r} is not an absolute IRI the graph text can carry")
+    return text
+
+
 class _SensorState:
     def __init__(self, spec: SensorSpec, run_seed: int):
         self.spec = spec
-        self.local = ns.local_name(spec.iri)  # the local name run IRIs are minted from
+        self.local = ns.local_name(_carried(spec.iri))  # the local name run IRIs are minted from
         self.stream_seed = mix64(run_seed ^ fnv1a64(spec.iri))
         self.next_index = 0
-        self.sample: tuple[int, Decimal, str] | None = None  # (index, value, timestamp), undecided
+        self.waits = "sample"  # the step its sample waits for, in run()'s order
+        self.sample: tuple[int, Decimal, str] | None = None  # (index, value, timestamp)
+        self.signal = ""  # the sample's signal IRI, once made: one str for each record naming it
+        self.activation: tuple[Iri, list[tuple[Action, Iri]]] | None = None  # decide's, to execute
 
 
 class ScenarioRun:
@@ -208,44 +217,48 @@ class ScenarioRun:
         self.graph = Graph(self.registry, prefixes=prefixes)
         self.records: list[EventRecord] = []
         self._seq = 0
-        self.ticks_run = 0
+        self.ticks_run = 0  # ticks finished; the next run() goes on from here
+        self._aborted = False
         self._start = parse_datetime_utc(config.start)
         # Each measured type keeps the last sustain+1 values its rules read, but
         # no more than the run can sample, plus one; a type no rule reads keeps none.
         most = len(config.sensors) * config.duration
         sizes = {spec.measured_type: 0 for spec in config.sensors}
         self._rules: dict[str, list[Rule]] = {}  # each measured type's rules, in rule order
-        for rule in config.decider.rules:
-            if rule.comparator not in COMPARATORS:  # refused before a sample is spent
+        self._activator_actions = {a.iri: a.action for a in config.activators}
+        targets = {ActionKind.ACTIVATE: (self._activator_actions, "a declared activator"),
+                   ActionKind.ALERT: (set(config.actors), "a declared actor")}
+        for rule in config.decider.rules:  # each refused before a sample is spent
+            if rule.comparator not in COMPARATORS:
                 raise ConfigError(f"rule {rule.id}: unknown comparator {rule.comparator!r}")
+            for action in rule.actions:
+                members, what = targets[action.kind]
+                if action.target not in members:
+                    raise ConfigError(f"rule {rule.id}: {action.kind.value} target "
+                                      f"{action.target!r} is not {what}")
             kind = rule.measured_type
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
             self._rules.setdefault(kind, []).append(rule)
         self._histories = {kind: deque(maxlen=size) for kind, size in sizes.items()}
-        self._activator_actions = {a.iri: a.action for a in config.activators}
         # Observed-event and type nodes by (kind, label), each added on first use.
         self._label_nodes: dict[tuple[str, str], Iri] = {}
         self._iris: dict[str, Iri] = {}  # one Iri per declared entity, by IRI text
         self._minted = Iri(ns.RUN_IRI)  # the node the latest fold minted
         self._sensors = {spec.iri: _SensorState(spec, config.seed) for spec in config.sensors}
-        self._locals = {state.local: state for state in self._sensors.values()}  # decide's lookup
-        if len(self._locals) < len(config.sensors):
+        if len({state.local for state in self._sensors.values()}) < len(config.sensors):
             raise ConfigError("sensors repeat or share a local name, from which run IRIs are minted")
         self._build_static()
         self.static_statements = len(self.graph.statements)
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
-        """Add the scenario's entities, one Iri per IRI text. A config built by
-        hand may hold text the graph text cannot carry, so that is refused."""
+        """Add the scenario's entities, one Iri per IRI text, each carriable."""
         g = self.graph
         config = self.config
 
         def iri(text: str) -> Iri:
             if text not in self._iris:
-                if not ns.carriable(text):
-                    raise ConfigError(f"{text!r} is not an absolute IRI the graph text can carry")
-                self._iris[text] = Iri(text)
+                self._iris[text] = Iri(_carried(text))
             return self._iris[text]
 
         for place in config.places:
@@ -347,14 +360,21 @@ class ScenarioRun:
 
     # --- pipeline steps ---
 
-    def sample(self, spec: SensorSpec, tick: int) -> None:
-        """Run one sampling act of a config sensor, log its measurement, and
-        keep it as the sensor's latest sample until it is decided."""
+    def _waiting(self, spec: SensorSpec, step: str) -> _SensorState:
+        """The run state of a config sensor whose sample waits for `step`, or a refusal."""
         state = self._sensors.get(spec.iri)
         if state is None:
             raise UnknownObjectError(f"unknown sensor {spec.iri}")
-        index = state.next_index
-        state.next_index += 1
+        if state.waits != step:
+            raise UnknownObjectError(f"sensor {spec.iri} has no sample waiting for {step}: "
+                                     f"its next step is {state.waits}")
+        return state
+
+    def sample(self, spec: SensorSpec, tick: int) -> None:
+        """Run one sampling act of a config sensor and log its measurement;
+        the sample then waits for make_signal."""
+        state = self._waiting(spec, "sample")
+        spec, index = state.spec, state.next_index
         try:
             value = generator_value(spec.generator, index, state.stream_seed)
         except ArithmeticError as exc:
@@ -364,112 +384,91 @@ class ScenarioRun:
         self._record(tick, MEASUREMENT, spec.measured_type,
                      self._fresh("m", state.local, index).value, spec.iri, timestamp,
                      spec.unit, value)
+        state.next_index += 1
         state.sample = (index, value, timestamp)
+        state.waits = "make_signal"
 
     def make_signal(self, spec: SensorSpec, tick: int) -> Iri:
-        """Wrap the sensor's latest sample in a fresh signal and log it; a
-        sensor with no sample waiting, or one already signalled, is refused."""
-        state = self._sensors.get(spec.iri)
-        if state is None:
-            raise UnknownObjectError(f"unknown sensor {spec.iri}")
-        if state.sample is None:
-            raise UnknownObjectError(f"sensor {spec.iri} has no sample waiting")
-        index, value, timestamp = state.sample
+        """Wrap the sensor's sample in a fresh signal, log it and return it."""
+        state = self._waiting(spec, "make_signal")
+        spec, (index, value, timestamp) = state.spec, state.sample
         signal = self._fresh("sig", state.local, index)
-        if signal.value in self.graph.nodes:
-            raise UnknownObjectError(f"sensor {spec.iri} sample {index} is already signalled")
         payload = _PAYLOAD(spec.measured_type, spec.iri, signal.value, timestamp, spec.unit, value)
         self._record(tick, SIGNAL, self._fresh("m", state.local, index).value, payload,
                      signal.value)
+        state.signal = signal.value
+        state.waits = "transmit"
         return signal
 
-    def transmit(self, signal: Iri, tick: int) -> None:
-        """Deliver a signal to the decider and log it; a signal is delivered once."""
-        if self._transmitted(signal):
-            raise UnknownObjectError(f"signal {signal.value} is already transmitted")
-        self._record(tick, TRANSMISSION, self.config.decider.iri, signal.value)
+    def transmit(self, spec: SensorSpec, tick: int) -> None:
+        """Deliver the sensor's signal to the decider and log it."""
+        state = self._waiting(spec, "transmit")
+        self._record(tick, TRANSMISSION, self.config.decider.iri, state.signal)
+        state.waits = "decide"
 
-    def _transmitted(self, signal: Iri) -> bool:
-        decider = self._iris[self.config.decider.iri]
-        return _new(Statement, (signal, "HP12", decider)) in self.graph.statements
-
-    def decide(self, signal: Iri, tick: int) -> tuple[Iri, list[tuple[Action, Iri]]] | None:
-        """Evaluate the rules of the signal's measured type; at most one activation.
-
-        The signal must be minted from its sensor's latest sample, transmitted
-        (`signal HP12 decider` in the graph) and not yet decided; any other is
-        refused with UnknownObjectError before anything is written. The
-        measured type is the sensor's and the value its sample's, and the
-        sample is then spent. Returns the activation with its (action,
-        target) pairs, one per kind and target in first-fired order (the first
-        ALERT's channel wins). Each target is a declared entity's Iri, checked
-        for its type before anything is written, so a missing one aborts the
-        step with the graph untouched.
-        """
-        # run:sig/<local>/<index>; a text of any other shape fails the full compare
-        state = self._locals.get(signal.value.rpartition("/")[0].removeprefix(_SIG))
-        sample = state and state.sample
-        if (sample is None or signal != self._fresh("sig", state.local, sample[0])
-                or not self._transmitted(signal)):
-            raise UnknownObjectError(f"signal {signal.value} carries no transmitted sample "
-                                     f"that waits for a decision")
-        state.sample = None
-        index, value, _ = sample
+    def decide(self, spec: SensorSpec, tick: int) -> bool:
+        """Evaluate the rules of the sensor's measured type on its sample and log
+        the decision; returns whether it also logged an activation, which keeps
+        its (action, target) pairs for execute_activation: one per kind and
+        target in first-fired order (the first ALERT's channel wins)."""
+        state = self._waiting(spec, "decide")
+        index, value, _ = state.sample
         measured_type = state.spec.measured_type
         history = self._histories[measured_type]
         history.append(value)
         fired = [rule for rule in self._rules.get(measured_type, ()) if evaluate_rule(rule, history)]
         fired_rules = tuple(rule.id for rule in fired)  # one immutable value for both records
         self._record(tick, DECISION, self.config.decider.iri, bool(fired_rules), fired_rules,
-                     measured_type, signal.value, value)
+                     measured_type, state.signal, value)
+        state.waits = "sample"  # the sample is spent
         if not fired_rules:
-            return None
-
+            return False
         resolved: dict[tuple[ActionKind, str], tuple[Action, Iri]] = {}
         for action in (action for rule in fired for action in rule.actions):
-            target = self._iris.get(action.target)
-            wanted = "HC11" if action.kind is ActionKind.ACTIVATE else "E39"
-            if target is None or not self.registry.falls_under(
-                    self.graph.nodes[target.value], wanted):
-                raise ActionTargetMissingError(
-                    f"action target {action.target} is missing or not typed {wanted}")
-            resolved.setdefault((action.kind, target.value), (action, target))
-
+            resolved.setdefault((action.kind, action.target),
+                                (action, self._iris[action.target]))
         activation = self._fresh("act", state.local, index)
         self._record(tick, ACTIVATION, activation.value, self.config.decider.iri, fired_rules,
-                     signal.value)
-        return activation, list(resolved.values())
+                     state.signal)
+        state.activation = (activation, list(resolved.values()))
+        state.waits = "execute_activation"
+        return True
 
-    def execute_activation(self, activation: Iri,
-                           actions: list[tuple[Action, Iri]], tick: int) -> None:
-        """Log actuation, then alert records, for decide's actions; their fold
-        links the activation to each target (HP13, HP14)."""
+    def execute_activation(self, spec: SensorSpec, tick: int) -> None:
+        """Log actuation, then alert records, for the activation decide kept;
+        their fold links the activation to each target (HP13, HP14)."""
+        state = self._waiting(spec, "execute_activation")
+        activation, actions = state.activation
         for action, target in actions:
             if action.kind is ActionKind.ACTIVATE:
-                self._record(tick, ACTUATION, self._activator_actions.get(target.value, ""),
+                self._record(tick, ACTUATION, self._activator_actions[target.value],
                              activation.value, target.value)
         for action, target in actions:
             if action.kind is ActionKind.ALERT:
                 self._record(tick, ALERT, activation.value, target.value, action.channel or "")
+        state.waits = "sample"
 
     # --- whole runs ---
 
     def run(self, until: int | None = None) -> None:
+        """Run the clock on from ticks_run to `until` or the end; not after a StepFailure."""
         if until is not None and until < 0:
             raise ValueError(f"until must not be negative, got {until}")
+        if self._aborted:
+            raise ScenarioError("the run aborted; it cannot go on")
         ticks = self.config.duration if until is None else min(self.config.duration, until)
-        self.ticks_run = ticks
-        for tick in range(ticks):
+        for tick in range(self.ticks_run, ticks):
             for spec in schedule_due(self.config, tick):
                 try:
                     self.sample(spec, tick)
-                    signal = self.make_signal(spec, tick)
-                    self.transmit(signal, tick)
-                    fired = self.decide(signal, tick)
-                    if fired is not None:
-                        self.execute_activation(*fired, tick)
+                    self.make_signal(spec, tick)
+                    self.transmit(spec, tick)
+                    if self.decide(spec, tick):
+                        self.execute_activation(spec, tick)
                 except TwingraphError as exc:
+                    self._aborted = True
                     raise StepFailure(exc, self.graph, self.records, tick) from exc
+            self.ticks_run = tick + 1
 
     def summary(self) -> dict[str, int]:
         counts = Counter(record.kind for record in self.records)

@@ -12,10 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twingraph import (Iri, StepFailure, load_scenario, parse_rules, parse_scenario,
-                       run_scenario, runtime)
-from twingraph.config import DeciderSpec
-from twingraph.errors import ActionTargetMissingError
+from twingraph import Iri, StepFailure, parse_scenario, run_scenario, runtime
 from twingraph.runtime import ScenarioRun
 
 from conftest import random_scenario
@@ -66,19 +63,6 @@ def test_run_aborted_by_generator_overflow_replays():
     assert_replays(config, err.value.graph, err.value.records)
 
 
-def test_run_aborted_by_missing_action_target_replays():
-    config = load_scenario(PISANO[0])
-    rules, diagnostics = parse_rules(
-        'RULE r WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:nosuch')
-    assert not diagnostics
-    broken = config._replace(
-        decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
-    with pytest.raises(StepFailure) as err:
-        ScenarioRun(broken).run()
-    assert isinstance(err.value.cause, ActionTargetMissingError)
-    assert_replays(broken, err.value.graph, err.value.records)
-
-
 def test_each_node_of_a_run_is_one_iri_object():
     # memory: a node named by several statements is held once
     with open(PISANO[1], encoding="utf-8") as handle:
@@ -118,3 +102,35 @@ def test_only_fold_writes_run_statements():
     assert "ScenarioRun.fold" in writers
     assert writers <= WRITERS, f"graph writes outside {sorted(WRITERS)}: " \
                                f"{sorted(writers - WRITERS)}"
+
+
+# --- the steps read their sensor's run state, not the graph ---
+
+STEPS = ("sample", "make_signal", "transmit", "decide", "execute_activation")
+
+
+def _self_names(tree):
+    """Each ScenarioRun method's name, with the `self.<name>` attributes it uses."""
+    (run,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "ScenarioRun"]
+    return {method.name: {node.attr for node in ast.walk(method)
+                           if isinstance(node, ast.Attribute)
+                           and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            for method in run.body if isinstance(method, ast.FunctionDef)}
+
+
+def test_no_step_reads_the_graph():
+    # a sensor's stage lives in its run state: only fold writes the graph and
+    # only _build_static builds it. The steps and every method they call are
+    # checked, up to _record, which logs a record through fold.
+    with open(runtime.__file__, encoding="utf-8") as handle:
+        uses = _self_names(ast.parse(handle.read()))
+    assert "graph" in uses["fold"] and "graph" in uses["_build_static"]
+    checked, todo = set(), list(STEPS)
+    while todo:
+        name = todo.pop()
+        if name not in checked and name != "_record":
+            checked.add(name)
+            todo += [used for used in uses[name] if used in uses]
+    assert checked > set(STEPS)  # the helpers are followed
+    assert sorted(name for name in checked if "graph" in uses[name]) == []

@@ -50,11 +50,19 @@ def test_resolve_refuses_a_relative_iri(graph, text):
 
 
 @pytest.mark.parametrize("prefixes", [{"x": "rel/"}, {"1x": "https://e/"},
-                                      {"x": "https://e/ x"}, {"x": ""}])
+                                      {"x": "https://e/ x"}, {"x": ""},
+                                      {1: "https://e/"}, {"x": None}])
 def test_graph_refuses_a_prefix_the_graph_text_cannot_declare(prefixes):
     # emit would write an @prefix line that parse refuses
     with pytest.raises(InvalidIriError, match="cannot be declared"):
         Graph(load_seed(), prefixes)
+
+
+@pytest.mark.parametrize("value", [5, None, b"https://e/x", Iri("https://e/x")])
+def test_resolve_refuses_a_value_that_is_not_text(graph, value):
+    with pytest.raises(InvalidIriError, match="not an IRI or CURIE"):
+        graph.resolve(value)
+    assert not ns.carriable(value)
 
 
 def test_entity_types_merge(graph):

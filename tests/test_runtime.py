@@ -21,7 +21,6 @@ from twingraph import (
 )
 from twingraph.config import (
     ConstantGen,
-    DeciderSpec,
     ListGen,
     NoisyGen,
     RampGen,
@@ -29,8 +28,8 @@ from twingraph.config import (
     SineGen,
 )
 from twingraph.errors import (
-    ActionTargetMissingError,
     ConfigError,
+    ScenarioError,
     StatementViolationError,
     UnknownObjectError,
     UnknownSubjectError,
@@ -393,17 +392,13 @@ def test_step_without_a_waiting_sample_is_refused_and_writes_nothing(step):
     # a config sensor that was never sampled has no value to wrap or decide on
     config = scenario(BASIC_SENSOR, duration=1)
     run, before = ScenarioRun(config), ScenarioRun(config)
-    if step == "make_signal":
-        with pytest.raises(UnknownObjectError, match="rt/s1 has no sample waiting"):
-            run.make_signal(config.sensors[0], 0)
-    else:
-        with pytest.raises(UnknownObjectError, match="run/sig/s1/0"):
-            run.decide(Iri("https://example.org/run/sig/s1/0"), 0)
+    with pytest.raises(UnknownObjectError, match="rt/s1 has no sample waiting"):
+        getattr(run, step)(config.sensors[0], 0)
     _assert_wrote_nothing(run, before)
 
 
 def test_run_refuses_a_config_whose_sensors_share_a_local_name():
-    # decide finds a signal's sensor by the local name its IRIs are minted from
+    # both would mint one measurement, signal and activation IRI per sample index
     config = load_scenario(PISANO)
     first, second = config.sensors
     clash = config._replace(sensors=(first, second._replace(
@@ -421,18 +416,6 @@ def test_run_refuses_a_config_that_repeats_a_sensor(monkeypatch):
     with pytest.raises(ConfigError, match="sensors repeat"):
         ScenarioRun(config._replace(sensors=(first, first) + config.sensors[1:]))
     assert built == []
-
-
-def test_execute_activation_rejects_other_nodes():
-    config = scenario(BASIC_SENSOR, duration=1)
-    run = ScenarioRun(config)
-    opd = Iri("https://example.org/rt/opd")
-    # HP14 must start at an activation event; ex:obj is an asset
-    with pytest.raises(StatementViolationError) as err:
-        run.execute_activation(Iri("https://example.org/rt/obj"),
-                               [(Action(ActionKind.ALERT, opd.value, "email"), opd)], 0)
-    assert err.value.reason is ViolationReason.DOMAIN_VIOLATION
-    assert run.records == []
 
 
 def test_signal_payload_bytes():
@@ -499,9 +482,9 @@ def _runs_with_a_waiting_sample(local, transmit=True):
     runs = run_scenario(config, until=2), run_scenario(config, until=2)
     for run in runs:
         run.sample(spec, 2)
-        signal = run.make_signal(spec, 2)
+        run.make_signal(spec, 2)
         if transmit:
-            run.transmit(signal, 2)
+            run.transmit(spec, 2)
     return runs
 
 
@@ -510,45 +493,31 @@ def test_repeated_step_is_refused_and_writes_nothing(step):
     # a second signal or transmission record for one sample would show a log
     # reader two signals for one measurement
     run, before = _runs_with_a_waiting_sample("hygrometer")
-    signal = Iri("https://example.org/run/sig/hygrometer/2")
-    if step == "make_signal":
-        spec = next(s for s in run.config.sensors if s.iri.endswith("/hygrometer"))
-        with pytest.raises(UnknownObjectError, match="hygrometer sample 2 is already signalled"):
-            run.make_signal(spec, 2)
-    else:
-        with pytest.raises(UnknownObjectError, match=f"{signal.value} is already transmitted"):
-            run.transmit(signal, 2)
+    signal = "https://example.org/run/sig/hygrometer/2"
+    spec = next(s for s in run.config.sensors if s.iri.endswith("/hygrometer"))
+    with pytest.raises(UnknownObjectError,
+                       match=f"hygrometer has no sample waiting for {step}: its next step is decide"):
+        getattr(run, step)(spec, 2)
     _assert_wrote_nothing(run, before)
-    run.decide(signal, 2)  # the sample, 75, still waits for its one decision, and fires
-    assert [r.kind for r in run.records if r.fields.get("signal") == signal.value] == [
+    assert run.decide(spec, 2)  # the sample, 75, still waits for its one decision, and fires
+    assert [r.kind for r in run.records if r.fields.get("signal") == signal] == [
         "signal", "transmission", "decision", "activation"]
 
 
-@pytest.mark.parametrize("signal,transmit", [
-    ("https://example.org/run/sig/ghost/0", True),
-    ("https://example.org/run/sig/hygrometer/7", True),
-    ("https://example.org/run/sig/hygrometer/2", False),
-], ids=["undeclared-sensor", "made-up-signal-id", "signalled-not-transmitted"])
-def test_decide_refuses_a_signal_never_transmitted_and_writes_nothing(signal, transmit):
+@pytest.mark.parametrize("sensor,transmit,message", [
+    ("https://example.org/pisano/ghost", True, "unknown sensor"),
+    ("https://example.org/pisano/hygrometer", False, "has no sample waiting for decide"),
+], ids=["undeclared-sensor", "signalled-not-transmitted"])
+def test_decide_refuses_a_signal_never_transmitted_and_writes_nothing(sensor, transmit, message):
     # the hygrometer's sample 2, 75, fires the Pisano humidity rule, so a
     # decision on it through any other path would log an activation whose
     # chain names no transmitted signal that carried that sample
     run, before = _runs_with_a_waiting_sample("hygrometer", transmit)
+    spec = next(s for s in run.config.sensors if s.iri.endswith("/hygrometer"))
     with pytest.raises(UnknownObjectError) as err:
-        run.decide(Iri(signal), 2)
-    assert signal in str(err.value)
+        run.decide(spec._replace(iri=sensor), 2)
+    assert sensor in str(err.value) and message in str(err.value)
     _assert_wrote_nothing(run, before)
-
-
-def test_decide_refuses_a_transmitted_signal_that_is_not_the_latest_sample():
-    run, before = _runs_with_a_waiting_sample("accelerometer")
-    old = "https://example.org/run/sig/accelerometer/0"
-    assert old in {r.fields["signal"] for r in run.records if r.kind == "transmission"}
-    with pytest.raises(UnknownObjectError, match=old):
-        run.decide(Iri(old), 2)
-    _assert_wrote_nothing(run, before)
-    run.decide(Iri("https://example.org/run/sig/accelerometer/2"), 2)  # still waiting
-    assert run.records[-1].fields["value"] == Decimal("0.11")
 
 
 def test_decide_refuses_a_signal_it_already_decided_and_writes_nothing():
@@ -558,11 +527,45 @@ def test_decide_refuses_a_signal_it_already_decided_and_writes_nothing():
                       rules='RULE r WHEN TYPE = "humidity" AND VALUE > 0 FOR 2 SAMPLES '
                             'THEN ALERT ex:opd VIA "email"')
     run, before = run_scenario(config), run_scenario(config)
-    signal = "https://example.org/run/sig/s1/0"
-    assert _first(run.records, "decision").fields["signal"] == signal
-    with pytest.raises(UnknownObjectError, match=signal):
-        run.decide(Iri(signal), 1)
+    assert _first(run.records, "decision").fields["signal"] == "https://example.org/run/sig/s1/0"
+    with pytest.raises(UnknownObjectError, match="s1 has no sample waiting for decide"):
+        run.decide(config.sensors[0], 1)
     _assert_wrote_nothing(run, before)
+
+
+STEPS = ("sample", "make_signal", "transmit", "decide", "execute_activation")
+
+
+def _out_of_order_cases():
+    # the Pisano hygrometer's sample 2, 75, fires; the accelerometer's, 0.11, does not
+    for done in range(len(STEPS) + 1):
+        waits = (STEPS + ("sample",))[done]
+        for step in STEPS:
+            if step != waits:
+                yield pytest.param("hygrometer", STEPS[:done], step, waits,
+                                   id=f"{'+'.join(STEPS[:done]) or 'none'}-{step}")
+    yield pytest.param("accelerometer", STEPS[:4], "execute_activation", "sample",
+                       id="decided-quiet-execute_activation")
+
+
+@pytest.mark.parametrize("local,done,step,waits", _out_of_order_cases())
+def test_a_step_out_of_order_is_refused_and_writes_nothing(local, done, step, waits):
+    # a sensor's sample goes through the five steps in order, each once; any
+    # other call, execute_activation with nothing to execute and a sample
+    # while the last one still waits included, is refused before it writes
+    config = load_scenario(PISANO)
+    spec = next(s for s in config.sensors if s.iri.endswith("/" + local))
+    run, before = run_scenario(config, until=2), run_scenario(config, until=2)
+    for each in (run, before):
+        for earlier in done:
+            getattr(each, earlier)(spec, 2)
+    with pytest.raises(UnknownObjectError,
+                       match=f"{local} has no sample waiting for {step}: its next step is {waits}"):
+        getattr(run, step)(spec, 2)
+    _assert_wrote_nothing(run, before)
+    getattr(run, waits)(spec, 2)  # the step the sample waits for still runs
+    getattr(before, waits)(spec, 2)
+    assert render_log(run.records) == render_log(before.records)
 
 
 def test_activation_names_follow_signal_index():
@@ -606,24 +609,30 @@ def test_first_alert_channel_wins():
     assert alert.fields["channel"] == "email"
 
 
-def test_missing_action_target_aborts_atomically():
-    config = scenario(BASIC_SENSOR, duration=4)
-    from twingraph import parse_rules
-    rules, diagnostics = parse_rules(
-        'RULE r WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:nosuch')
-    assert not diagnostics
-    broken = config._replace(
-        decider=DeciderSpec(iri=config.decider.iri, rules=tuple(rules)))
-    with pytest.raises(StepFailure) as err:
-        run_scenario(broken)
-    failure = err.value
-    assert isinstance(failure.cause, ActionTargetMissingError)
-    assert failure.tick == 2
-    # nothing was written: no activation node, no O13 edge
-    g = failure.graph
-    assert not [i for i in g.instances_of("HC14")]
-    kinds = [r.kind for r in failure.records]
-    assert "decision" in kinds and "activation" not in kinds
+RT = "https://example.org/rt/"
+
+
+@pytest.mark.parametrize("action,message", [
+    (Action(ActionKind.ACTIVATE, RT + "nosuch"), f"ACTIVATE target '{RT}nosuch' is not a "
+                                                 "declared activator"),
+    (Action(ActionKind.ACTIVATE, RT + "opd"), f"ACTIVATE target '{RT}opd' is not a declared "
+                                              "activator"),
+    (Action(ActionKind.ALERT, RT + "pump", "sms"), f"ALERT target '{RT}pump' is not a declared "
+                                                   "actor"),
+], ids=["undeclared", "actor-activated", "activator-alerted"])
+def test_hand_built_rule_with_an_undeclared_target_is_refused_before_the_graph(
+        monkeypatch, action, message):
+    # parse_rules leaves targets unchecked; decide would log a decision and
+    # then find no target to act on
+    config = scenario(BASIC_SENSOR, activators='[{"iri": "ex:pump", "action": "drain"}]',
+                      rules='RULE r WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:pump')
+    (rule,) = config.decider.rules
+    built = []
+    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
+    with pytest.raises(ConfigError, match=f"rule r: {message}"):
+        ScenarioRun(config._replace(decider=config.decider._replace(
+            rules=(rule._replace(actions=(action,)),))))
+    assert built == []
 
 
 @pytest.mark.parametrize("text", ["ex:hand", "https://example.org/a b"])
@@ -635,6 +644,28 @@ def test_config_iri_the_graph_text_cannot_carry_is_refused(text):
                     for s in config.sensors)
     with pytest.raises(ConfigError, match=f"{text!r} is not an absolute IRI"):
         ScenarioRun(config._replace(sensors=sensors))
+
+
+@pytest.mark.parametrize("field", ["places", "actors", "decider"])
+def test_config_iri_that_is_not_text_is_refused(field):
+    # a config built by hand may hold any value; the run refuses it typed
+    config = load_scenario(PISANO)
+    broken = {"places": config._replace(places=(5,)),
+              "actors": config._replace(actors=(config.actors[0], 5)),
+              "decider": config._replace(decider=config.decider._replace(iri=b"x"))}[field]
+    with pytest.raises(ConfigError, match="is not an absolute IRI"):
+        ScenarioRun(broken)
+
+
+def test_sensor_iri_that_is_not_text_is_refused_before_anything_is_built(monkeypatch):
+    # run IRIs are minted from a sensor's local name, taken before the graph is built
+    config = load_scenario(PISANO)
+    built = []
+    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
+    with pytest.raises(ConfigError, match="None is not an absolute IRI"):
+        ScenarioRun(config._replace(
+            sensors=(config.sensors[0]._replace(iri=None),) + config.sensors[1:]))
+    assert built == []
 
 
 def test_hand_built_rule_with_an_unknown_comparator_is_refused_before_the_graph(monkeypatch):
@@ -721,6 +752,38 @@ def test_negative_until_is_refused_before_the_first_tick():
         run.run(-1)
     assert run.records == [] and run.ticks_run == 0
     assert len(run.graph.statements) == run.static_statements
+
+
+@pytest.mark.parametrize("path", [PISANO, NOISY])
+def test_a_second_run_goes_on_from_the_ticks_run(path):
+    from twingraph import emit
+    config = load_scenario(path)
+    whole = run_scenario(config, until=4)
+    run = run_scenario(config, until=2)
+    run.run(4)
+    assert render_log(run.records) == render_log(whole.records)
+    assert emit(run.graph) == emit(whole.graph)
+    assert run.summary() == whole.summary() and run.ticks_run == config.duration == 3
+    run.run(2)  # the clock never goes back
+    assert render_log(run.records) == render_log(whole.records)
+    assert emit(run.graph) == emit(whole.graph)
+
+
+def test_an_aborted_run_refuses_to_go_on_and_writes_nothing():
+    from twingraph import emit
+    with open(PISANO, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    sensor = next(s for s in doc["sensors"] if s["iri"] == "ex:hygrometer")
+    sensor["generator"] = {"kind": "ramp", "start": 0, "slope": "SLOPE"}
+    run = ScenarioRun(parse_scenario(json.dumps(doc).replace('"SLOPE"', "9E+999999")))
+    with pytest.raises(StepFailure) as failure:
+        run.run()
+    assert failure.value.tick == 2 and run.ticks_run == 2
+    log, graph = render_log(run.records), emit(run.graph)
+    for until in (None, 3, 2):
+        with pytest.raises(ScenarioError, match="the run aborted"):
+            run.run(until)
+        assert render_log(run.records) == log and emit(run.graph) == graph
 
 
 def test_stored_iris_are_never_read_as_curies():
