@@ -1,17 +1,18 @@
-"""The one scan loop behind both text grammars (graph text and rule DSL).
+"""The token step behind both text grammars (graph text and rule DSL).
 
-The scan is a generator that the parsers pull from, each keeping one token
-of lookahead (Lookahead), so no token list is built. A grammar supplies
-named groups, compiled by master(), and a function that turns one match into
-a token (kind, text, pos); a plain group, named after its kind, takes no call.
-Each match starts with the blanks and line ends before its token, so one
-loop step makes one token, and trailing blanks go with an empty end-of-text
-group. The loop owns the "unexpected character" fallback and the EOF token.
+A grammar supplies named groups, compiled by master(), and a function that
+turns one match into a token (kind, text, pos); a plain group, named after
+its kind, is its token and takes no call. Each match starts with the blanks
+and line ends before its token, so a match makes one token at most, and
+trailing blanks go with an empty end-of-text group. step makes the token of
+any other group, with the "unexpected character" fallback and the EOF token.
 Some group matches any character and every group but the end consumes one
-at least, so a scan always moves forward and terminates.
+at least, so a loop over the matches always moves forward and terminates.
 
-Lookahead also reports a parser's diagnostics. Its reject reports an error
-and raises Rejected, which ends a statement or a rule; the parser resyncs.
+The graph parser (textformat.parse_raw) loops over the matches itself. Only
+the rule DSL's parser pulls tokens, from the scan generator, keeping one
+token of lookahead (Lookahead), which also reports its diagnostics: reject
+reports an error and raises Rejected, which ends a rule; the parser resyncs.
 
 Positions are offsets into the text, as in Go's go/token. Lines turns one
 into a 1-based line:col (a line ends at LF, so CRLF works; a lone CR is a
@@ -64,12 +65,7 @@ def master(alternatives: str) -> re.Pattern:
 
 
 class Rejected(Exception):
-    """Ends a statement or a rule at its first error. took is the token the
-    parser resyncs from, or None to resync from the next one."""
-
-    def __init__(self, took: Token | None = None):
-        super().__init__(took)
-        self.took = took
+    """Ends a rule at its first error."""
 
 
 class Lookahead:
@@ -87,44 +83,42 @@ class Lookahead:
             self.current = next(self.tokens)
         return token
 
-    def error(self, token: Token, message: str, severity: str = SEVERITY_ERROR) -> None:
-        self.diagnostics.append(self.lines.diagnostic(token.pos, message, severity))
+    def reject(self, token: Token, message: str) -> NoReturn:
+        self.diagnostics.append(self.lines.diagnostic(token.pos, message))
+        raise Rejected
 
-    def reject(self, token: Token, message: str, took: Token | None = None) -> NoReturn:
-        self.error(token, message)
-        raise Rejected(took)
+
+def step(m: re.Match, kind: str, lines: Lines, build: Callable[..., "Token | None"],
+         diagnostics: list[ParseDiagnostic], bad: str | None = None) -> Token | None:
+    """The token of a match whose group `kind` is not plain, or None, and its
+    diagnostics. build(kind, match, lines, diagnostics) makes a grammar
+    group's. An unexpected character is an error, and a token of kind `bad`
+    if one is given. The end, or a `rest` group that runs to it, is the EOF
+    token; the end can match once more after either, so only the first counts."""
+    if kind == "unexpected":
+        pos, char = m.start(kind), m.group(kind)
+        diagnostics.append(lines.diagnostic(pos, f"unexpected character {char!r}"))
+        return None if bad is None else Token(bad, char, pos)
+    if kind == "end":
+        return Token(EOF, "", m.end())
+    token = build(kind, m, lines, diagnostics)
+    if kind == "rest" and m.end() == len(lines.text):
+        return Token(EOF, "", m.start(kind))
+    return token
 
 
 def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"],
          diagnostics: list[ParseDiagnostic], bad: str | None = None,
          plain: frozenset[str] = frozenset()) -> Iterator[Token]:
     """Yield the tokens of lines.text, ending with an EOF token, and append
-    its diagnostics to the given list as the scan reaches them.
-
-    A match of a group named in `plain` is the token (kind, its text, its
-    start). build(kind, match, lines, diagnostics) returns the token for any
-    other grammar group `kind` (the match's tail, after its blanks), or None,
-    and appends any diagnostics. An unexpected character is an error; it is
-    kept as a token of kind `bad` when one is given, and dropped otherwise.
-    """
-    rest = None  # the last comment's match, for EOF
+    its diagnostics to the given list as the scan reaches them. A match of a
+    group named in `plain` is the token (kind, its text, its start); step
+    makes every other one."""
     for m in pattern.finditer(lines.text):
         kind = m.lastgroup
         if kind in plain:  # a tuple, as the NamedTuple's own __new__ costs more
             yield tuple.__new__(Token, (kind, m.group(kind), m.start(kind)))
-        elif kind == "unexpected":
-            pos, char = m.start(kind), m.group(kind)
-            diagnostics.append(lines.diagnostic(pos, f"unexpected character {char!r}"))
-            if bad is not None:
-                yield Token(bad, char, pos)
-        elif kind == "end":  # which can match once more, empty, so return
-            pos = m.end()
-            yield Token(EOF, "", rest.start("rest") if rest and rest.end() == pos else pos)
-            return
-        else:
-            if kind == "rest":
-                rest = m
-            token = build(kind, m, lines, diagnostics)
-            if token is not None:
-                yield token
-
+        elif (token := step(m, kind, lines, build, diagnostics, bad)) is not None:
+            yield token
+            if token.kind == EOF:
+                return

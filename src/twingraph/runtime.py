@@ -362,6 +362,8 @@ class ScenarioRun:
 
     def _waiting(self, spec: SensorSpec, step: str) -> _SensorState:
         """The run state of a config sensor whose sample waits for `step`, or a refusal."""
+        if not isinstance(spec, SensorSpec):  # an Iri or IRI text names no config sensor
+            raise UnknownObjectError(f"not a config sensor: {spec!r}")
         state = self._sensors.get(spec.iri)
         if state is None:
             raise UnknownObjectError(f"unknown sensor {spec.iri}")

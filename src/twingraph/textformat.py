@@ -14,7 +14,9 @@ relative IRIs):
     literal  := '"' chars '"' ('^^' curie)? | number
     comment  := '#' to end of line
 
-Parsing runs two passes over the raw triples: node type assertions ('a')
+parse_raw reads the raw records in one loop over the scan's matches, with
+one state per grammar position; a statement's first error resyncs at the
+next '.'. parse then runs two passes over them: node type assertions ('a')
 first, then statements, so forward references inside one document are legal.
 Diagnostics carry 1-based line:column positions; any error means no graph is
 returned.
@@ -29,11 +31,10 @@ header and each subject block in turn when given a stream.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from functools import cache
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import namespaces as ns
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
     has_errors,
 )
 from .graph import Graph, Iri, Literal, ViolationReason
-from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
+from .lexer import EOF, Lines, Token, master, step
 from .ontology import LITERAL_KINDS, Registry
 
 FILE_EXTENSION = ".rht.ttl"
@@ -82,7 +83,7 @@ _TOKENS = master(rf"""
 _PLAIN = frozenset((PNAME, WORD_A, PUNCT, NUMBER))  # groups named after their kinds
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 _new = tuple.__new__  # a record at half the cost of the NamedTuple's Python-level __new__
-_PROPERTY, _OBJECT = itemgetter(1), itemgetter(2)
+_PROPERTY_OF, _OBJECT_OF = itemgetter(1), itemgetter(2)
 
 
 def _bad(lines, diagnostics, message, text, pos) -> Token:
@@ -162,133 +163,145 @@ class RawDocument:
         self.diagnostics = diagnostics
 
 
-class _Parser(Lookahead):
-    def __init__(self, tokens: Iterator[Token], lines: Lines):
-        super().__init__(tokens, lines)
-        self.doc = RawDocument(lines, self.diagnostics)
-        self.iris: dict[str, str] = {}  # one string per distinct IRI text
-        self.curies: dict[str, str] = {}  # CURIE text -> its IRI from iris
-
-    def unexpected(self, token: Token, what: str) -> NoReturn:
-        """Reject from a token with no place here; the scan reported a bad one."""
-        if token.kind == BAD:
-            raise Rejected(token)
-        self.reject(token, f"expected {what}, found {token.text!r}", token)
-
-    def skip_statement(self, just_took: Token | None = None) -> None:
-        # already at a boundary when the offending token was the '.'
-        token = just_took or self.take()
-        while token.kind != EOF and not (token.kind == PUNCT and token.text == "."):
-            token = self.take()
-
-    def resolve(self, token: Token) -> str:
-        """The interned IRI of an IRIREF or PNAME token; an undeclared prefix
-        rejects the statement. curies memoizes CURIEs only (<p:x> is not
-        p:x), so each distinct CURIE text is split at its ':' once; it is
-        cleared whenever @prefix stores a base."""
-        if token.kind == IRIREF:
-            return self.iris.setdefault(token.text, token.text)
-        iri = self.curies.get(token.text)
-        if iri is None:
-            prefix, _, local = token.text.partition(":")
-            base = self.doc.prefixes.get(prefix, ns.DEFAULT_PREFIXES.get(prefix))
-            if base is None:
-                self.reject(token, f"undeclared prefix {prefix!r}")
-            iri = base + local
-            iri = self.curies[token.text] = self.iris.setdefault(iri, iri)
-        return iri
-
-    def run(self) -> RawDocument:
-        while self.current.kind != EOF:
-            try:
-                if self.current.kind == AT_PREFIX:
-                    self.prefix_directive()
-                else:
-                    self.triple()
-            except Rejected as rejected:
-                self.skip_statement(rejected.took)
-        return self.doc
-
-    def prefix_directive(self) -> None:
-        self.take()
-        name_token = self.take()
-        name, _, local = name_token.text.partition(":")  # a PNAME name fits PREFIX_NAME_RE
-        if name_token.kind != PNAME or local:
-            self.reject(name_token, "expected a prefix name ending in ':'")
-        iri_token = self.take()
-        if iri_token.kind != IRIREF:
-            self.reject(iri_token, "expected an IRI reference in '@prefix'")
-        dot = self.take()
-        if dot.kind != PUNCT or dot.text != ".":  # reported, but the prefix stands
-            self.error(dot, "expected '.' after '@prefix' declaration")
-            self.skip_statement()
-        if name in self.doc.prefixes:
-            self.error(name_token, f"prefix {name!r} redeclared", SEVERITY_WARNING)
-        self.doc.prefixes[name] = iri_token.text
-        self.curies.clear()
-
-    def triple(self) -> None:
-        subject_token = self.take()
-        if subject_token.kind not in (IRIREF, PNAME):
-            self.unexpected(subject_token, "a subject")
-        subject = self.resolve(subject_token)
-        while True:
-            pred_token = self.take()
-            if pred_token.kind == WORD_A:
-                predicate = None
-            elif pred_token.kind in (PNAME, IRIREF):
-                predicate = self.resolve(pred_token)
-            else:
-                self.unexpected(pred_token, "a predicate")
-            while True:
-                self.object_entry(subject, subject_token.pos, predicate, pred_token.pos)
-                sep = self.take()
-                if sep.kind == PUNCT and sep.text == ",":
-                    continue
-                if sep.kind == PUNCT and sep.text == ";":
-                    break
-                if sep.kind == PUNCT and sep.text == ".":
-                    return
-                self.reject(sep, f"expected ',', ';' or '.', found {sep.text!r}", sep)
-
-    def object_entry(self, subject, subject_pos, predicate, predicate_pos) -> None:
-        token = self.take()
-        if token.kind in (PNAME, IRIREF):
-            obj = self.resolve(token)
-        elif token.kind == NUMBER:
-            obj = RawLiteral(token.text, "decimal")
-        elif token.kind == STRING:
-            obj = self.string_literal(token)
-        else:
-            self.unexpected(token, "an object")
-        if predicate is None:
-            if isinstance(obj, RawLiteral):
-                self.reject(token, "'a' takes a class reference, not a literal")
-            self.doc.types.append(_new(RawType, (subject, subject_pos, obj, token.pos)))
-        else:
-            self.doc.triples.append(_new(RawTriple, (
-                subject, subject_pos, predicate, predicate_pos, obj, token.pos)))
-
-    def string_literal(self, token: Token) -> RawLiteral:
-        if self.current.kind != DTSEP:
-            return RawLiteral(token.text, "string")
-        self.take()
-        dt_token = self.take()
-        if dt_token.kind not in (PNAME, IRIREF):
-            self.reject(dt_token, "expected a datatype after '^^'")
-        dt_iri = self.resolve(dt_token)
-        if not dt_iri.startswith(ns.XSD_IRI) or dt_iri[len(ns.XSD_IRI):] not in LITERAL_KINDS:
-            self.reject(dt_token, f"unsupported datatype <{dt_iri}>")
-        return RawLiteral(token.text, dt_iri[len(ns.XSD_IRI):])
+# The parser's states, one per grammar position: what the next token may be.
+# _HELD holds a string one token, for its '^^'; _SKIP resyncs at the next '.'.
+(_SUBJECT, _VERB, _OBJECT, _SEPARATOR, _HELD, _DATATYPE,
+ _PREFIX_NAME, _PREFIX_IRI, _PREFIX_DOT, _SKIP) = range(10)
 
 
 def parse_raw(text: str) -> RawDocument:
     """Syntax-only parse: prefixes, type assertions, and raw triples. Scan
     diagnostics come before syntax diagnostics, each kind in text order.
     The records are NamedTuples and hold IRIs expanded and interned, each
-    distinct CURIE text split and expanded once."""
+    distinct CURIE text split and expanded once. One loop over the scan's
+    matches makes each token, through lexer.step unless its group is plain,
+    and moves the state. EOF leaves every state at _SUBJECT or _SKIP, which
+    ignore a second one from an `end` match after it."""
     lines, scanned = Lines(text), []
-    doc = _Parser(scan(lines, _TOKENS, _token, scanned, BAD, _PLAIN), lines).run()
+    doc = RawDocument(lines, [])
+    prefixes, types, triples = doc.prefixes, doc.types, doc.triples
+    iris: dict[str, str] = {}  # one string per distinct IRI text
+    curies: dict[str, str] = {}  # CURIE text -> its IRI from iris
+
+    def error(pos, message, severity=SEVERITY_ERROR) -> int:
+        doc.diagnostics.append(lines.diagnostic(pos, message, severity))
+        return _SKIP  # where a statement's first error resyncs
+
+    def unexpected(kind, word, pos, what) -> int:  # resyncs from it; the scan reported BAD
+        if kind != BAD:
+            error(pos, f"expected {what}, found {word!r}")
+        return _SUBJECT if kind == PUNCT and word == "." else _SKIP
+
+    def resolve(kind, word, pos) -> str | None:
+        """The interned IRI of an IRIREF or PNAME token; None, reported, for an
+        undeclared prefix. curies memoizes CURIEs only (<p:x> is not p:x), read
+        inline, so each distinct CURIE text is split at its ':' once; it is
+        cleared whenever @prefix stores a base."""
+        if kind == IRIREF:
+            return iris.setdefault(word, word)
+        prefix, _, local = word.partition(":")
+        base = prefixes.get(prefix, ns.DEFAULT_PREFIXES.get(prefix))
+        if base is None:
+            error(pos, f"undeclared prefix {prefix!r}")
+            return None
+        iri = base + local
+        iri = curies[word] = iris.setdefault(iri, iri)
+        return iri
+
+    def literal(value, datatype, pos) -> int:
+        if predicate is None:
+            return error(pos, "'a' takes a class reference, not a literal")
+        triples.append(_new(RawTriple, (subject, subject_pos, predicate, predicate_pos,
+                                        RawLiteral(value, datatype), pos)))
+        return _SEPARATOR
+
+    state = _SUBJECT
+    for m in _TOKENS.finditer(text):
+        kind = m.lastgroup
+        if kind in _PLAIN:
+            word, pos = m.group(kind), m.start(kind)
+        elif (token := step(m, kind, lines, _token, scanned, BAD)) is None:
+            continue
+        else:
+            kind, word, pos = token
+
+        if state == _HELD:
+            if kind == DTSEP:
+                state = _DATATYPE
+                continue
+            state = literal(held, "string", held_pos)  # the token goes on to that state
+        if state == _OBJECT:
+            if kind == PNAME or kind == IRIREF:
+                obj = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
+                state = _SEPARATOR
+                if obj is None:  # an undeclared prefix resyncs after the token
+                    state = _SKIP
+                elif predicate is None:
+                    types.append(_new(RawType, (subject, subject_pos, obj, pos)))
+                else:
+                    triples.append(_new(RawTriple, (
+                        subject, subject_pos, predicate, predicate_pos, obj, pos)))
+            elif kind == STRING:
+                held, held_pos, state = word, pos, _HELD
+            elif kind == NUMBER:
+                state = literal(word, "decimal", pos)
+            else:
+                state = unexpected(kind, word, pos, "an object")
+        elif state == _SEPARATOR:
+            if kind == PUNCT:
+                state = _OBJECT if word == "," else _VERB if word == ";" else _SUBJECT
+            else:
+                state = error(pos, f"expected ',', ';' or '.', found {word!r}")
+        elif state == _VERB:
+            predicate_pos, state = pos, _OBJECT
+            if kind == WORD_A:
+                predicate = None
+            elif kind == PNAME or kind == IRIREF:
+                predicate = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
+                if predicate is None:
+                    state = _SKIP
+            else:
+                state = unexpected(kind, word, pos, "a predicate")
+        elif state == _SUBJECT:
+            if kind == PNAME or kind == IRIREF:
+                subject = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
+                subject_pos, state = pos, _SKIP if subject is None else _VERB
+            elif kind == AT_PREFIX:
+                state = _PREFIX_NAME
+            elif kind != EOF:
+                state = unexpected(kind, word, pos, "a subject")
+        elif state == _SKIP:
+            state = _SUBJECT if kind == PUNCT and word == "." else _SKIP
+        # from here on, an error resyncs after the token
+        elif state == _DATATYPE:
+            if kind != PNAME and kind != IRIREF:
+                state = error(pos, "expected a datatype after '^^'")
+            elif (iri := (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)) is None:
+                state = _SKIP
+            elif iri.startswith(ns.XSD_IRI) and iri[len(ns.XSD_IRI):] in LITERAL_KINDS:
+                state = literal(held, iri[len(ns.XSD_IRI):], held_pos)
+            else:
+                state = error(pos, f"unsupported datatype <{iri}>")
+        elif state == _PREFIX_NAME:
+            name, _, local = word.partition(":")  # a PNAME name fits PREFIX_NAME_RE
+            if kind == PNAME and not local:
+                name_pos, state = pos, _PREFIX_IRI
+            else:
+                state = error(pos, "expected a prefix name ending in ':'")
+        elif state == _PREFIX_IRI:
+            if kind == IRIREF:
+                base, state = word, _PREFIX_DOT
+            else:
+                state = error(pos, "expected an IRI reference in '@prefix'")
+        else:  # _PREFIX_DOT: a missing '.' is reported, but the prefix stands
+            if kind == PUNCT and word == ".":
+                state = _SUBJECT
+            else:
+                state = error(pos, "expected '.' after '@prefix' declaration")
+            if name in prefixes:
+                error(name_pos, f"prefix {name!r} redeclared", SEVERITY_WARNING)
+            prefixes[name] = base
+            curies.clear()
     doc.diagnostics[:0] = scanned
     return doc
 
@@ -438,9 +451,9 @@ def emit(graph: Graph, out=None) -> str | None:
             statements = by_subject.pop(subject, ())
             term = statements[0].subject if statements else Iri(subject)
             lines = [f"\n{text[term]} a {type_list(frozenset(nodes[subject]))}"]
-            for property_id, group in groupby(statements, key=_PROPERTY):
+            for property_id, group in groupby(statements, key=_PROPERTY_OF):
                 lines.append(head(property_id) + ", ".join(map(text.__getitem__,
-                                                               map(_OBJECT, group))))
+                                                               map(_OBJECT_OF, group))))
             yield " ;\n".join(lines) + " .\n"
 
     return "".join(blocks()) if out is None else out.writelines(blocks())

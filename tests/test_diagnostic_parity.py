@@ -1,10 +1,13 @@
 """Diagnostic parity over deterministic mutants of the shipped texts.
 
 Each mutant is the Pisano golden graph, or a shipped scenario's rule text,
-with a few characters from MUTATION_CHARS inserted or deleted. The recorded
-corpus (diagnostic_parity.json) keeps each mutant's edits and every
-diagnostic, line, column, severity and message, that the readers gave when
-it was made. The readers must keep giving exactly those.
+with a few characters from its source's MUTATION_CHARS inserted or deleted.
+The golden graph has two mutant sets: "graph" edits string, IRI, comment
+and directive characters, and "graph:punct" edits the '.', ';', ',' and 'a'
+that the parser's resync paths turn on, with quotes, carets and angle
+brackets. The recorded corpus (diagnostic_parity.json) keeps each mutant's
+edits and every diagnostic, line, column, severity and message, that the
+readers gave when it was made. The readers must keep giving exactly those.
 
 Re-record only when a diagnostic is meant to change:
 
@@ -24,8 +27,11 @@ CORPUS = Path(__file__).with_name("diagnostic_parity.json")
 GOLDEN = ROOT / "examples" / "pisano" / "golden.rht.ttl"
 SCENARIOS = [ROOT / "examples" / "pisano" / name
              for name in ("scenario.json", "scenario-noisy.json")]
-MUTATION_CHARS = '\r\n"\\#^<>@$'
-COUNTS = {"graph": 200, "rules:scenario.json": 50, "rules:scenario-noisy.json": 50}
+_SCAN_CHARS = '\r\n"\\#^<>@$'
+MUTATION_CHARS = {"graph": _SCAN_CHARS, "rules:scenario.json": _SCAN_CHARS,
+                  "rules:scenario-noisy.json": _SCAN_CHARS, "graph:punct": '.;,a"^<>'}
+COUNTS = {"graph": 200, "rules:scenario.json": 50, "rules:scenario-noisy.json": 50,
+          "graph:punct": 200}
 
 
 def _read(path: Path) -> str:
@@ -37,6 +43,7 @@ def _sources() -> dict[str, str]:
     sources = {"graph": _read(GOLDEN)}
     for path in SCENARIOS:
         sources[f"rules:{path.name}"] = json.loads(_read(path))["decider"]["rules"]
+    sources["graph:punct"] = sources["graph"]  # last, so the older sets keep their seeds
     return sources
 
 
@@ -55,7 +62,7 @@ def _rows(diagnostics) -> list[list]:
 
 
 def _diagnose(source: str, text: str, registry) -> dict:
-    if source == "graph":
+    if source.startswith("graph"):
         raw = _rows(parse_raw(text).diagnostics)
         built = _rows(parse(text, registry)[1])
         assert built[:len(raw)] == raw  # parse reports the raw layer's first
@@ -63,20 +70,20 @@ def _diagnose(source: str, text: str, registry) -> dict:
     return {"rules": _rows(parse_rules(text)[1])}
 
 
-def _random_edits(rng: random.Random, text: str) -> list:
+def _random_edits(rng: random.Random, text: str, chars: str) -> list:
     # most inserts after the first land just after the edit before, and a
     # quote is often followed by a backslash, so escapes in strings occur
     edits, last = [], None
     for _ in range(rng.randint(1, 4)):
-        deletable = [i for i, c in enumerate(text) if c in MUTATION_CHARS]
+        deletable = [i for i, c in enumerate(text) if c in chars]
         if deletable and rng.random() < 0.3:
             pos = rng.choice(deletable)
             edit = [pos, "-", text[pos]]
         elif last is not None and rng.random() < 0.7:
-            char = "\\" if last[2] == '"' and rng.random() < 0.5 else rng.choice(MUTATION_CHARS)
+            char = "\\" if last[2] == '"' and rng.random() < 0.5 else rng.choice(chars)
             edit = [min(last[0] + rng.randint(1, 3), len(text)), "+", char]
         else:
-            edit = [rng.randint(0, len(text)), "+", rng.choice(MUTATION_CHARS)]
+            edit = [rng.randint(0, len(text)), "+", rng.choice(chars)]
         last = edit
         edits.append(edit)
         text = _mutate(text, [edit])
@@ -91,7 +98,7 @@ def record() -> dict:
         corpus["sources"][source] = hashlib.sha256(text.encode()).hexdigest()
         rng = random.Random(seed)
         for _ in range(COUNTS[source]):
-            edits = _random_edits(rng, text)
+            edits = _random_edits(rng, text, MUTATION_CHARS[source])
             corpus["mutants"].append({"source": source, "edits": edits,
                                       **_diagnose(source, _mutate(text, edits), registry)})
     return corpus

@@ -224,7 +224,7 @@ Placed = namedtuple("Placed", "kind text line col prefix local")
 
 def _tokenize(grammar, text):
     # a whole scan, each token placed at its line:col, and its diagnostics; a
-    # PNAME's prefix and local name are split from its text as _Parser.resolve does
+    # PNAME's prefix and local name are split from its text as parse_raw does
     lines, diagnostics = Lines(text), []
     bad = getattr(grammar, "BAD", None)  # rules drop an unexpected character
     tokens = scan(lines, grammar._TOKENS, grammar._token, diagnostics, bad, grammar._PLAIN)

@@ -504,6 +504,21 @@ def test_repeated_step_is_refused_and_writes_nothing(step):
         "signal", "transmission", "decision", "activation"]
 
 
+@pytest.mark.parametrize("step,argument", [
+    ("decide", Iri("https://example.org/run/sig/hygrometer/2")),
+    ("sample", "https://example.org/pisano/hygrometer"),
+], ids=["decide-signal-iri", "sample-iri-text"])
+def test_a_step_given_no_config_sensor_is_refused_and_writes_nothing(step, argument):
+    # the arguments a step took before it took the config sensor: a signal
+    # Iri, or the sensor's IRI text; the hygrometer's sample 2 waits for decide
+    run, before = _runs_with_a_waiting_sample("hygrometer")
+    with pytest.raises(UnknownObjectError, match="not a config sensor"):
+        getattr(run, step)(argument, 2)
+    _assert_wrote_nothing(run, before)
+    spec = next(s for s in run.config.sensors if s.iri.endswith("/hygrometer"))
+    assert run.decide(spec, 2)  # the sample still waits for its decision, and fires
+
+
 @pytest.mark.parametrize("sensor,transmit,message", [
     ("https://example.org/pisano/ghost", True, "unknown sensor"),
     ("https://example.org/pisano/hygrometer", False, "has no sample waiting for decide"),

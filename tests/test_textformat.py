@@ -116,12 +116,13 @@ def test_recovery_continues_after_bad_triple():
     assert any(t.subject == EX + "b" for t in raw.types)
 
 
-# A statement's first error resyncs at the next '.'. At the subject,
-# predicate, separator and object sites the search starts at the offending
-# token; at the prefix name, prefix IRI and datatype it starts after it, so an
+# A statement's first error resyncs at the next '.' (docs/FORMAT.md). At the
+# subject, predicate, separator and object sites the search starts at the
+# offending token; at the prefix name, prefix IRI, prefix dot and datatype, and
+# after an undeclared prefix or a literal under 'a', it starts after it, so an
 # offending '.' there swallows the statement that follows. A bad token, which
 # the scan reports, gets no second diagnostic at the subject, predicate and
-# object, but does at the separator and in '@prefix'.
+# object, but does at the separator, the datatype and in '@prefix'.
 @pytest.mark.parametrize("body,diagnostics,subjects", [
     ("@prefix . ex:s ex:p ex:o .\nex:t ex:p ex:o .\n",
      [(2, 9, "expected a prefix name ending in ':'")], ["t"]),
@@ -144,13 +145,51 @@ def test_recovery_continues_after_bad_triple():
     # a missing '.' is reported and resynced past, but the prefix is declared
     ("@prefix q: <https://e/> q:s q:p q:o .\nq:t q:p q:o .\n",
      [(2, 25, "expected '.' after '@prefix' declaration")], ["t"]),
+    # and it is reported before a redeclaration, which still stands
+    ("@prefix ex: <https://f/> ex:s ex:p ex:o .\nex:t ex:p ex:o .\n",
+     [(2, 26, "expected '.' after '@prefix' declaration"), (2, 9, "prefix 'ex' redeclared")],
+     ["https://f/t"]),
+    # a literal under 'a' is rejected at the literal, from the token after it
+    ('ex:s a "x" .\nex:t ex:p ex:o .\n',
+     [(2, 8, "'a' takes a class reference, not a literal")], ["t"]),
+    ('ex:s a "x" ; ex:p ex:o .\nex:t ex:p ex:o .\n',
+     [(2, 8, "'a' takes a class reference, not a literal")], ["t"]),
+    ('ex:s a "x"^^xsd:string . ex:t ex:p ex:o .\n',
+     [(2, 8, "'a' takes a class reference, not a literal")], ["t"]),
+    ('ex:s ex:p "x"', [(2, 14, "expected ',', ';' or '.', found ''")], ["s"]),
+    ('ex:s ex:p "x"^^ $ ex:t ex:p ex:o .\nex:u ex:p ex:o .\n',
+     [(2, 17, "unexpected character '$'"), (2, 17, "expected a datatype after '^^'")], ["u"]),
+    ('ex:s ex:p "x"^^', [(2, 16, "expected a datatype after '^^'")], []),
+    # an undeclared prefix or a datatype no literal kind has
+    ("zz:s ex:p ex:o .\nex:t ex:p ex:o .\n", [(2, 1, "undeclared prefix 'zz'")], ["t"]),
+    ("ex:s zz:p ex:o .\nex:t ex:p ex:o .\n", [(2, 6, "undeclared prefix 'zz'")], ["t"]),
+    ("ex:s ex:p zz:o .\nex:t ex:p ex:o .\n", [(2, 11, "undeclared prefix 'zz'")], ["t"]),
+    ('ex:s ex:p "x"^^zz:d .\nex:t ex:p ex:o .\n', [(2, 16, "undeclared prefix 'zz'")], ["t"]),
+    ('ex:s ex:p "x"^^ex:d .\nex:t ex:p ex:o .\n',
+     [(2, 16, "unsupported datatype <https://e/d>")], ["t"]),
+    # the end of the text, also where a trailing comment begins
+    ("ex:s", [(2, 5, "expected a predicate, found ''")], []),
+    ("ex:s ex:p", [(2, 10, "expected an object, found ''")], []),
+    ("ex:s ex:p # c", [(2, 11, "expected an object, found ''")], []),
+    ("ex:s ex:p ex:o", [(2, 15, "expected ',', ';' or '.', found ''")], ["s"]),
+    ("@prefix", [(2, 8, "expected a prefix name ending in ':'")], []),
+    ("@prefix q:", [(2, 11, "expected an IRI reference in '@prefix'")], []),
+    ("@prefix q: <https://e/q#>\nq:t ex:p ex:o .\nq:u ex:p ex:o .\n",
+     [(3, 1, "expected '.' after '@prefix' declaration")], ["https://e/q#u"]),
+    ("@prefix q: <https://e/q#>", [(2, 26, "expected '.' after '@prefix' declaration")], []),
 ], ids=["prefix-name-dot", "prefix-name-bad", "prefix-iri-dot", "datatype-dot",
         "subject-dot", "predicate-dot", "object-dot", "separator-bad", "subject-bad",
-        "predicate-bad", "object-bad", "prefix-without-dot"])
+        "predicate-bad", "object-bad", "prefix-without-dot", "prefix-redeclared-without-dot",
+        "a-string-dot", "a-string-semicolon", "a-typed-string", "string-eof", "datatype-bad",
+        "datatype-eof", "subject-undeclared", "predicate-undeclared", "object-undeclared",
+        "datatype-undeclared", "datatype-unsupported", "predicate-eof", "object-eof",
+        "object-eof-after-comment", "separator-eof", "prefix-name-eof", "prefix-iri-eof",
+        "prefix-dot-swallows", "prefix-dot-eof"])
 def test_resync_rules(body, diagnostics, subjects):
     raw = parse_raw("@prefix ex: <https://e/> .\n" + body)
     assert [(d.line, d.col, d.message) for d in raw.diagnostics] == diagnostics
-    assert [t.subject for t in raw.triples] == ["https://e/" + s for s in subjects]
+    assert [t.subject for t in raw.triples] == [s if ":" in s else "https://e/" + s
+                                                for s in subjects]
 
 
 # --- semantic checking during parse ---
