@@ -10,8 +10,8 @@ trigger mode decides when a holding condition fires: ON_RISE (default) only
 on the transition from not-holding to holding, EVERY whenever it holds.
 Comparisons are exact decimal arithmetic; no binary floating point.
 
-parse_rules keeps action targets as written (CURIE or <IRI>); build_scenario
-expands each one to the absolute IRI that the runtime then uses as it is.
+parse_rules keeps action targets as written (CURIE or <IRI>); a loaded scenario
+holds each expanded, and check_scenario refuses one that names no declared entity.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ActionKind(Enum):
 
 class Action(NamedTuple):
     kind: ActionKind
-    target: str  # as written by parse_rules; absolute after build_scenario
+    target: str  # as written by parse_rules; a declared entity's IRI in a checked config
     channel: str | None = None  # ALERT only
 
 

@@ -38,16 +38,12 @@ from .config import (
     ScenarioConfig,
     SensorSpec,
     SineGen,
+    check_scenario,
 )
-from .errors import (
-    ConfigError,
-    ScenarioError,
-    TwingraphError,
-    UnknownObjectError,
-)
+from .errors import ScenarioError, TwingraphError, UnknownObjectError
 from .graph import Graph, Iri
 from .ontology import Registry, load_seed
-from .rules import COMPARATORS, Action, ActionKind, Rule, evaluate_rule
+from .rules import Action, ActionKind, Rule, evaluate_rule
 
 _new = tuple.__new__  # a record without the NamedTuple's Python-level __new__ frame
 
@@ -187,17 +183,10 @@ def schedule_due(config: ScenarioConfig, tick: int) -> list[SensorSpec]:
 
 # --- the run ---
 
-def _carried(text: str) -> str:
-    # a config built by hand may hold text the graph text cannot carry
-    if not ns.carriable(text):
-        raise ConfigError(f"{text!r} is not an absolute IRI the graph text can carry")
-    return text
-
-
 class _SensorState:
     def __init__(self, spec: SensorSpec, run_seed: int):
         self.spec = spec
-        self.local = ns.local_name(_carried(spec.iri))  # the local name run IRIs are minted from
+        self.local = ns.local_name(spec.iri)  # the local name run IRIs are minted from
         self.stream_seed = mix64(run_seed ^ fnv1a64(spec.iri))
         self.next_index = 0
         self.waits = "sample"  # the step its sample waits for, in run()'s order
@@ -210,7 +199,7 @@ class ScenarioRun:
     """Exclusive owner of one scenario execution: graph, log, counters."""
 
     def __init__(self, config: ScenarioConfig, registry: Registry | None = None):
-        self.config = config
+        self.config = check_scenario(config)  # a config built by hand meets a file's rules
         self.registry = registry if registry is not None else load_seed()
         prefixes = dict(config.prefixes)
         prefixes[ns.RUN_PREFIX] = ns.RUN_IRI
@@ -226,16 +215,7 @@ class ScenarioRun:
         sizes = {spec.measured_type: 0 for spec in config.sensors}
         self._rules: dict[str, list[Rule]] = {}  # each measured type's rules, in rule order
         self._activator_actions = {a.iri: a.action for a in config.activators}
-        targets = {ActionKind.ACTIVATE: (self._activator_actions, "a declared activator"),
-                   ActionKind.ALERT: (set(config.actors), "a declared actor")}
-        for rule in config.decider.rules:  # each refused before a sample is spent
-            if rule.comparator not in COMPARATORS:
-                raise ConfigError(f"rule {rule.id}: unknown comparator {rule.comparator!r}")
-            for action in rule.actions:
-                members, what = targets[action.kind]
-                if action.target not in members:
-                    raise ConfigError(f"rule {rule.id}: {action.kind.value} target "
-                                      f"{action.target!r} is not {what}")
+        for rule in config.decider.rules:
             kind = rule.measured_type
             sizes[kind] = max(sizes.get(kind, 0), min(rule.sustain, most) + 1)
             self._rules.setdefault(kind, []).append(rule)
@@ -245,21 +225,17 @@ class ScenarioRun:
         self._iris: dict[str, Iri] = {}  # one Iri per declared entity, by IRI text
         self._minted = Iri(ns.RUN_IRI)  # the node the latest fold minted
         self._sensors = {spec.iri: _SensorState(spec, config.seed) for spec in config.sensors}
-        if len({state.local for state in self._sensors.values()}) < len(config.sensors):
-            raise ConfigError("sensors repeat or share a local name, from which run IRIs are minted")
         self._build_static()
         self.static_statements = len(self.graph.statements)
         self._clock: tuple[int | None, str] = (None, "")  # the last tick formatted
 
     def _build_static(self) -> None:
-        """Add the scenario's entities, one Iri per IRI text, each carriable."""
+        """Add the scenario's entities, one Iri per IRI text."""
         g = self.graph
         config = self.config
 
         def iri(text: str) -> Iri:
-            if text not in self._iris:
-                self._iris[text] = Iri(_carried(text))
-            return self._iris[text]
+            return self._iris.setdefault(text, Iri(text))
 
         for place in config.places:
             g.add_entity(iri(place), "E53")

@@ -160,6 +160,29 @@ def test_run_scenario_number_beyond_decimal_range_is_exit_2(tmp_path, capsys, nu
     assert err.startswith("config error:") and "exponent range" in err
 
 
+@pytest.mark.parametrize("change", [
+    lambda doc, text: doc["sensors"][1].update(unit=text),
+    lambda doc, text: doc["sensors"][1].update(measured_type=text),
+    lambda doc, text: doc["decider"].update(rules=doc["decider"]["rules"].replace(
+        '"email"', f'"{text}"')),
+    lambda doc, text: doc["prefixes"].update(ex=f"https://example.org/{text}/"),
+], ids=["unit", "measured-type", "via-channel", "prefix-base"])
+def test_run_scenario_text_utf8_cannot_encode_is_exit_2_and_writes_nothing(
+        tmp_path, capsys, change):
+    # JSON may escape a lone surrogate; neither output file could hold it
+    with open(SCENARIO, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    change(doc, "a\udfffb")
+    scenario = tmp_path / "surrogate.json"
+    scenario.write_text(json.dumps(doc), encoding="ascii")
+    out, log = tmp_path / "run.rht.ttl", tmp_path / "run.log.jsonl"
+    assert main(["run", str(scenario), "--out", str(out), "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:"), err
+    assert "UTF-8 can encode, not " in err and "a\\udfffb" in err, err
+    assert not out.exists() and not log.exists()
+
+
 def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad"
     path.write_bytes(b"\xff")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import statistics
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from twingraph import (
     Iri,
     Statement,
     StepFailure,
+    emit,
     load_scenario,
     load_seed,
     parse_scenario,
@@ -26,6 +28,7 @@ from twingraph.config import (
     RampGen,
     SensorSpec,
     SineGen,
+    check_scenario,
 )
 from twingraph.errors import (
     ConfigError,
@@ -397,27 +400,6 @@ def test_step_without_a_waiting_sample_is_refused_and_writes_nothing(step):
     _assert_wrote_nothing(run, before)
 
 
-def test_run_refuses_a_config_whose_sensors_share_a_local_name():
-    # both would mint one measurement, signal and activation IRI per sample index
-    config = load_scenario(PISANO)
-    first, second = config.sensors
-    clash = config._replace(sensors=(first, second._replace(
-        iri="https://example.org/elsewhere/accelerometer")))
-    with pytest.raises(ConfigError, match="share a local name"):
-        ScenarioRun(clash)
-
-
-def test_run_refuses_a_config_that_repeats_a_sensor(monkeypatch):
-    # both sensor maps would collapse the repeat, and it would sample twice a tick
-    config = load_scenario(PISANO)
-    first = config.sensors[0]
-    built = []
-    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
-    with pytest.raises(ConfigError, match="sensors repeat"):
-        ScenarioRun(config._replace(sensors=(first, first) + config.sensors[1:]))
-    assert built == []
-
-
 def test_signal_payload_bytes():
     config = scenario(BASIC_SENSOR, duration=1)
     run = run_scenario(config)
@@ -624,75 +606,140 @@ def test_first_alert_channel_wins():
     assert alert.fields["channel"] == "email"
 
 
-RT = "https://example.org/rt/"
+# --- a config built by hand meets the scenario check a file does ---
+
+def _set(node, path, value):
+    """A config tree (NamedTuples and tuples) with the field or member at path
+    set to value; each step is a field name or a tuple index."""
+    if not path:
+        return value
+    step, rest = path[0], path[1:]
+    if isinstance(step, str):
+        return node._replace(**{step: _set(getattr(node, step), rest, value)})
+    return node[:step] + (_set(node[step], rest, value),) + node[step + 1:]
 
 
-@pytest.mark.parametrize("action,message", [
-    (Action(ActionKind.ACTIVATE, RT + "nosuch"), f"ACTIVATE target '{RT}nosuch' is not a "
-                                                 "declared activator"),
-    (Action(ActionKind.ACTIVATE, RT + "opd"), f"ACTIVATE target '{RT}opd' is not a declared "
-                                              "activator"),
-    (Action(ActionKind.ALERT, RT + "pump", "sms"), f"ALERT target '{RT}pump' is not a declared "
-                                                   "actor"),
-], ids=["undeclared", "actor-activated", "activator-alerted"])
-def test_hand_built_rule_with_an_undeclared_target_is_refused_before_the_graph(
-        monkeypatch, action, message):
-    # parse_rules leaves targets unchecked; decide would log a decision and
-    # then find no target to act on
-    config = scenario(BASIC_SENSOR, activators='[{"iri": "ex:pump", "action": "drain"}]',
-                      rules='RULE r WHEN TYPE = "humidity" AND VALUE > 70 THEN ACTIVATE ex:pump')
-    (rule,) = config.decider.rules
+EX = "https://example.org/pisano/"
+RULE = ("decider", "rules", 0)
+INT_RANGE = "must be an integer in [0, 2^64)"
+
+# (id, path, value or a function of the noisy Pisano config, message with its path)
+HAND_BUILT_REFUSALS = [
+    # each ended in an untyped error before the run checked its config in full
+    ("unparseable-start", ("start",), "yesterday",
+     "scenario: bad start: not an ISO 8601 dateTime: 'yesterday'"),
+    ("zero-period", ("sensors", 0, "period"), 0,
+     "sensors[0]: period must be an integer of at least 1"),
+    ("empty-list-generator", ("sensors", 1, "generator"), ListGen(()),
+     "sensors[1].generator: list generator needs at least one value"),
+    ("float-constant", ("sensors", 1, "generator"), ConstantGen(0.1),
+     "sensors[1].generator: value must be a number (a finite Decimal), not 0.1"),
+    ("measured-type-not-text", ("sensors", 0, "measured_type"), 5,
+     "sensors[0]: measured_type must be text UTF-8 can encode, not 5"),
+    ("clock-past-9999", ("tick_seconds",), 10 ** 12,
+     "scenario: the clock must end by 9999-12-31T23:59:59Z"),
+    # each ran on a value a scenario file may not hold
+    ("zero-tick", ("tick_seconds",), 0, "scenario: tick_seconds must be an integer of at least 1"),
+    ("negative-duration", ("duration",), -1,
+     "scenario: duration must be an integer and must not be negative"),
+    ("negative-seed", ("seed",), -1, f"scenario: seed {INT_RANGE}"),
+    ("huge-seed", ("seed",), 2 ** 80, f"scenario: seed {INT_RANGE}"),
+    ("negative-phase", ("sensors", 0, "phase"), -1,
+     "sensors[0]: phase must be an integer in [0, period)"),
+    ("unit-not-text", ("sensors", 0, "unit"), None,
+     "sensors[0]: unit must be text UTF-8 can encode, not None"),
+    ("place-in-run-namespace", ("places",), lambda c: c.places + ("https://example.org/run/p",),
+     "entities.places[1]: 'https://example.org/run/p' lies under https://example.org/run/"),
+    ("negative-sustain", RULE + ("sustain",), -5,
+     "decider.rules(humidity-alert): FOR takes a positive integer sample count"),
+    ("mode-as-text", RULE + ("mode",), "EVERY",
+     "decider.rules(humidity-alert).mode: must be of type TriggerMode, not 'EVERY'"),
+    ("action-not-text", ("activators", 0, "action"), 5,
+     "entities.activators[0]: action must be text UTF-8 can encode, not 5"),
+    ("unit-with-lone-surrogate", ("sensors", 0, "unit"), "\ud800",
+     "sensors[0]: unit must be text UTF-8 can encode, not '\\ud800'"),
+    # run IRIs are minted from a sensor's local name: two would mint the same ones
+    ("sensors-share-a-local-name", ("sensors", 1, "iri"),
+     "https://example.org/elsewhere/accelerometer",
+     f"sensors[1]: sensors '{EX}accelerometer' and 'https://example.org/elsewhere/accelerometer' "
+     "share the local name 'accelerometer'"),
+    # both sensor maps would collapse the repeat, and it would sample twice a tick
+    ("repeated-sensor", ("sensors",), lambda c: c.sensors[:1] + c.sensors,
+     f"sensors[1]: duplicate sensor IRI '{EX}accelerometer'"),
+    # decide would log a decision and then find no target to act on
+    ("undeclared-target", RULE + ("actions",), (Action(ActionKind.ACTIVATE, EX + "nosuch"),),
+     f"decider.rules(humidity-alert): ACTIVATE target '{EX}nosuch' is not a declared activator"),
+    ("actor-activated", RULE + ("actions",), (Action(ActionKind.ACTIVATE, EX + "opd"),),
+     f"decider.rules(humidity-alert): ACTIVATE target '{EX}opd' is not a declared activator"),
+    ("activator-alerted", RULE + ("actions",),
+     (Action(ActionKind.ALERT, EX + "dehumidifier", "sms"),),
+     f"decider.rules(humidity-alert): ALERT target '{EX}dehumidifier' is not a declared actor"),
+    # the graph written from these would not parse back
+    ("sensor-iri-a-curie", ("sensors", 1, "iri"), "ex:hand",
+     "sensors[1]: 'ex:hand' is not an absolute IRI"),
+    ("sensor-iri-with-space", ("sensors", 1, "iri"), "https://example.org/a b",
+     "sensors[1]: 'https://example.org/a b' is not an absolute IRI"),
+    ("place-not-text", ("places",), (5,), "entities.places[0]: 5 is not an absolute IRI"),
+    ("actor-not-text", ("actors",), lambda c: c.actors + (5,),
+     "entities.actors[1]: 5 is not an absolute IRI"),
+    ("decider-iri-bytes", ("decider", "iri"), b"x", "decider: b'x' is not an absolute IRI"),
+    ("sensor-iri-none", ("sensors", 0, "iri"), None, "sensors[0]: None is not an absolute IRI"),
+    # decide would spend a sample and then fail outside StepFailure
+    ("unknown-comparator", RULE + ("comparator",), "~",
+     "decider.rules(humidity-alert): unknown comparator '~'"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", [row[1:] for row in HAND_BUILT_REFUSALS],
+                         ids=[row[0] for row in HAND_BUILT_REFUSALS])
+def test_hand_built_config_is_refused_before_the_graph(monkeypatch, path, value, message):
+    config = load_scenario(NOISY)
+    broken = _set(config, path, value(config) if callable(value) else value)
     built = []
     monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
-    with pytest.raises(ConfigError, match=f"rule r: {message}"):
-        ScenarioRun(config._replace(decider=config.decider._replace(
-            rules=(rule._replace(actions=(action,)),))))
-    assert built == []
-
-
-@pytest.mark.parametrize("text", ["ex:hand", "https://example.org/a b"])
-def test_config_iri_the_graph_text_cannot_carry_is_refused(text):
-    # a config built by hand skips build_scenario's checks; the graph written
-    # from it would not parse back
-    config = load_scenario("examples/pisano/scenario.json")
-    sensors = tuple(s._replace(iri=text) if s.iri.endswith("/hygrometer") else s
-                    for s in config.sensors)
-    with pytest.raises(ConfigError, match=f"{text!r} is not an absolute IRI"):
-        ScenarioRun(config._replace(sensors=sensors))
-
-
-@pytest.mark.parametrize("field", ["places", "actors", "decider"])
-def test_config_iri_that_is_not_text_is_refused(field):
-    # a config built by hand may hold any value; the run refuses it typed
-    config = load_scenario(PISANO)
-    broken = {"places": config._replace(places=(5,)),
-              "actors": config._replace(actors=(config.actors[0], 5)),
-              "decider": config._replace(decider=config.decider._replace(iri=b"x"))}[field]
-    with pytest.raises(ConfigError, match="is not an absolute IRI"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         ScenarioRun(broken)
-
-
-def test_sensor_iri_that_is_not_text_is_refused_before_anything_is_built(monkeypatch):
-    # run IRIs are minted from a sensor's local name, taken before the graph is built
-    config = load_scenario(PISANO)
-    built = []
-    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
-    with pytest.raises(ConfigError, match="None is not an absolute IRI"):
-        ScenarioRun(config._replace(
-            sensors=(config.sensors[0]._replace(iri=None),) + config.sensors[1:]))
     assert built == []
 
 
-def test_hand_built_rule_with_an_unknown_comparator_is_refused_before_the_graph(monkeypatch):
-    # parse_rules never builds one; decide would spend a sample and then fail
-    # outside StepFailure, with no decision record logged
-    config = load_scenario(PISANO)
-    rules = tuple(rule._replace(comparator="~") for rule in config.decider.rules)
-    built = []
-    monkeypatch.setattr(ScenarioRun, "_build_static", lambda run: built.append(run))
-    with pytest.raises(ConfigError, match="rule humidity-alert: unknown comparator '~'"):
-        ScenarioRun(config._replace(decider=config.decider._replace(rules=rules)))
-    assert built == []
+def test_check_scenario_returns_a_valid_config_unchanged():
+    configs = [load_scenario(PISANO), load_scenario(NOISY)]
+    configs += [random_scenario(random.Random(seed), f"chk{seed}") for seed in range(20)]
+    for config in configs:
+        before = config._replace(prefixes=dict(config.prefixes))  # its one mutable part
+        assert check_scenario(config) is config and config == before
+
+
+def _config_paths(node, path=()):
+    """The path of every field and tuple member below a config's root."""
+    if isinstance(node, tuple):
+        steps = node._fields if hasattr(node, "_fields") else range(len(node))
+        for step in steps:
+            yield path + (step,)
+            child = getattr(node, step) if isinstance(step, str) else node[step]
+            yield from _config_paths(child, path + (step,))
+
+
+_NOISY_PATHS = list(_config_paths(load_scenario(NOISY)))
+_POOL = st.sampled_from([None, -1, 0, 2 ** 80, "", "yesterday", 0.1, b"x", "\ud800", ()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_NOISY_PATHS), _POOL), min_size=1, max_size=3))
+def test_hand_built_config_is_refused_typed_or_runs_and_writes(changes):
+    config = load_scenario(NOISY)
+    for path, value in changes:
+        try:
+            config = _set(config, path, value)
+        except (AttributeError, TypeError, IndexError):
+            pass  # an earlier change replaced a tuple on this path
+    try:
+        run = ScenarioRun(config)
+    except ConfigError:
+        return
+    run.run(until=3)
+    render_log(run.records).encode("utf-8")
+    emit(run.graph)
 
 
 def test_activation_targets_share_one_iri_each():
