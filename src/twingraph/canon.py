@@ -5,8 +5,8 @@ log) funnels through these helpers so equal values always render equally.
 Renderings come from the standard library's own formatters, so they are
 exact whatever the decimal context. Each JSON value is rendered by the encoder
 of its exact type, so a str or int inside a record costs one C call. An object
-of fixed keys, as a log line is, fills a %-template that object_layout builds once,
-with a log line's kind and LF already in it.
+of fixed keys fills a %-template that object_template builds once; a log line's
+holds its kind and LF, and runtime.render_log fills it in one %.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ from operator import itemgetter
 
 
 def canonical_decimal(value: Decimal) -> str:
-    """Minimal plain decimal string: no exponent, no trailing zeros, no -0."""
+    """Minimal plain decimal string: no exponent, no trailing zeros, no -0. A
+    value that is no Decimal is a TypeError, a subclass renders as a Decimal."""
+    text = str(value) if type(value) is Decimal else Decimal.__str__(value)  # not a subclass's
     if not value.is_finite():
         raise ValueError(f"not a finite decimal: {value}")
-    if value == 0:
-        return "0"
-    text = format(value, "f")
-    return text.rstrip("0").rstrip(".") if "." in text else text
+    if "E" in text or "e" in text:  # str's exponent form; the context's capitals pick the case
+        text = format(value, "f")
+    text = text.rstrip("0").rstrip(".") if "." in text else text
+    return "0" if text == "-0" else text
 
 
 _DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
@@ -78,9 +80,10 @@ def format_datetime_utc(moment: datetime) -> str:
 
 
 # Keys stay ASCII-escaped, string values keep their characters; both are
-# the C escapers json.dumps itself calls.
+# the C escapers json.dumps itself calls, and a value that is no str is a TypeError.
 _encode_key = json.encoder.encode_basestring_ascii
-_encode_text = json.encoder.encode_basestring
+encode_text = json.encoder.encode_basestring
+BOOL_TEXT = {True: "true", False: "false"}  # 1 and 0 find these too: check the type first
 
 
 def dumps_canonical(value) -> str:
@@ -115,10 +118,10 @@ def _dumps_array(value) -> str:
 
 # Exact type -> encoder; bool and None map through a dict's C lookup.
 _ENCODERS = {
-    str: _encode_text,
+    str: encode_text,
     int: str,
     Decimal: canonical_decimal,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: BOOL_TEXT.__getitem__,
     type(None): {None: "null"}.__getitem__,
     dict: _dumps_object,
     list: _dumps_array,
@@ -126,15 +129,20 @@ _ENCODERS = {
 }
 
 
-def object_layout(keys: tuple[str, ...], kind: str | None = None):
-    """A renderer of dumps_canonical of a dict of exactly these keys, given one
-    value per key, in `keys` order; another count raises ValueError. Given a
-    `kind`, it renders a log line: the dict also holds "kind": kind, rendered
-    into the template once, and the text ends in LF."""
+def object_template(keys: tuple[str, ...], kind: str | None = None) -> str:
+    """The %-template of dumps_canonical of a dict of these keys: one %s per key, in
+    sorted key order. Given a `kind`, a log line's: the dict also holds "kind": kind,
+    rendered into the template, and the text ends in LF."""
     fixed = {} if kind is None else {"kind": dumps_canonical(kind)}
-    template = "{" + ",".join([_encode_key(key).replace("%", "%%") + ":"
-                               + (fixed[key].replace("%", "%%") if key in fixed else "%s")
-                               for key in sorted((*keys, *fixed))]) + "}" + ("\n" if fixed else "")
+    return "{" + ",".join([_encode_key(key).replace("%", "%%") + ":"
+                           + (fixed[key].replace("%", "%%") if key in fixed else "%s")
+                           for key in sorted((*keys, *fixed))]) + "}" + ("\n" if fixed else "")
+
+
+def object_layout(keys: tuple[str, ...]):
+    """A renderer of dumps_canonical of a dict of exactly these keys, given one
+    value per key, in `keys` order; another count raises ValueError."""
+    template = object_template(keys)
     pick = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
     count, encoder = len(keys), _ENCODERS.get
 

@@ -395,8 +395,12 @@ def check_scenario(config: ScenarioConfig) -> ScenarioConfig:
     _iri(decider.iri, "decider")
     targets = {ActionKind.ACTIVATE: (activators, "a declared activator"),
                ActionKind.ALERT: (actors, "a declared actor")}
+    ids = set()  # as rule text does, a rule set refuses a repeated id
     for where, rule in _items(decider.rules, "decider.rules", Rule):
         where = f"decider.rules({_text(rule.id, where, 'rule id')})"
+        if rule.id in ids:
+            raise ConfigError(f"{where}: duplicate rule id")
+        ids.add(rule.id)
         _text(rule.measured_type, where, "TYPE")
         if rule.comparator not in COMPARATORS:
             raise ConfigError(f"{where}: unknown comparator {rule.comparator!r}")
@@ -408,4 +412,8 @@ def check_scenario(config: ScenarioConfig) -> ScenarioConfig:
             _declared(action.target, where, f"{action.kind.value} target", *targets[action.kind])
             if action.kind is ActionKind.ALERT:
                 _text(action.channel, where, "VIA channel")
+            elif action.channel is not None:
+                raise ConfigError(f"{where}: ACTIVATE takes no VIA channel, not {action.channel!r}")
+        if not rule.actions:
+            raise ConfigError(f"{where}: a rule takes at least one action")
     return config

@@ -11,7 +11,7 @@ actuation and alert records (actuations first). Steps only log records:
 ScenarioRun.fold writes the statements each one implies, so the run graph is
 the static graph plus the fold of the log, in log order. FIELDS names each
 kind's fields once: a record holds its values in that order, by position, and
-its line renders through its row's template, which holds the kind and the LF.
+render_log fills its row's template, which holds the kind and the LF, in one %.
 
 Everything is deterministic: fresh IRIs are minted from the sensor name and
 sample index, timestamps are start + tick * tick_seconds, and noise comes
@@ -28,7 +28,8 @@ from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 from typing import NamedTuple
 
 from . import namespaces as ns
-from .canon import format_datetime_utc, object_layout, parse_datetime_utc
+from .canon import (BOOL_TEXT, canonical_decimal, encode_text, format_datetime_utc,
+                    object_layout, object_template, parse_datetime_utc)
 from .config import (
     ConstantGen,
     Generator,
@@ -69,7 +70,8 @@ FIELDS = {
 }
 PAYLOAD_FIELDS = ("measuredType", "sensorId", "signalId", "timestamp", "unit", "value")
 _HEAD = ("seq", "tick")  # and the kind, in each kind's template
-_LINES = {kind: object_layout(_HEAD + row, kind) for kind, row in FIELDS.items()}
+(_MEASUREMENT_LINE, _SIGNAL_LINE, _TRANSMISSION_LINE, _DECISION_LINE, _ACTIVATION_LINE,
+ _ACTUATION_LINE, _ALERT_LINE) = [object_template(_HEAD + row, kind) for kind, row in FIELDS.items()]
 _PAYLOAD = object_layout(PAYLOAD_FIELDS)
 
 # kind -> fold's (subject, property, object, minted object's class), terms as row positions
@@ -91,9 +93,49 @@ class EventRecord(NamedTuple):
 
 def render_log(records: list[EventRecord], out=None) -> str | None:
     """JSON Lines, every line LF-terminated: returned, or written to the text
-    stream `out` line by line, as `twingraph run --log` writes them."""
-    lines = (_LINES[kind](*(seq, tick) + values) for tick, seq, kind, values in records)
+    stream `out` line by line, as `twingraph run --log` writes them. Each line
+    fills its kind's template in one %, by row position. A record is refused before
+    its line is made: an unknown kind (KeyError), a count (ValueError), no tuple or
+    a type the run does not write there (TypeError; a str or Decimal subclass is its base)."""
+    lines = _lines(records)
     return "".join(lines) if out is None else out.writelines(lines)
+
+
+def _lines(records):  # each template takes its row's values, seq and tick in key order
+    text, decimal = encode_text, canonical_decimal
+    for tick, seq, kind, values in records:
+        if type(values) is not tuple or type(seq) is not int or type(tick) is not int:
+            raise TypeError(f"a record holds int seq and tick and a tuple, not {values!r}")
+        if kind == MEASUREMENT:
+            m_type, m, sensor, time, unit, value = values
+            yield _MEASUREMENT_LINE % (text(m_type), text(m), text(sensor), seq, tick, text(time),
+                                       text(unit), decimal(value))
+        elif kind == SIGNAL:
+            m, payload, signal = values
+            yield _SIGNAL_LINE % (text(m), text(payload), seq, text(signal), tick)
+        elif kind == TRANSMISSION:
+            decider, signal = values
+            yield _TRANSMISSION_LINE % (text(decider), seq, text(signal), tick)
+        elif kind == DECISION:
+            decider, fired, rules, m_type, signal, value = values
+            if type(fired) is not bool or type(rules) is not tuple:
+                raise TypeError(f"a decision holds a bool and a tuple, not {fired!r}, {rules!r}")
+            yield _DECISION_LINE % (text(decider), BOOL_TEXT[fired], "[" + ",".join(map(
+                text, rules)) + "]", text(m_type), seq, text(signal), tick, decimal(value))
+        elif kind == ACTIVATION:
+            act, decider, rules, signal = values
+            if type(rules) is not tuple:
+                raise TypeError(f"an activation holds a tuple of rules, not {rules!r}")
+            yield _ACTIVATION_LINE % (text(act), text(decider), "[" + ",".join(map(
+                text, rules)) + "]", seq, text(signal), tick)
+        elif kind == ACTUATION:
+            action, act, activator = values
+            yield _ACTUATION_LINE % (text(action), text(act), text(activator), seq, tick)
+        elif kind == ALERT:
+            act, actor, channel = values
+            yield _ALERT_LINE % (text(act), text(actor), text(channel), seq, tick)
+        else:
+            raise KeyError(kind)
 
 
 class StepFailure(ScenarioError):

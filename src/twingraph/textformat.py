@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import namespaces as ns
@@ -83,7 +81,6 @@ _TOKENS = master(rf"""
 _PLAIN = frozenset((PNAME, WORD_A, PUNCT, NUMBER))  # groups named after their kinds
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 _new = tuple.__new__  # a record at half the cost of the NamedTuple's Python-level __new__
-_PROPERTY_OF, _OBJECT_OF = itemgetter(1), itemgetter(2)
 
 
 def _bad(lines, diagnostics, message, text, pos) -> Token:
@@ -408,7 +405,8 @@ def emit(graph: Graph, out=None) -> str | None:
     returned, or written to the text stream `out` one subject block at a time.
     A pre-pass renders every IRI, type list, property head and object the text
     prints, once each, and sorts each subject's statements, so whatever emit
-    raises, it raises before it writes anything."""
+    raises, it raises before it writes anything. Each block is one loop over its
+    statements, each adding its property's head (', ' for a repeat) and object."""
     rendering = {**ns.DEFAULT_PREFIXES, **graph.prefixes}
     text = _Texts(rendering)
 
@@ -422,9 +420,9 @@ def emit(graph: Graph, out=None) -> str | None:
     def type_list(types: frozenset[str]) -> str:
         return ", ".join(sorted(text[Iri(graph.registry.class_iri(t))] for t in types))
 
-    @cache  # and each property's '    prefix:Pxx ' head
+    @cache  # and each property's ' ;\n    prefix:Pxx ' head, which ends the line before it
     def head(property_id: str) -> str:
-        return f"    {text[Iri(graph.registry.property_iri(property_id))]} "
+        return f" ;\n    {text[Iri(graph.registry.property_iri(property_id))]} "
 
     # The pre-pass. A statement whose subject is not a node is not printed. A
     # subject's key is its statements' own Iri, so no key is built for it.
@@ -450,10 +448,11 @@ def emit(graph: Graph, out=None) -> str | None:
         for subject in subjects:
             statements = by_subject.pop(subject, ())
             term = statements[0].subject if statements else Iri(subject)
-            lines = [f"\n{text[term]} a {type_list(frozenset(nodes[subject]))}"]
-            for property_id, group in groupby(statements, key=_PROPERTY_OF):
-                lines.append(head(property_id) + ", ".join(map(text.__getitem__,
-                                                               map(_OBJECT_OF, group))))
-            yield " ;\n".join(lines) + " .\n"
+            parts = [f"\n{text[term]} a {type_list(frozenset(nodes[subject]))}"]
+            last = None
+            for _, property_id, obj in statements:  # a repeated property takes ', '
+                parts += (", " if property_id == last else head(property_id), text[obj])
+                last = property_id
+            yield "".join(parts) + " .\n"
 
     return "".join(blocks()) if out is None else out.writelines(blocks())

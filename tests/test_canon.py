@@ -9,7 +9,7 @@ import json
 import re
 from collections import OrderedDict
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +257,45 @@ def test_canonical_decimal_is_minimal_and_exact(value):
     assert DECIMAL_TEXT.fullmatch(text), text
     assert Decimal(text) == value
     assert parse_decimal(text) == value
+
+
+def _decimal_by_format(value):
+    """canonical_decimal as it was before str() took the plain forms."""
+    if not value.is_finite():
+        raise ValueError(f"not a finite decimal: {value}")
+    if value == 0:
+        return "0"
+    text = format(value, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+class _Dollars(Decimal):
+    def __str__(self):
+        return "$" + super().__str__()
+
+
+# every sign, 1 to 40 digits (zeros with leading zeros too) and exponent -40..+40
+_ANY_DECIMALS = st.builds(
+    lambda sign, digits, exponent: Decimal((sign, tuple(digits), exponent)),
+    st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1, max_size=40)
+    | st.lists(st.just(0), min_size=1, max_size=5), st.integers(-40, 40))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ANY_DECIMALS, st.booleans())
+def test_canonical_decimal_is_the_format_formula(value, capitals):
+    # str writes the exponent's E in the context's case; neither case may leak
+    with localcontext() as context:
+        context.capitals = capitals
+        expected = _decimal_by_format(value)
+        assert canonical_decimal(value) == expected
+        assert canonical_decimal(_Dollars(value)) == expected  # not the subclass's str
+
+
+@pytest.mark.parametrize("value", [1.5, 1, True, "1.5", None])
+def test_canonical_decimal_refuses_what_is_no_decimal(value):
+    with pytest.raises(TypeError):
+        canonical_decimal(value)
 
 
 @settings(max_examples=300, deadline=None)

@@ -687,6 +687,20 @@ HAND_BUILT_REFUSALS = [
     # decide would spend a sample and then fail outside StepFailure
     ("unknown-comparator", RULE + ("comparator",), "~",
      "decider.rules(humidity-alert): unknown comparator '~'"),
+    # rule sets no rule text can write: a repeated rule fired twice in one decision
+    ("repeated-rule-id", ("decider", "rules"), lambda c: c.decider.rules * 2,
+     "decider.rules(humidity-alert): duplicate rule id"),
+    ("repeated-rule-id-without-actions", ("decider", "rules"),
+     lambda c: c.decider.rules + (c.decider.rules[0]._replace(actions=()),),
+     "decider.rules(humidity-alert): duplicate rule id"),
+    ("rule-without-actions", RULE + ("actions",), (),
+     "decider.rules(humidity-alert): a rule takes at least one action"),
+    ("activate-with-a-channel", RULE + ("actions",),
+     (Action(ActionKind.ACTIVATE, EX + "dehumidifier", "sms"),),
+     "decider.rules(humidity-alert): ACTIVATE takes no VIA channel, not 'sms'"),
+    ("activate-with-an-empty-channel", RULE + ("actions",),
+     (Action(ActionKind.ACTIVATE, EX + "dehumidifier", ""),),
+     "decider.rules(humidity-alert): ACTIVATE takes no VIA channel, not ''"),
 ]
 
 

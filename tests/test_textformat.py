@@ -342,6 +342,60 @@ def test_iris_sort_before_literals_within_one_property():
     assert "    crm:P55 ex:p1, 4.5 .\n" in emit(g)
 
 
+HDTO, CRM = "@prefix hdto: <https://example.org/ns/hdto#> .\n", \
+    "@prefix crm: <http://www.cidoc-crm.org/cidoc-crm/> .\n"
+
+
+def _block_edge_graph(edge):
+    g = Graph(load_seed(), {"ex": EX})
+    iri = g.resolve
+    if edge == "types-and-no-statements":
+        g.add_entity(iri("ex:a"), "HC6")
+        g.add_entity(iri("ex:a"), "HC3")
+    elif edge == "iris-and-literals-under-one-property":  # a literal only by an unchecked insert
+        for node, class_id in (("ex:a", "HC3"), ("ex:p2", "E53"), ("ex:p1", "E53")):
+            g.add_entity(iri(node), class_id)
+        g.add_statement(iri("ex:a"), "P55", iri("ex:p2"))
+        g.statements[Statement(Iri(EX + "a"), "P55", Literal.of("string", 'b"\\q'))] = None
+        g.add_statement(iri("ex:a"), "P55", iri("ex:p1"))
+    elif edge == "two-properties":
+        for node, class_id in (("ex:sensor", "HC9"), ("ex:asset", "HC3"), ("ex:sw", "D14")):
+            g.add_entity(iri(node), class_id)
+        g.add_statement(iri("ex:sensor"), "HP15", iri("ex:asset"))
+        g.add_statement(iri("ex:sensor"), "HP11", iri("ex:sw"))
+    elif edge == "types-as-a-plain-set":
+        g.nodes[EX + "odd"] = {"HC6", "HC3"}
+        g.add_entity(iri("ex:room"), "E53")
+        g.add_statement(iri("ex:odd"), "P55", iri("ex:room"))
+    else:  # an unchecked statement whose subject is no node, nor is its object rendered
+        g.add_entity(iri("ex:a"), "HC3")
+        g.statements[Statement(Iri(EX + "ghost"), "P55", Iri(ns.WD_IRI + "Q1"))] = None
+    return g
+
+
+@pytest.mark.parametrize("edge,expected", [
+    ("types-and-no-statements", HEADER + HDTO + "\nex:a a hdto:HC3, hdto:HC6 .\n"),
+    ("iris-and-literals-under-one-property",
+     CRM + HEADER + HDTO + '\nex:a a hdto:HC3 ;\n    crm:P55 ex:p1, ex:p2, "b\\"\\\\q" .\n'
+     "\nex:p1 a crm:E53 .\n\nex:p2 a crm:E53 .\n"),
+    ("two-properties",
+     "@prefix crmdig: <http://www.ics.forth.gr/isl/CRMdig/> .\n" + HEADER + HDTO
+     + "@prefix rhdto: <https://example.org/ns/rhdto#> .\n\nex:asset a hdto:HC3 .\n"
+     "\nex:sensor a rhdto:HC9 ;\n    rhdto:HP11 ex:sw ;\n    rhdto:HP15 ex:asset .\n"
+     "\nex:sw a crmdig:D14 .\n"),
+    ("types-as-a-plain-set",
+     CRM + HEADER + HDTO + "\nex:odd a hdto:HC3, hdto:HC6 ;\n    crm:P55 ex:room .\n"
+     "\nex:room a crm:E53 .\n"),
+    ("unchecked-statement-off-the-nodes", HEADER + HDTO + "\nex:a a hdto:HC3 .\n"),
+])
+def test_block_layout_at_its_edges(edge, expected):
+    graph = _block_edge_graph(edge)
+    assert emit(graph) == expected
+    out = io.StringIO()
+    emit(graph, out)
+    assert out.getvalue() == expected
+
+
 def test_longest_prefix_match():
     g = Graph(load_seed(), {"ex": EX, "exdeep": EX + "deep/"})
     g.add_entity(g.resolve("<" + EX + "deep/a>"), "HC3")
