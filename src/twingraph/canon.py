@@ -6,7 +6,8 @@ Renderings come from the standard library's own formatters, so they are
 exact whatever the decimal context. Each JSON value is rendered by the encoder
 of its exact type, so a str or int inside a record costs one C call. An object
 of fixed keys fills a %-template that object_template builds once; a log line's
-holds its kind and LF, and runtime.render_log fills it in one %.
+holds its kind and LF, and runtime.render_log fills it in one %, as
+runtime.make_signal fills the signal payload's.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import re
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
-from operator import itemgetter
 
 
 def canonical_decimal(value: Decimal) -> str:
@@ -138,16 +138,3 @@ def object_template(keys: tuple[str, ...], kind: str | None = None) -> str:
                            + (fixed[key].replace("%", "%%") if key in fixed else "%s")
                            for key in sorted((*keys, *fixed))]) + "}" + ("\n" if fixed else "")
 
-
-def object_layout(keys: tuple[str, ...]):
-    """A renderer of dumps_canonical of a dict of exactly these keys, given one
-    value per key, in `keys` order; another count raises ValueError."""
-    template = object_template(keys)
-    pick = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
-    count, encoder = len(keys), _ENCODERS.get
-
-    def render(*values):
-        if len(values) != count:
-            raise ValueError(f"{count} values expected, not {len(values)}")
-        return template % pick([(encoder(type(v)) or _dumps)(v) for v in values])
-    return render

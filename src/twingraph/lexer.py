@@ -3,9 +3,10 @@
 A grammar supplies named groups, compiled by master(), and a function that
 turns one match into a token (kind, text, pos); a plain group, named after
 its kind, is its token and takes no call. Each match starts with the blanks
-and line ends before its token, so a match makes one token at most, and
-trailing blanks go with an empty end-of-text group. step makes the token of
-any other group, with the "unexpected character" fallback and the EOF token.
+and line ends before its token, so a match makes one token at most (but the
+graph grammar's predicate line, a list of three), and trailing blanks go
+with an empty end-of-text group. step makes the token of any other group,
+with the "unexpected character" fallback and the EOF token.
 Some group matches any character and every group but the end consumes one
 at least, so a loop over the matches always moves forward and terminates.
 
@@ -88,10 +89,10 @@ class Lookahead:
         raise Rejected
 
 
-def step(m: re.Match, kind: str, lines: Lines, build: Callable[..., "Token | None"],
-         diagnostics: list[ParseDiagnostic], bad: str | None = None) -> Token | None:
-    """The token of a match whose group `kind` is not plain, or None, and its
-    diagnostics. build(kind, match, lines, diagnostics) makes a grammar
+def step(m: re.Match, kind: str, lines: Lines, build: Callable[..., "Token | list | None"],
+         diagnostics: list[ParseDiagnostic], bad: str | None = None) -> Token | list | None:
+    """The token of a match whose group `kind` is not plain (a list, or None),
+    and its diagnostics. build(kind, match, lines, diagnostics) makes a grammar
     group's. An unexpected character is an error, and a token of kind `bad`
     if one is given. The end, or a `rest` group that runs to it, is the EOF
     token; the end can match once more after either, so only the first counts."""
@@ -107,7 +108,7 @@ def step(m: re.Match, kind: str, lines: Lines, build: Callable[..., "Token | Non
     return token
 
 
-def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"],
+def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | list | None"],
          diagnostics: list[ParseDiagnostic], bad: str | None = None,
          plain: frozenset[str] = frozenset()) -> Iterator[Token]:
     """Yield the tokens of lines.text, ending with an EOF token, and append
@@ -118,7 +119,9 @@ def scan(lines: Lines, pattern: re.Pattern, build: Callable[..., "Token | None"]
         kind = m.lastgroup
         if kind in plain:  # a tuple, as the NamedTuple's own __new__ costs more
             yield tuple.__new__(Token, (kind, m.group(kind), m.start(kind)))
-        elif (token := step(m, kind, lines, build, diagnostics, bad)) is not None:
+        elif type(token := step(m, kind, lines, build, diagnostics, bad)) is list:
+            yield from token
+        elif token is not None:
             yield token
             if token.kind == EOF:
                 return

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import namespaces as ns
 from .canon import (BOOL_TEXT, canonical_decimal, encode_text, format_datetime_utc,
-                    object_layout, object_template, parse_datetime_utc)
+                    object_template, parse_datetime_utc)
 from .config import (
     ConstantGen,
     Generator,
@@ -68,11 +68,11 @@ FIELDS = {
     ACTUATION: ("action", "activation", "activator"),
     ALERT: ("activation", "actor", "channel"),
 }
-PAYLOAD_FIELDS = ("measuredType", "sensorId", "signalId", "timestamp", "unit", "value")
+PAYLOAD_FIELDS = ("measuredType", "sensorId", "signalId", "timestamp", "unit", "value")  # sorted
 _HEAD = ("seq", "tick")  # and the kind, in each kind's template
 (_MEASUREMENT_LINE, _SIGNAL_LINE, _TRANSMISSION_LINE, _DECISION_LINE, _ACTIVATION_LINE,
  _ACTUATION_LINE, _ALERT_LINE) = [object_template(_HEAD + row, kind) for kind, row in FIELDS.items()]
-_PAYLOAD = object_layout(PAYLOAD_FIELDS)
+_PAYLOAD = object_template(PAYLOAD_FIELDS)
 
 # kind -> fold's (subject, property, object, minted object's class), terms as row positions
 _LINKS = {SIGNAL: (0, "L20", 2, "HC12"), TRANSMISSION: (1, "HP12", 0, None),
@@ -413,7 +413,9 @@ class ScenarioRun:
         state = self._waiting(spec, "make_signal")
         spec, (index, value, timestamp) = state.spec, state.sample
         signal = self._fresh("sig", state.local, index)
-        payload = _PAYLOAD(spec.measured_type, spec.iri, signal.value, timestamp, spec.unit, value)
+        payload = _PAYLOAD % (encode_text(spec.measured_type), encode_text(spec.iri),
+                              encode_text(signal.value), encode_text(timestamp),
+                              encode_text(spec.unit), canonical_decimal(value))
         self._record(tick, SIGNAL, self._fresh("m", state.local, index).value, payload,
                      signal.value)
         state.signal = signal.value

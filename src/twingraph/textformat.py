@@ -16,10 +16,12 @@ relative IRIs):
 
 parse_raw reads the raw records in one loop over the scan's matches, with
 one state per grammar position; a statement's first error resyncs at the
-next '.'. parse then runs two passes over them: node type assertions ('a')
-first, then statements, so forward references inside one document are legal.
-Diagnostics carry 1-based line:column positions; any error means no graph is
-returned.
+next '.'. A predicate line (a verb, a CURIE object and a separator), most
+of a run's graph, is one match: one step where a predicate is due, else its
+three tokens in turn. parse then runs two passes over them: node type
+assertions ('a') first, then statements, so forward references inside one
+document are legal. Diagnostics carry 1-based line:column positions; any
+error means no graph is returned.
 
 Emission is canonical and byte-stable: prefixes sorted by name, subjects by
 expanded IRI, 'a' types first, properties by id, objects sorted, one subject
@@ -66,8 +68,12 @@ DTSEP = "^^"
 PUNCT = "punct"
 BAD = "bad"
 
-_TOKENS = master(rf"""
-    (?P<pname>[A-Za-z][A-Za-z0-9_-]*:{ns.LOCAL_NAME})
+LINE = "line"  # a predicate line: a verb, its PNAME object and a separator in one match
+_PNAME = rf"[A-Za-z][A-Za-z0-9_-]*:{ns.LOCAL_NAME}"
+_TOKENS = master(rf"""  # (?=(?P<x>...))(?P=x) takes x whole, never shorter: (?>...) is 3.11+
+    (?=(?P<verb>{_PNAME}|a))(?P=verb)[ \t\r\n]+(?=(?P<object>{_PNAME}))(?P=object)
+        [ \t\r\n]*(?P<line>[;,.])  # the separator closes last, so it names the match
+  | (?P<pname>{_PNAME})
   | (?P<a>a)(?![A-Za-z0-9_-]|:(?!////))  # no ':' that starts a PNAME or a word
   | (?P<punct>[;,.])
   | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
@@ -79,6 +85,8 @@ _TOKENS = master(rf"""
   | (?P<word>[A-Za-z][A-Za-z0-9_-]*(?:://{ns.LOCAL_NAME})?)  # no PNAME and not 'a': bad
 """)
 _PLAIN = frozenset((PNAME, WORD_A, PUNCT, NUMBER))  # groups named after their kinds
+# a predicate line's groups, by number: a group's name costs a lookup per call
+_VERB_GROUP, _OBJECT_GROUP, _LINE_GROUP = map(_TOKENS.groupindex.get, ("verb", "object", LINE))
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 _new = tuple.__new__  # a record at half the cost of the NamedTuple's Python-level __new__
 
@@ -88,7 +96,12 @@ def _bad(lines, diagnostics, message, text, pos) -> Token:
     return Token(BAD, text, pos)
 
 
-def _token(kind, m, lines, diagnostics) -> Token | None:
+def _token(kind, m, lines, diagnostics) -> Token | list[Token] | None:
+    if kind == LINE:
+        verb = m.group("verb")
+        return [_new(Token, (WORD_A if verb == WORD_A else PNAME, verb, m.start("verb"))),
+                _new(Token, (PNAME, m.group("object"), m.start("object"))),
+                _new(Token, (PUNCT, m.group(kind), m.start(kind)))]
     text = m.group(kind)
     pos = m.end() - len(text)
     if kind == "word":
@@ -164,6 +177,7 @@ class RawDocument:
 # _HELD holds a string one token, for its '^^'; _SKIP resyncs at the next '.'.
 (_SUBJECT, _VERB, _OBJECT, _SEPARATOR, _HELD, _DATATYPE,
  _PREFIX_NAME, _PREFIX_IRI, _PREFIX_DOT, _SKIP) = range(10)
+_AFTER = {",": _OBJECT, ";": _VERB, ".": _SUBJECT}  # the state after each separator
 
 
 def parse_raw(text: str) -> RawDocument:
@@ -172,8 +186,9 @@ def parse_raw(text: str) -> RawDocument:
     The records are NamedTuples and hold IRIs expanded and interned, each
     distinct CURIE text split and expanded once. One loop over the scan's
     matches makes each token, through lexer.step unless its group is plain,
-    and moves the state. EOF leaves every state at _SUBJECT or _SKIP, which
-    ignore a second one from an `end` match after it."""
+    and moves the state; a predicate line at _VERB makes no token and moves
+    it as its three would. EOF leaves every state at _SUBJECT or _SKIP, which ignore a
+    second one from an `end` match after it."""
     lines, scanned = Lines(text), []
     doc = RawDocument(lines, [])
     prefixes, types, triples = doc.prefixes, doc.types, doc.triples
@@ -215,90 +230,109 @@ def parse_raw(text: str) -> RawDocument:
     state = _SUBJECT
     for m in _TOKENS.finditer(text):
         kind = m.lastgroup
-        if kind in _PLAIN:
-            word, pos = m.group(kind), m.start(kind)
-        elif (token := step(m, kind, lines, _token, scanned, BAD)) is None:
-            continue
-        else:
-            kind, word, pos = token
-
-        if state == _HELD:
-            if kind == DTSEP:
-                state = _DATATYPE
-                continue
-            state = literal(held, "string", held_pos)  # the token goes on to that state
-        if state == _OBJECT:
-            if kind == PNAME or kind == IRIREF:
-                obj = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
-                state = _SEPARATOR
-                if obj is None:  # an undeclared prefix resyncs after the token
-                    state = _SKIP
-                elif predicate is None:
-                    types.append(_new(RawType, (subject, subject_pos, obj, pos)))
-                else:
-                    triples.append(_new(RawTriple, (
-                        subject, subject_pos, predicate, predicate_pos, obj, pos)))
-            elif kind == STRING:
-                held, held_pos, state = word, pos, _HELD
-            elif kind == NUMBER:
-                state = literal(word, "decimal", pos)
-            else:
-                state = unexpected(kind, word, pos, "an object")
-        elif state == _SEPARATOR:
-            if kind == PUNCT:
-                state = _OBJECT if word == "," else _VERB if word == ";" else _SUBJECT
-            else:
-                state = error(pos, f"expected ',', ';' or '.', found {word!r}")
-        elif state == _VERB:
-            predicate_pos, state = pos, _OBJECT
-            if kind == WORD_A:
+        if kind == LINE and state == _VERB:  # the line in one step, as its tokens would go
+            verb, word, separator = m.group(_VERB_GROUP, _OBJECT_GROUP, _LINE_GROUP)
+            predicate_pos, pos = m.start(_VERB_GROUP), m.start(_OBJECT_GROUP)
+            if verb == WORD_A:
                 predicate = None
-            elif kind == PNAME or kind == IRIREF:
-                predicate = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
-                if predicate is None:
+            elif (predicate := curies.get(verb) or resolve(PNAME, verb, predicate_pos)) is None:
+                word = None  # an undeclared verb is reported alone: the object goes unread
+            if word is None or (obj := curies.get(word) or resolve(PNAME, word, pos)) is None:
+                state = _SUBJECT if separator == "." else _SKIP  # resynced by the separator
+                continue
+            if predicate is None:
+                types.append(_new(RawType, (subject, subject_pos, obj, pos)))
+            else:
+                triples.append(_new(RawTriple, (
+                    subject, subject_pos, predicate, predicate_pos, obj, pos)))
+            state = _AFTER[separator]
+            continue
+        if kind in _PLAIN:
+            tokens = ((kind, m.group(kind), m.start(kind)),)
+        elif (tokens := step(m, kind, lines, _token, scanned, BAD)) is None:
+            continue
+        elif kind != LINE:  # one token; a predicate line off _VERB is a list of three
+            tokens = (tokens,)
+
+        for kind, word, pos in tokens:
+            if state == _HELD:
+                if kind == DTSEP:
+                    state = _DATATYPE
+                    continue
+                state = literal(held, "string", held_pos)  # the token goes on to that state
+            if state == _OBJECT:
+                if kind == PNAME or kind == IRIREF:
+                    obj = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
+                    state = _SEPARATOR
+                    if obj is None:  # an undeclared prefix resyncs after the token
+                        state = _SKIP
+                    elif predicate is None:
+                        types.append(_new(RawType, (subject, subject_pos, obj, pos)))
+                    else:
+                        triples.append(_new(RawTriple, (
+                            subject, subject_pos, predicate, predicate_pos, obj, pos)))
+                elif kind == STRING:
+                    held, held_pos, state = word, pos, _HELD
+                elif kind == NUMBER:
+                    state = literal(word, "decimal", pos)
+                else:
+                    state = unexpected(kind, word, pos, "an object")
+            elif state == _SEPARATOR:
+                if kind == PUNCT:
+                    state = _AFTER[word]
+                else:
+                    state = error(pos, f"expected ',', ';' or '.', found {word!r}")
+            elif state == _VERB:
+                predicate_pos, state = pos, _OBJECT
+                if kind == WORD_A:
+                    predicate = None
+                elif kind == PNAME or kind == IRIREF:
+                    predicate = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
+                    if predicate is None:
+                        state = _SKIP
+                else:
+                    state = unexpected(kind, word, pos, "a predicate")
+            elif state == _SUBJECT:
+                if kind == PNAME or kind == IRIREF:
+                    subject = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
+                    subject_pos, state = pos, _SKIP if subject is None else _VERB
+                elif kind == AT_PREFIX:
+                    state = _PREFIX_NAME
+                elif kind != EOF:
+                    state = unexpected(kind, word, pos, "a subject")
+            elif state == _SKIP:
+                state = _SUBJECT if kind == PUNCT and word == "." else _SKIP
+            # from here on, an error resyncs after the token
+            elif state == _DATATYPE:
+                if kind != PNAME and kind != IRIREF:
+                    state = error(pos, "expected a datatype after '^^'")
+                elif (iri := (kind == PNAME and curies.get(word))
+                      or resolve(kind, word, pos)) is None:
                     state = _SKIP
-            else:
-                state = unexpected(kind, word, pos, "a predicate")
-        elif state == _SUBJECT:
-            if kind == PNAME or kind == IRIREF:
-                subject = (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)
-                subject_pos, state = pos, _SKIP if subject is None else _VERB
-            elif kind == AT_PREFIX:
-                state = _PREFIX_NAME
-            elif kind != EOF:
-                state = unexpected(kind, word, pos, "a subject")
-        elif state == _SKIP:
-            state = _SUBJECT if kind == PUNCT and word == "." else _SKIP
-        # from here on, an error resyncs after the token
-        elif state == _DATATYPE:
-            if kind != PNAME and kind != IRIREF:
-                state = error(pos, "expected a datatype after '^^'")
-            elif (iri := (kind == PNAME and curies.get(word)) or resolve(kind, word, pos)) is None:
-                state = _SKIP
-            elif iri.startswith(ns.XSD_IRI) and iri[len(ns.XSD_IRI):] in LITERAL_KINDS:
-                state = literal(held, iri[len(ns.XSD_IRI):], held_pos)
-            else:
-                state = error(pos, f"unsupported datatype <{iri}>")
-        elif state == _PREFIX_NAME:
-            name, _, local = word.partition(":")  # a PNAME name fits PREFIX_NAME_RE
-            if kind == PNAME and not local:
-                name_pos, state = pos, _PREFIX_IRI
-            else:
-                state = error(pos, "expected a prefix name ending in ':'")
-        elif state == _PREFIX_IRI:
-            if kind == IRIREF:
-                base, state = word, _PREFIX_DOT
-            else:
-                state = error(pos, "expected an IRI reference in '@prefix'")
-        else:  # _PREFIX_DOT: a missing '.' is reported, but the prefix stands
-            if kind == PUNCT and word == ".":
-                state = _SUBJECT
-            else:
-                state = error(pos, "expected '.' after '@prefix' declaration")
-            if name in prefixes:
-                error(name_pos, f"prefix {name!r} redeclared", SEVERITY_WARNING)
-            prefixes[name] = base
-            curies.clear()
+                elif iri.startswith(ns.XSD_IRI) and iri[len(ns.XSD_IRI):] in LITERAL_KINDS:
+                    state = literal(held, iri[len(ns.XSD_IRI):], held_pos)
+                else:
+                    state = error(pos, f"unsupported datatype <{iri}>")
+            elif state == _PREFIX_NAME:
+                name, _, local = word.partition(":")  # a PNAME name fits PREFIX_NAME_RE
+                if kind == PNAME and not local:
+                    name_pos, state = pos, _PREFIX_IRI
+                else:
+                    state = error(pos, "expected a prefix name ending in ':'")
+            elif state == _PREFIX_IRI:
+                if kind == IRIREF:
+                    base, state = word, _PREFIX_DOT
+                else:
+                    state = error(pos, "expected an IRI reference in '@prefix'")
+            else:  # _PREFIX_DOT: a missing '.' is reported, but the prefix stands
+                if kind == PUNCT and word == ".":
+                    state = _SUBJECT
+                else:
+                    state = error(pos, "expected '.' after '@prefix' declaration")
+                if name in prefixes:
+                    error(name_pos, f"prefix {name!r} redeclared", SEVERITY_WARNING)
+                prefixes[name] = base
+                curies.clear()
     doc.diagnostics[:0] = scanned
     return doc
 

@@ -440,3 +440,52 @@ def test_mutated_scenarios_load_or_fail_typed_and_run(tmp_path, mutations):
                  "--out", str(tmp_path / "mutant.rht.ttl"),
                  "--log", str(tmp_path / "mutant.log.jsonl")])
     assert code in (0, 1)  # 2 would mean parse_scenario let a bad scenario through
+
+
+# --- fuzz: text that reaches the event log loads and is logged, or is refused ---
+
+_LOGGED_TEXTS = st.text(st.characters() | st.characters(min_codepoint=0xD800,
+                                                        max_codepoint=0xDFFF), max_size=5) \
+    | st.sampled_from(["\ud800", "a\udfffb", "\udc80\ud800", "%RH", "%s", "é", "\\", "\r",
+                       "\u2028", "\x00", ""])
+# field -> its key in the log, and how often two ticks log it: in each
+# measurement, signal payload and decision, or in the one alert (ON_RISE)
+_LOGGED_FIELDS = {"unit": ("unit", 4), "measured_type": ("measuredType", 6),
+                  "channel": ("channel", 1)}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_LOGGED_FIELDS)), _LOGGED_TEXTS)
+def test_text_that_reaches_the_log_is_logged_or_refused(tmp_path, field, text):
+    # each text lands on a field the log writes: a sensor's unit or measured
+    # type (every measurement), or the rule's VIA channel (every alert, as the
+    # rule fires at every tick); the rule DSL's strings hold no '"' or LF
+    text = json.loads(json.dumps(text))  # as the scenario reads it: a surrogate pair joins
+    doc = base()
+    sensor = doc["sensors"][0]
+    sensor["generator"]["value"] = 80
+    if field == "channel":
+        text = text.replace('"', "'").replace("\n", " ")
+        doc["decider"]["rules"] = doc["decider"]["rules"].replace('"email"', f'"{text}"')
+    else:
+        sensor[field] = text
+    scenario, out, log = (tmp_path / name for name in ("s.json", "s.rht.ttl", "s.log.jsonl"))
+    scenario.write_text(json.dumps(doc), encoding="utf-8")  # a lone surrogate as \udXXX
+    for path in (out, log):
+        path.unlink(missing_ok=True)
+    code = main(["run", str(scenario), "--until", "2", "--out", str(out), "--log", str(log)])
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        assert (code, out.exists(), log.exists()) == (2, False, False)
+        return
+    if field == "measured_type" and not text:
+        assert code == 2
+        return
+    assert code == 0
+    with open(log, encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle]
+    lines += [json.loads(line["payload"]) for line in lines if line["kind"] == "signal"]
+    key, count = _LOGGED_FIELDS[field]
+    assert [line[key] for line in lines if key in line] == [text] * count

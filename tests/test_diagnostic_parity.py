@@ -2,12 +2,16 @@
 
 Each mutant is the Pisano golden graph, or a shipped scenario's rule text,
 with a few characters from its source's MUTATION_CHARS inserted or deleted.
-The golden graph has two mutant sets: "graph" edits string, IRI, comment
-and directive characters, and "graph:punct" edits the '.', ';', ',' and 'a'
+The golden graph has three mutant sets: "graph" edits string, IRI, comment
+and directive characters; "graph:punct" edits the '.', ';', ',' and 'a'
 that the parser's resync paths turn on, with quotes, carets and angle
-brackets. The recorded corpus (diagnostic_parity.json) keeps each mutant's
-edits and every diagnostic, line, column, severity and message, that the
-readers gave when it was made. The readers must keep giving exactly those.
+brackets; and "graph:line" edits the blanks, ':', separators and 'a' that a
+predicate line (verb, object, separator) is made of. The recorded corpus
+(diagnostic_parity.json) keeps each mutant's edits and every diagnostic,
+line, column, severity and message, that the readers gave when it was made;
+a "graph:line" mutant also keeps a digest of parse_raw's records, every
+prefix, subject, predicate, object and offset. The readers must keep giving
+exactly those.
 
 Re-record only when a diagnostic is meant to change:
 
@@ -29,9 +33,10 @@ SCENARIOS = [ROOT / "examples" / "pisano" / name
              for name in ("scenario.json", "scenario-noisy.json")]
 _SCAN_CHARS = '\r\n"\\#^<>@$'
 MUTATION_CHARS = {"graph": _SCAN_CHARS, "rules:scenario.json": _SCAN_CHARS,
-                  "rules:scenario-noisy.json": _SCAN_CHARS, "graph:punct": '.;,a"^<>'}
+                  "rules:scenario-noisy.json": _SCAN_CHARS, "graph:punct": '.;,a"^<>',
+                  "graph:line": " \t\n:.;,a"}
 COUNTS = {"graph": 200, "rules:scenario.json": 50, "rules:scenario-noisy.json": 50,
-          "graph:punct": 200}
+          "graph:punct": 200, "graph:line": 200}
 
 
 def _read(path: Path) -> str:
@@ -44,6 +49,7 @@ def _sources() -> dict[str, str]:
     for path in SCENARIOS:
         sources[f"rules:{path.name}"] = json.loads(_read(path))["decider"]["rules"]
     sources["graph:punct"] = sources["graph"]  # last, so the older sets keep their seeds
+    sources["graph:line"] = sources["graph"]
     return sources
 
 
@@ -61,12 +67,20 @@ def _rows(diagnostics) -> list[list]:
     return [[d.line, d.col, d.severity, d.message] for d in diagnostics]
 
 
+def _records_digest(text: str) -> str:
+    raw = parse_raw(text)
+    records = [raw.prefixes, raw.types, raw.triples]  # NamedTuples dump as lists
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
 def _diagnose(source: str, text: str, registry) -> dict:
     if source.startswith("graph"):
         raw = _rows(parse_raw(text).diagnostics)
         built = _rows(parse(text, registry)[1])
         assert built[:len(raw)] == raw  # parse reports the raw layer's first
-        return {"raw": raw, "built": built[len(raw):]}
+        if source != "graph:line":
+            return {"raw": raw, "built": built[len(raw):]}
+        return {"raw": raw, "built": built[len(raw):], "records": _records_digest(text)}
     return {"rules": _rows(parse_rules(text)[1])}
 
 

@@ -151,6 +151,37 @@ GRAPH_TABLE = [
     ('http://x',
      [('bad', 'http://x', 1, 1), ('eof', '', 1, 9)],
      [(1, 1, "unexpected word 'http://x'")]),
+    # predicate-line rows, recorded from the scan that read each token in its
+    # own match: a verb, a PNAME object and a separator, or not quite one
+    ('ex:p ex:c.d .',
+     [('pname', 'ex:p', 1, 1, 'ex', 'p'), ('pname', 'ex:c.d', 1, 6, 'ex', 'c.d'),
+      ('punct', '.', 1, 13), ('eof', '', 1, 14)],
+     []),
+    ('ex:p ex:c.d x',  # the object is taken whole, never 'ex:c' and its '.'
+     [('pname', 'ex:p', 1, 1, 'ex', 'p'), ('pname', 'ex:c.d', 1, 6, 'ex', 'c.d'),
+      ('bad', 'x', 1, 13), ('eof', '', 1, 14)],
+     [(1, 13, "unexpected word 'x'")]),
+    ('ex:p ex:c.;',
+     [('pname', 'ex:p', 1, 1, 'ex', 'p'), ('pname', 'ex:c', 1, 6, 'ex', 'c'),
+      ('punct', '.', 1, 10), ('punct', ';', 1, 11), ('eof', '', 1, 12)],
+     []),
+    ('a\tex:C;',
+     [('a', 'a', 1, 1), ('pname', 'ex:C', 1, 3, 'ex', 'C'), ('punct', ';', 1, 7),
+      ('eof', '', 1, 8)],
+     []),
+    ('ex:p\nex:o ,',
+     [('pname', 'ex:p', 1, 1, 'ex', 'p'), ('pname', 'ex:o', 2, 1, 'ex', 'o'),
+      ('punct', ',', 2, 6), ('eof', '', 2, 7)],
+     []),
+    ('<https://e/p> ex:o ;',
+     [('iriref', 'https://e/p', 1, 1), ('pname', 'ex:o', 1, 15, 'ex', 'o'),
+      ('punct', ';', 1, 20), ('eof', '', 1, 21)],
+     []),
+    ('ex:p ex:o ;\r\n    ex:q ex:r .\r\n',
+     [('pname', 'ex:p', 1, 1, 'ex', 'p'), ('pname', 'ex:o', 1, 6, 'ex', 'o'),
+      ('punct', ';', 1, 11), ('pname', 'ex:q', 2, 5, 'ex', 'q'),
+      ('pname', 'ex:r', 2, 10, 'ex', 'r'), ('punct', '.', 2, 15), ('eof', '', 3, 1)],
+     []),
 ]
 
 RULES_TABLE = [
@@ -242,6 +273,16 @@ def test_graph_tokens_match_table(text, tokens, diagnostics):
     got_tokens, got_diagnostics = _tokenize(textformat, text)
     assert _flatten(got_tokens) == tokens
     assert [(d.line, d.col, d.message) for d in got_diagnostics] == diagnostics
+
+
+@pytest.mark.parametrize("text,group", [
+    ('ex:p ex:c.d .', 'line'), ('ex:p ex:c.d x', 'pname'), ('ex:p ex:c.;', 'line'),
+    ('a\tex:C;', 'line'), ('ex:p\nex:o ,', 'line'), ('<https://e/p> ex:o ;', 'iri'),
+    ('ex:p ex:o ;\r\n', 'line')])
+def test_predicate_line_rows_start_with_the_match_they_test(text, group):
+    # a 'line' match holds the verb, the object and the separator; the scan
+    # view above must still give its three tokens
+    assert textformat._TOKENS.match(text).lastgroup == group
 
 
 @pytest.mark.parametrize("text,tokens,diagnostics", RULES_TABLE)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingraph import EventRecord, ScenarioRun, StepFailure, parse_scenario, render_log, runtime
-from twingraph.canon import dumps_canonical, object_layout
+from twingraph.canon import dumps_canonical, object_template
 from twingraph.runtime import FIELDS, PAYLOAD_FIELDS
 
 from conftest import random_scenario
@@ -144,13 +144,12 @@ _VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=6), _VALUES)
-def test_object_layout_renders_as_dumps_canonical(value, extra):
-    render = object_layout(tuple(value))
-    assert render(*value.values()) == dumps_canonical(value)
-    for values in (list(value.values())[:-1], [*value.values(), extra]):
-        with pytest.raises(ValueError):  # one value too few or too many
-            render(*values)
+@given(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=6))
+def test_object_template_renders_as_dumps_canonical(value):
+    # filled with each value's canonical JSON in sorted key order, as
+    # make_signal fills the payload's
+    rendered = tuple(dumps_canonical(value[key]) for key in sorted(value))
+    assert object_template(tuple(value)) % rendered == dumps_canonical(value)
 
 
 # --- the table is the one description ---
@@ -173,11 +172,15 @@ def test_format_md_field_table_is_the_runtime_table():
     assert "`src/twingraph/runtime.py`" in section
 
 
-def test_format_md_payload_example_is_the_runtime_layout():
+def test_format_md_payload_example_is_the_runtime_payload():
+    # the example is the payload of the Pisano run's signal it names
     example = re.search(r"```json\n(.*)\n```", _section("Signal payload")).group(1)
     payload = json.loads(example, parse_float=Decimal)
     assert tuple(payload) == PAYLOAD_FIELDS
-    assert object_layout(PAYLOAD_FIELDS)(*payload.values()) == example
+    with open(GOLDEN_CASES[0][0], encoding="utf-8") as handle:
+        records = _run(parse_scenario(handle.read())).records
+    assert [record.fields["payload"] for record in records if record.kind == "signal"
+            and record.fields["signal"] == payload["signalId"]] == [example]
 
 
 def test_runtime_spells_no_field_name_outside_its_tables():

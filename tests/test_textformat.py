@@ -177,6 +177,18 @@ def test_recovery_continues_after_bad_triple():
     ("@prefix q: <https://e/q#>\nq:t ex:p ex:o .\nq:u ex:p ex:o .\n",
      [(3, 1, "expected '.' after '@prefix' declaration")], ["https://e/q#u"]),
     ("@prefix q: <https://e/q#>", [(2, 26, "expected '.' after '@prefix' declaration")], []),
+    # a predicate line (verb, object, separator) where no predicate is due
+    # goes one token at a time; one with an undeclared verb is reported once
+    ("ex:s ex:o .\nex:t ex:p ex:o .\n", [(2, 11, "expected an object, found '.'")], ["t"]),
+    ("ex:s ex:p ex:o, ex:q ex:r .\nex:t ex:p ex:o .\n",
+     [(2, 22, "expected ',', ';' or '.', found 'ex:r'")], ["s", "s", "t"]),
+    ('ex:s ex:p "x" ex:q ex:r ;\nex:t ex:p ex:o .\nex:u ex:p ex:o .\n',
+     [(2, 15, "expected ',', ';' or '.', found 'ex:q'")], ["s", "u"]),
+    ("ex:s $ ex:p ex:o .\nex:t ex:p ex:o .\n", [(2, 6, "unexpected character '$'")], ["t"]),
+    ("ex:s a zz:C ; ex:p ex:o .\nex:t ex:p ex:o .\n", [(2, 8, "undeclared prefix 'zz'")],
+     ["t"]),
+    ("ex:s zz:p ex:o ; ex:q ex:r .\nex:t ex:p ex:o .\n", [(2, 6, "undeclared prefix 'zz'")],
+     ["t"]),
 ], ids=["prefix-name-dot", "prefix-name-bad", "prefix-iri-dot", "datatype-dot",
         "subject-dot", "predicate-dot", "object-dot", "separator-bad", "subject-bad",
         "predicate-bad", "object-bad", "prefix-without-dot", "prefix-redeclared-without-dot",
@@ -184,7 +196,9 @@ def test_recovery_continues_after_bad_triple():
         "datatype-eof", "subject-undeclared", "predicate-undeclared", "object-undeclared",
         "datatype-undeclared", "datatype-unsupported", "predicate-eof", "object-eof",
         "object-eof-after-comment", "separator-eof", "prefix-name-eof", "prefix-iri-eof",
-        "prefix-dot-swallows", "prefix-dot-eof"])
+        "prefix-dot-swallows", "prefix-dot-eof", "line-at-subject", "line-at-object",
+        "line-after-string", "line-while-skipping", "line-class-undeclared",
+        "line-verb-undeclared-then-line"])
 def test_resync_rules(body, diagnostics, subjects):
     raw = parse_raw("@prefix ex: <https://e/> .\n" + body)
     assert [(d.line, d.col, d.message) for d in raw.diagnostics] == diagnostics
