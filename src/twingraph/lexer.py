@@ -10,10 +10,8 @@ with the "unexpected character" fallback and the EOF token.
 Some group matches any character and every group but the end consumes one
 at least, so a loop over the matches always moves forward and terminates.
 
-The graph parser (textformat.parse_raw) loops over the matches itself. Only
-the rule DSL's parser pulls tokens, from the scan generator, keeping one
-token of lookahead (Lookahead), which also reports its diagnostics: reject
-reports an error and raises Rejected, which ends a rule; the parser resyncs.
+The graph parser (textformat.parse_raw) loops over the matches itself; the
+rule DSL's parser (rules.parse_rules) pulls tokens from the scan generator.
 
 Positions are offsets into the text, as in Go's go/token. Lines turns one
 into a 1-based line:col (a line ends at LF, so CRLF works; a lone CR is a
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import Callable, Iterator, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ParseDiagnostic, SEVERITY_ERROR
 
@@ -63,30 +61,6 @@ def master(alternatives: str) -> re.Pattern:
     comment, say); an input that ends in one has its EOF where it began."""
     return re.compile(r"[ \t\r\n]*(?:" + alternatives
                       + r"|(?P<unexpected>.)|(?P<end>\Z))", re.VERBOSE)
-
-
-class Rejected(Exception):
-    """Ends a rule at its first error."""
-
-
-class Lookahead:
-    """A parser's one token of lookahead (current) over a scan, and its diagnostics."""
-
-    def __init__(self, tokens: Iterator[Token], lines: Lines):
-        self.tokens = tokens
-        self.lines = lines
-        self.diagnostics: list[ParseDiagnostic] = []
-        self.current = next(tokens)
-
-    def take(self) -> Token:  # the scan moves on unless it is at EOF
-        token = self.current
-        if token.kind != EOF:
-            self.current = next(self.tokens)
-        return token
-
-    def reject(self, token: Token, message: str) -> NoReturn:
-        self.diagnostics.append(self.lines.diagnostic(token.pos, message))
-        raise Rejected
 
 
 def step(m: re.Match, kind: str, lines: Lines, build: Callable[..., "Token | list | None"],

@@ -17,16 +17,16 @@ holds each expanded, and check_scenario refuses one that names no declared entit
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from decimal import Decimal
 from enum import Enum
 from itertools import islice, repeat
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import namespaces as ns
 from .canon import parse_decimal
 from .errors import ParseDiagnostic, has_errors
-from .lexer import EOF, Lines, Lookahead, Rejected, Token, master, scan
+from .lexer import EOF, Lines, Token, master, scan
 
 _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
@@ -126,103 +126,104 @@ def _token(kind, m, lines, diagnostics) -> Token | None:
     return None
 
 
-class _RuleParser(Lookahead):
-    def expect_word(self, keyword: str) -> None:
-        token = self.take()
-        if token.kind != WORD or token.text != keyword:
-            self.reject(token, f"expected {keyword}, found {token.text or 'end of input'!r}")
+class _Rejected(Exception):
+    """Ends a rule at its first error; the parser goes on at the next RULE."""
 
-    def sync_to_rule(self) -> None:
-        while True:
-            token = self.current
-            if token.kind == EOF or (token.kind == WORD and token.text == "RULE"):
-                return
-            self.take()
+
+class _RuleParser:
+    """Recursive descent over a scan with one token of lookahead (current).
+    Each grammar position is one expect, and a rule's first error ends it."""
+
+    def __init__(self, tokens: Iterator[Token], lines: Lines):
+        self.tokens = tokens
+        self.lines = lines
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.current = next(tokens)
+
+    def take(self) -> Token:  # the scan moves on unless it is at EOF
+        token = self.current
+        if token.kind != EOF:
+            self.current = next(self.tokens)
+        return token
+
+    def at(self, word: str) -> bool:
+        return self.current.kind == WORD and self.current.text == word
+
+    def reject(self, token: Token, message: str) -> NoReturn:
+        self.diagnostics.append(self.lines.diagnostic(token.pos, message))
+        raise _Rejected
+
+    def expect(self, kind: str, words: tuple[str, ...] | None = None,
+               message: str | None = None) -> Token:
+        """Take the next token, and reject it unless it has this kind and is
+        one of the words, if given; a keyword's message names what was found."""
+        token = self.take()
+        if token.kind != kind or (words is not None and token.text not in words):
+            self.reject(token, message
+                        or f"expected {words[0]}, found {token.text or 'end of input'!r}")
+        return token
 
     def run(self) -> list[Rule]:
         rules: list[Rule] = []
-        seen: dict[str, Token] = {}
+        seen: set[str] = set()
         while self.current.kind != EOF:
             try:
                 rules.append(self.rule(seen))
-            except Rejected:  # the parser goes on at the next RULE
-                self.sync_to_rule()
+            except _Rejected:
+                while self.current.kind != EOF and not self.at("RULE"):
+                    self.take()
         return rules
 
-    def rule(self, seen: dict[str, Token]) -> Rule:
-        self.expect_word("RULE")
-        id_token = self.take()
-        if id_token.kind != WORD or id_token.text in _KEYWORDS:
-            self.reject(id_token, "expected a rule id after RULE")
-        if id_token.text in seen:
-            self.reject(id_token, f"duplicate rule id {id_token.text!r}")
-        self.expect_word("WHEN")
-        self.expect_word("TYPE")
-        eq = self.take()
-        if eq.kind != CMP or eq.text != "=":
-            self.reject(eq, "expected '=' after TYPE")
-        type_token = self.take()
-        if type_token.kind != STRING:
-            self.reject(type_token, "expected a quoted measured type")
-        self.expect_word("AND")
-        self.expect_word("VALUE")
-        cmp_token = self.take()
-        if cmp_token.kind != CMP:
-            self.reject(cmp_token, "expected a comparator after VALUE")
-        number_token = self.take()
-        if number_token.kind != NUMBER:
-            self.reject(number_token, "expected a number threshold")
+    def rule(self, seen: set[str]) -> Rule:
+        self.expect(WORD, ("RULE",))
+        name = self.expect(WORD, message="expected a rule id after RULE")
+        if name.text in _KEYWORDS:
+            self.reject(name, "expected a rule id after RULE")
+        if name.text in seen:
+            self.reject(name, f"duplicate rule id {name.text!r}")
+        self.expect(WORD, ("WHEN",))
+        self.expect(WORD, ("TYPE",))
+        self.expect(CMP, ("=",), "expected '=' after TYPE")
+        measured = self.expect(STRING, message="expected a quoted measured type").text
+        self.expect(WORD, ("AND",))
+        self.expect(WORD, ("VALUE",))
+        comparator = self.expect(CMP, message="expected a comparator after VALUE").text
+        number = self.expect(NUMBER, message="expected a number threshold")
         try:
-            threshold = parse_decimal(number_token.text)
+            threshold = parse_decimal(number.text)
         except ValueError as exc:
-            self.reject(number_token, str(exc))
-
-        sustain = 1
-        mode = TriggerMode.ON_RISE
-        token = self.current
-        if token.kind == WORD and token.text == "FOR":
+            self.reject(number, str(exc))
+        sustain, mode = 1, TriggerMode.ON_RISE
+        if self.at("FOR"):
             self.take()
-            count_token = self.take()
-            if count_token.kind != NUMBER or not count_token.text.isdigit() \
-                    or not count_token.text.strip("0"):  # zero
-                self.reject(count_token, "FOR takes a positive integer sample count")
+            count = self.expect(NUMBER, message="FOR takes a positive integer sample count")
+            if not count.text.isdigit() or not count.text.strip("0"):  # zero
+                self.reject(count, "FOR takes a positive integer sample count")
             try:
-                sustain = int(count_token.text)
+                sustain = int(count.text)
             except ValueError:  # beyond the digits int() reads from text
-                self.reject(count_token, "FOR sample count has too many digits")
-            self.expect_word("SAMPLES")
-            token = self.current
-        if token.kind == WORD and token.text == "MODE":
+                self.reject(count, "FOR sample count has too many digits")
+            self.expect(WORD, ("SAMPLES",))
+        if self.at("MODE"):
             self.take()
-            mode_token = self.take()
-            if mode_token.kind != WORD or mode_token.text not in ("ON_RISE", "EVERY"):
-                self.reject(mode_token, "MODE takes ON_RISE or EVERY")
-            mode = TriggerMode(mode_token.text)
-        self.expect_word("THEN")
-
+            mode = TriggerMode(self.expect(WORD, ("ON_RISE", "EVERY"),
+                                           "MODE takes ON_RISE or EVERY").text)
+        self.expect(WORD, ("THEN",))
         actions = [self.action()]
         while self.current.kind == COMMA:
             self.take()
             actions.append(self.action())
-
-        seen[id_token.text] = id_token
-        return Rule(id_token.text, type_token.text, cmp_token.text, threshold,
-                    sustain, mode, tuple(actions))
+        seen.add(name.text)
+        return Rule(name.text, measured, comparator, threshold, sustain, mode, tuple(actions))
 
     def action(self) -> Action:
-        verb = self.take()
-        if verb.kind != WORD or verb.text not in ("ACTIVATE", "ALERT"):
-            self.reject(verb, "expected ACTIVATE or ALERT")
-        target = self.take()
-        if target.kind != TARGET:
-            self.reject(target, f"{verb.text} takes an IRI target")
-        if verb.text == "ACTIVATE":
-            return Action(ActionKind.ACTIVATE, target.text)
-        self.expect_word("VIA")
-        channel = self.take()
-        if channel.kind != STRING:
-            self.reject(channel, "VIA takes a quoted channel")
-        return Action(ActionKind.ALERT, target.text, channel.text)
+        verb = self.expect(WORD, ("ACTIVATE", "ALERT"), "expected ACTIVATE or ALERT").text
+        target = self.expect(TARGET, message=f"{verb} takes an IRI target").text
+        if verb == "ACTIVATE":
+            return Action(ActionKind.ACTIVATE, target)
+        self.expect(WORD, ("VIA",))
+        return Action(ActionKind.ALERT, target,
+                      self.expect(STRING, message="VIA takes a quoted channel").text)
 
 
 def parse_rules(text: str) -> tuple[list[Rule] | None, list[ParseDiagnostic]]:

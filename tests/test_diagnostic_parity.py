@@ -1,12 +1,15 @@
 """Diagnostic parity over deterministic mutants of the shipped texts.
 
-Each mutant is the Pisano golden graph, or a shipped scenario's rule text,
-with a few characters from its source's MUTATION_CHARS inserted or deleted.
+Each mutant is the Pisano golden graph, a shipped scenario's rule text, or
+CLAUSES, a rule block with every clause of the grammar, with a few
+characters from its source's MUTATION_CHARS inserted or deleted.
 The golden graph has three mutant sets: "graph" edits string, IRI, comment
 and directive characters; "graph:punct" edits the '.', ';', ',' and 'a'
 that the parser's resync paths turn on, with quotes, carets and angle
 brackets; and "graph:line" edits the blanks, ':', separators and 'a' that a
-predicate line (verb, object, separator) is made of. The recorded corpus
+predicate line (verb, object, separator) is made of. "rules:clauses" edits
+the ids, counts, keywords, targets and punctuation that the rule parser's
+checks turn on. The recorded corpus
 (diagnostic_parity.json) keeps each mutant's edits and every diagnostic,
 line, column, severity and message, that the readers gave when it was made;
 a "graph:line" mutant also keeps a digest of parse_raw's records, every
@@ -32,11 +35,15 @@ GOLDEN = ROOT / "examples" / "pisano" / "golden.rht.ttl"
 SCENARIOS = [ROOT / "examples" / "pisano" / name
              for name in ("scenario.json", "scenario-noisy.json")]
 _SCAN_CHARS = '\r\n"\\#^<>@$'
+CLAUSES = ('# every clause, then FOR alone\n'
+           'RULE r1 WHEN TYPE = "tilt" AND VALUE >= -2.5 FOR 3 SAMPLES MODE EVERY\n'
+           '    THEN ACTIVATE <https://example.org/unit>, ALERT ex:curator VIA "sms"\n'
+           'RULE r11 WHEN TYPE = "humidity" AND VALUE < 70 FOR 12 SAMPLES THEN ACTIVATE ex:siren\n')
 MUTATION_CHARS = {"graph": _SCAN_CHARS, "rules:scenario.json": _SCAN_CHARS,
                   "rules:scenario-noisy.json": _SCAN_CHARS, "graph:punct": '.;,a"^<>',
-                  "graph:line": " \t\n:.;,a"}
+                  "graph:line": " \t\n:.;,a", "rules:clauses": '\n "!.,:<>-1S'}
 COUNTS = {"graph": 200, "rules:scenario.json": 50, "rules:scenario-noisy.json": 50,
-          "graph:punct": 200, "graph:line": 200}
+          "graph:punct": 200, "graph:line": 200, "rules:clauses": 200}
 
 
 def _read(path: Path) -> str:
@@ -50,6 +57,7 @@ def _sources() -> dict[str, str]:
         sources[f"rules:{path.name}"] = json.loads(_read(path))["decider"]["rules"]
     sources["graph:punct"] = sources["graph"]  # last, so the older sets keep their seeds
     sources["graph:line"] = sources["graph"]
+    sources["rules:clauses"] = CLAUSES
     return sources
 
 
