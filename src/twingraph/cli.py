@@ -5,8 +5,8 @@
     twingraph query GRAPH ...        list instances of a class
     twingraph chain GRAPH --from IRI print a provenance chain
 
-Exit codes: 0 success, 1 validation or diagnostic findings, 2 usage, IO, or
-config errors. Diagnostics go to stderr; data goes to stdout or files.
+Exit codes: 0 success, 1 findings or an aborted run, 2 usage, IO, config, or
+any other typed engine error. Diagnostics go to stderr; data to stdout or files.
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ from . import __version__
 from . import textformat
 from .canon import dumps_canonical
 from .config import load_scenario
-from .errors import (
-    ConfigError,
-    InvalidIriError,
-    SEVERITY_ERROR,
-    NotAProvenanceNodeError,
-    UnknownClassError,
-    UnknownPrefixError,
-    UnknownSubjectError,
-)
+from .errors import SEVERITY_ERROR, ConfigError, TwingraphError
 from .ontology import SEED_VERSION, load_seed
 from .runtime import ScenarioRun, StepFailure, render_log
 
@@ -87,12 +79,7 @@ def cmd_query(args) -> int:
     graph, _ = _parse_graph_file(args.graph)
     if graph is None:
         return 1
-    try:
-        instances = graph.instances_of(args.instances_of, transitive=args.subclasses)
-    except UnknownClassError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    for iri in instances:
+    for iri in graph.instances_of(args.instances_of, transitive=args.subclasses):
         print(iri.value)
     return 0
 
@@ -101,14 +88,7 @@ def cmd_chain(args) -> int:
     graph, _ = _parse_graph_file(args.graph)
     if graph is None:
         return 1
-    try:
-        start = graph.resolve(args.start)
-        path = graph.provenance_chain(start)
-    except (InvalidIriError, UnknownPrefixError, UnknownSubjectError,
-            NotAProvenanceNodeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    for statement in path:
+    for statement in graph.provenance_chain(graph.resolve(args.start)):
         print(f"{statement.subject.value} --{statement.property}--> "
               f"{statement.object}")
     return 0
@@ -158,7 +138,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, TwingraphError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -237,13 +237,6 @@ def seed_property_table() -> tuple[PropertyDef, ...]:
 
 # --- extension files ---
 
-# Reserved pseudo-property local names under the reg: vocabulary.
-_EXT_LABEL = "label"
-_EXT_NOTE = "scopeNote"
-_EXT_SUBCLASS = "subClassOf"
-_EXT_DOMAIN = "domain"
-_EXT_RANGE = "range"
-
 
 def load_extension(registry: Registry, text: str):
     """Grow a registry from an extension document.
@@ -266,41 +259,32 @@ def load_extension(registry: Registry, text: str):
     for assertion in raw.types:
         fail(assertion.subject_pos, "'a' assertions are not part of extension files")
 
-    # Bucket triples by subject, keeping declaration order and positions.
+    # One entry per subject, in declaration order: its position and, keyed by
+    # verb, the last label, scopeNote, domain and range and every subClassOf.
     subjects: dict[str, dict] = {}
     for triple in raw.triples:
-        entry = subjects.get(triple.subject)
-        if entry is None:
-            entry = {"pos": triple.subject_pos, "label": None, "note": None,
-                     "parents": [], "domain": None, "range": None}
-            subjects[triple.subject] = entry
+        entry = subjects.setdefault(triple.subject, {"pos": triple.subject_pos})
         if not triple.predicate.startswith(ns.REG_IRI):
             fail(triple.predicate_pos, "extension statements must use the reg: vocabulary")
             continue
         verb = triple.predicate[len(ns.REG_IRI):]
-        obj = triple.object
-        if verb in (_EXT_LABEL, _EXT_NOTE):
-            if not isinstance(obj, textformat.RawLiteral) or obj.datatype != "string":
-                fail(triple.object_pos, f"reg:{verb} takes a string literal")
-                continue
-            entry["label" if verb == _EXT_LABEL else "note"] = obj.value
-        elif verb == _EXT_SUBCLASS:
-            if isinstance(obj, textformat.RawLiteral):
-                fail(triple.object_pos, "reg:subClassOf takes a class reference")
-                continue
-            entry["parents"].append((obj, triple.object_pos))
-        elif verb in (_EXT_DOMAIN, _EXT_RANGE):
-            key = "domain" if verb == _EXT_DOMAIN else "range"
-            if isinstance(obj, textformat.RawLiteral):
-                if key == "range" and obj.datatype == "string" and obj.value in LITERAL_KINDS:
-                    entry[key] = (obj.value, triple.object_pos)
-                else:
-                    fail(triple.object_pos, f"reg:{verb} takes a class reference"
-                         + (" or a literal kind name" if key == "range" else ""))
-                continue
-            entry[key] = (obj, triple.object_pos)
-        else:
+        obj, pos = triple.object, triple.object_pos
+        literal = isinstance(obj, textformat.RawLiteral)
+        if verb in ("label", "scopeNote"):
+            if literal and obj.datatype == "string":
+                entry[verb] = obj.value
+            else:
+                fail(pos, f"reg:{verb} takes a string literal")
+        elif verb not in ("subClassOf", "domain", "range"):
             fail(triple.predicate_pos, f"unknown extension verb reg:{verb}")
+        elif literal and not (verb == "range" and obj.datatype == "string"
+                              and obj.value in LITERAL_KINDS):
+            fail(pos, f"reg:{verb} takes a class reference"
+                 + (" or a literal kind name" if verb == "range" else ""))
+        elif verb == "subClassOf":
+            entry.setdefault(verb, []).append((obj, pos))
+        else:
+            entry[verb] = (obj.value if literal else obj, pos)
 
     if has_errors(diagnostics):
         return None, diagnostics
@@ -317,12 +301,10 @@ def load_extension(registry: Registry, text: str):
         symbol, namespace = split_symbol(subject_iri, entry["pos"])
         if symbol is None:
             continue
-        is_property = entry["domain"] is not None or entry["range"] is not None
-        if is_property and entry["parents"]:
-            fail(entry["pos"], f"{symbol} mixes class and property verbs")
-            continue
-        if not is_property and not entry["parents"]:
-            fail(entry["pos"], f"{symbol} needs reg:subClassOf or reg:domain and reg:range")
+        is_property = "domain" in entry or "range" in entry
+        if is_property == ("subClassOf" in entry):  # both kinds of verb, or neither
+            fail(entry["pos"], f"{symbol} mixes class and property verbs" if is_property
+                 else f"{symbol} needs reg:subClassOf or reg:domain and reg:range")
             continue
         (propdefs if is_property else classes).append((symbol, namespace, entry))
 
@@ -338,7 +320,7 @@ def load_extension(registry: Registry, text: str):
         scan, i, unchecked = heappop(ready)
         symbol, namespace, entry = classes[i]
         if unchecked is None:
-            entry["ids"] = [split_symbol(v, pos)[0] for v, pos in entry["parents"]]
+            entry["ids"] = [split_symbol(*parent)[0] for parent in entry["subClassOf"]]
             if has_errors(diagnostics):
                 return None, diagnostics
             unchecked = iter(entry["ids"])
@@ -348,8 +330,8 @@ def load_extension(registry: Registry, text: str):
             continue
         try:
             reg._add_class(OntologyClassDef(
-                symbol, entry["label"] or symbol, namespace,
-                tuple(entry["ids"]), entry["note"] or ""))
+                symbol, entry.get("label") or symbol, namespace,
+                tuple(entry["ids"]), entry.get("scopeNote", "")))
         except RegistryError as exc:
             fail(entry["pos"], str(exc))
             return None, diagnostics
@@ -359,22 +341,19 @@ def load_extension(registry: Registry, text: str):
         fail(classes[i][2]["pos"], f"class {classes[i][0]} has unresolved parents")
 
     for symbol, namespace, entry in propdefs:
-        if entry["domain"] is None or entry["range"] is None:
+        if "domain" not in entry or "range" not in entry:
             fail(entry["pos"], f"property {symbol} needs both reg:domain and reg:range")
             continue
-        domain_value, domain_pos = entry["domain"]
-        range_value, range_pos = entry["range"]
-        domain_id = split_symbol(domain_value, domain_pos)[0]
-        if isinstance(range_value, str) and range_value in LITERAL_KINDS:
-            range_id = range_value
-        else:
-            range_id = split_symbol(range_value, range_pos)[0]
+        domain_id = split_symbol(*entry["domain"])[0]
+        range_id = entry["range"][0]
+        if range_id not in LITERAL_KINDS:
+            range_id = split_symbol(*entry["range"])[0]
         if has_errors(diagnostics):
             return None, diagnostics
         try:
             reg._add_property(PropertyDef(
-                symbol, entry["label"] or symbol, namespace,
-                domain_id, range_id, entry["note"] or ""))
+                symbol, entry.get("label") or symbol, namespace,
+                domain_id, range_id, entry.get("scopeNote", "")))
         except RegistryError as exc:
             fail(entry["pos"], str(exc))
 

@@ -159,8 +159,8 @@ class _RuleParser:
         one of the words, if given; a keyword's message names what was found."""
         token = self.take()
         if token.kind != kind or (words is not None and token.text not in words):
-            self.reject(token, message
-                        or f"expected {words[0]}, found {token.text or 'end of input'!r}")
+            self.reject(token, message or "expected %s, found %r" % (
+                words[0], "end of input" if token.kind == EOF else token.text))
         return token
 
     def run(self) -> list[Rule]:

@@ -298,6 +298,7 @@ def test_falls_under_matches_pairwise_subclass_tests(data):
 _REG = "@prefix reg: <https://example.org/ns/registry#> .\n"
 _HDTO = "@prefix hdto: <https://example.org/ns/hdto#> .\n"
 _EX = "@prefix ex: <https://example.org/other/> .\n"
+_CRM = "@prefix crm: <http://www.cidoc-crm.org/cidoc-crm/> .\n"
 _OUTSIDE = "extension subject or reference outside the ontology namespaces: "
 
 
@@ -362,6 +363,18 @@ _OUTSIDE = "extension subject or reference outside the ontology namespaces: "
                     "hdto:HC51 reg:subClassOf hdto:HC1 .\n"
                     "hdto:HC52 reg:subClassOf hdto:HC1 .\n",
      [(3, 1, "error", "class HC9 already registered")]),
+    (_REG + _HDTO + _CRM + "hdto:HC50 crm:P2 hdto:HC1 .\n",
+     [(4, 11, "error", "extension statements must use the reg: vocabulary")]),
+    (_REG + _HDTO + _CRM + 'hdto:HC50 reg:subClassOf "x" .\n',
+     [(4, 26, "error", "reg:subClassOf takes a class reference")]),
+    (_REG + _HDTO + _CRM + 'hdto:HP50 reg:domain "x" ; reg:range "string" .\n',
+     [(4, 22, "error", "reg:domain takes a class reference")]),
+    (_REG + _HDTO + _CRM + 'hdto:HP50 reg:domain hdto:HC1 ; reg:range "bogus" .\n',
+     [(4, 43, "error", "reg:range takes a class reference or a literal kind name")]),
+    (_REG + _HDTO + _CRM + 'hdto:HC50 reg:label "only" .\n',
+     [(4, 1, "error", "HC50 needs reg:subClassOf or reg:domain and reg:range")]),
+    (_REG + _HDTO + _CRM + "hdto:HP11 reg:domain hdto:HC9 ; reg:range hdto:D14 .\n",
+     [(4, 1, "error", "property HP11 already registered")]),
 ])
 def test_extension_rejections(seed_registry, text, expected):
     grown, diagnostics = load_extension(seed_registry, text)
@@ -374,6 +387,17 @@ def test_extension_label_requires_string(seed_registry):
     grown, diagnostics = load_extension(seed_registry, text)
     assert grown is None
     assert diagnostics == [(3, 21, "error", "reg:label takes a string literal")]
+
+
+def test_extension_repeated_verb_keeps_last_value(seed_registry):
+    text = (_REG + _HDTO + 'hdto:HC50 reg:label "a" ;\n    reg:label "b" ;\n'
+            "    reg:subClassOf hdto:HC1 .\n"
+            "hdto:HP50 reg:domain hdto:HC1 ;\n    reg:range hdto:HC1 ;\n"
+            '    reg:range "string" .\n')
+    grown, diagnostics = load_extension(seed_registry, text)
+    assert diagnostics == []
+    assert grown.classes["HC50"] == OntologyClassDef("HC50", "b", "HDTO", ("HC1",))
+    assert grown.properties["HP50"] == PropertyDef("HP50", "HP50", "HDTO", "HC1", "string")
 
 
 _PREFIX_OF = {"E": "crm:", "D": "dig:"}  # HC ids are hdto:
@@ -391,7 +415,7 @@ def test_extension_dag_in_any_order_loads_with_bfs_closures(data):
         parents[f"HC{100 + i}"] = tuple(data.draw(
             st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)))
     declared = data.draw(st.permutations([f"HC{100 + i}" for i in range(count)]))
-    lines = [_REG, _HDTO, "@prefix crm: <http://www.cidoc-crm.org/cidoc-crm/> .\n",
+    lines = [_REG, _HDTO, _CRM,
              "@prefix dig: <http://www.ics.forth.gr/isl/CRMdig/> .\n"]
     for cid in declared:
         links = (f"reg:subClassOf {_PREFIX_OF.get(p[0], 'hdto:')}{p}" for p in parents[cid])

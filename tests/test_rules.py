@@ -106,6 +106,9 @@ def _cut_rows():
     ('RULE r WHEN TYPE = "h" AND VALUE > 1 THEN', ["1:42 error expected ACTIVATE or ALERT"]),
     ('RULE r WHEN TYPE = "h" AND VALUE > 1 THEN ALERT ex:a',
      ["1:53 error expected VIA, found 'end of input'"]),
+    # an empty quoted string is a token, not the end of the text
+    ('RULE r WHEN TYPE = "h" AND "" > 1 THEN ACTIVATE ex:a',
+     ["1:28 error expected VALUE, found ''"]),
     ('RULE r WHEN TYPE = "h" AND VALUE > 1.2.3 THEN ACTIVATE ex:a',
      ["1:36 error not a plain decimal numeral: '1.2.3'"]),
     ('RULE THEN WHEN TYPE = "h" AND VALUE > 1 THEN ACTIVATE ex:a',
